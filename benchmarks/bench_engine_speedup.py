@@ -1,15 +1,17 @@
 """E9 -- Engine-layer speedup: precomputation vs naive verification.
 
 The crypto engine (fixed-argument pairing tables, cached base pairing,
-wNAF multi-exponentiation) is a pure implementation-level optimisation:
-it must leave every instrumented operation count untouched while cutting
-wall-clock time.  This experiment measures both halves of that contract
-on the paper-comparable SS512 preset:
+the batch core's fused kernels) is a pure implementation-level
+optimisation: it must leave every instrumented operation count
+untouched while cutting wall-clock time.  This experiment measures both
+halves of that contract on the paper-comparable SS512 preset, with
+``groupsig.reference_classify`` (the paper's algorithm on generic
+pairings, no engine) as the "engine off" side:
 
 * revocation-scan verification (|URL| = 32) engine-on vs engine-off,
   the acceptance gate (>= 1.5x) for the engine refactor;
 * base verification (|URL| = 0) engine-on vs engine-off;
-* batch throughput: ``verify_batch`` vs sequential ``verify``.
+* batch throughput: ``verify_batch`` vs the sequential reference.
 
 Machine-readable results land in ``BENCH_engine_speedup.json``.
 """
@@ -44,30 +46,29 @@ def test_e9_engine_speedup(reporter, ss512_scheme):
     # Build the per-gpk tables outside the timed region: they are a
     # one-time cost per system parameter set, amortized over the gpk's
     # lifetime (that amortization is the whole point of the engine).
-    gpk.engine.g2_table
-    gpk.engine.w_table
-    gpk.engine.base_pairing()
+    groupsig.verify(gpk, message, signature, url=url)
 
     # Count invariance first: identical instrumented cost either way.
     counts = {}
-    for use_engine in (True, False):
-        with instrument.count_operations() as ops:
-            groupsig.verify(gpk, message, signature, url=url,
-                            use_engine=use_engine)
-        counts[use_engine] = ops.snapshot()
+    with instrument.count_operations() as ops:
+        groupsig.verify(gpk, message, signature, url=url)
+    counts[True] = ops.snapshot()
+    with instrument.count_operations() as ops:
+        assert groupsig.reference_classify(gpk, message, signature,
+                                           url) is None
+    counts[False] = ops.snapshot()
     assert counts[True] == counts[False]
     assert counts[True]["pairing"] == 3 + 2 * URL_SIZE
 
     scan_on = _time(lambda: groupsig.verify(
-        gpk, message, signature, url=url, use_engine=True))
-    scan_off = _time(lambda: groupsig.verify(
-        gpk, message, signature, url=url, use_engine=False))
+        gpk, message, signature, url=url))
+    scan_off = _time(lambda: groupsig.reference_classify(
+        gpk, message, signature, url))
     scan_speedup = scan_off / scan_on
 
-    base_on = _time(lambda: groupsig.verify(
-        gpk, message, signature, use_engine=True))
-    base_off = _time(lambda: groupsig.verify(
-        gpk, message, signature, use_engine=False))
+    base_on = _time(lambda: groupsig.verify(gpk, message, signature))
+    base_off = _time(lambda: groupsig.reference_classify(
+        gpk, message, signature))
     base_speedup = base_off / base_on
 
     batch = []
@@ -79,8 +80,8 @@ def test_e9_engine_speedup(reporter, ss512_scheme):
     batch_on = _time(lambda: groupsig.verify_batch(
         gpk, batch, url=batch_url), rounds=2)
     sequential_off = _time(
-        lambda: [groupsig.verify(gpk, m, s, url=batch_url,
-                                 use_engine=False) for m, s in batch],
+        lambda: [groupsig.reference_classify(gpk, m, s, batch_url)
+                 for m, s in batch],
         rounds=2)
     batch_speedup = sequential_off / batch_on
 

@@ -42,8 +42,6 @@ def test_obs_overhead(reporter, ss512_scheme):
     message = b"obs-overhead"
     # Warm the engine tables outside every timed region (one-time,
     # per-gpk cost; both variants would otherwise race to pay it).
-    gpk.engine.g2_table
-    gpk.engine.w_table
     gpk.engine.base_pairing()
     groupsig.verify(gpk, message, groupsig.sign(gpk, keys[0], message,
                                                 rng=rng))

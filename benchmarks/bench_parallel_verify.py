@@ -64,9 +64,6 @@ def test_e10_parallel_verify(reporter, ss512_group, ss512_scheme):
     # Warm the parent engine outside the timed region, mirroring what
     # the pool initializer does for each worker.
     engine = gpk.engine
-    engine.g2_table
-    engine.w_table
-    engine.base_pairing()
     engine.gt_table
     engine.g2_naf_steps
     engine.w_naf_steps

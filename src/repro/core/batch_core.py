@@ -1,13 +1,15 @@
-"""The batch verification core: fast exact classification of signatures.
+"""The batch verification core: the fast kernels behind every verify.
 
-:func:`repro.core.groupsig.verify_batch` (engine mode) and the verifier
-pool's workers route every item through this module.  The contract is
-strict bit-identity with the serial reference path
-(``groupsig.verify_one``): the same accept/reject outcome, the same
-error messages, the same ``token_index`` on revocation hits, and the
-same replayed :mod:`repro.instrument` operation counts -- only the
+:func:`repro.core.groupsig.classify` -- the one classifier that
+``groupsig.verify``, ``groupsig.verify_batch`` and the verifier pool's
+workers call -- runs every item through :func:`classify_fast` first.
+The contract is strict bit-identity with the paper's algorithm
+(``groupsig.reference_classify``): the same accept/reject outcome, the
+same error messages, the same ``token_index`` on revocation hits, and
+the same :mod:`repro.instrument` operation counts -- only the
 wall-clock changes.  ``tests/test_batch_core.py`` pins all four across
-randomized chaos batches.
+randomized chaos batches and ``tests/test_verify_differential.py`` on
+adversarial input.
 
 How the speed is found (all kernels in :mod:`repro.pairing.fastpath`):
 
@@ -33,135 +35,91 @@ How the speed is found (all kernels in :mod:`repro.pairing.fastpath`):
   lifetime like every other engine table.
 
 Operation accounting is decoupled from evaluation: the fast path notes
-each abstract operation at the milestone where the serial path would
-have performed it (nothing before the subgroup check passes, pairings
-in the scan only up to the short-circuit hit), so shared tails and
-speculative token evaluations are wall-clock-only -- the convention
-documented in DESIGN.md.
+each abstract operation at the milestone where the reference performs
+it (nothing before the subgroup check passes, pairings in the scan only
+up to the short-circuit hit), so shared tails and speculative token
+evaluations are wall-clock-only -- the convention documented in
+DESIGN.md.
 
-Every item runs under an isolated operation counter; an unexpected
-exception (not a verdict) discards the partial tally and falls back to
-the serial reference path, so exotic inputs that stray off the fast
-kernels' domain (e.g. a Miller value of exactly zero) are still
-classified exactly.
+This module takes the gpk and signature by duck type and imports
+nothing from :mod:`repro.core.groupsig`; an input that strays off the
+kernels' domain (e.g. a Miller value of exactly zero) raises, and the
+classifier reruns it on the reference.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro import instrument, obs
 from repro.errors import InvalidSignature, RevokedKeyError
 from repro.pairing import fastpath
 from repro.mathx import batch_inverse
-from repro.pairing.fields import Fp2
-from repro.pairing.group import G1Element, G2Element, GTElement, _join
-from repro.pairing.tate import final_exponentiation
+from repro.pairing.group import G1Element, GTElement, _join
 
 
-def classify_item(gpk, message: bytes, signature, url=(), period=None,
-                  check_revocation: bool = True) -> Optional[Exception]:
-    """Classify one item for :func:`groupsig.verify_batch` (no outcome obs).
+def classify_fast(gpk, message: bytes, signature, url, period,
+                  check_revocation: bool) -> Optional[Exception]:
+    """Classify one item on the fast kernels; milestone-exact accounting.
 
     Returns ``None`` / :class:`InvalidSignature` /
-    :class:`RevokedKeyError` exactly as the serial batch path would.
-    The fast attempt runs under a nested counter; on success its tally
-    is replayed into the ambient counter, on an unexpected exception it
-    is discarded and the serial reference classifier reruns the item
-    from scratch.
+    :class:`RevokedKeyError` exactly as the reference would.  Raises
+    (anything) only when an input strays off a kernel's domain.
     """
-    from repro.core import groupsig
-
-    with instrument.count_operations() as inner:
-        try:
-            error = _classify_fast(gpk, message, signature, url, period,
-                                   check_revocation)
-            ok = True
-        except Exception:
-            ok = False
-    if ok:
-        for event, amount in inner.snapshot().items():
-            instrument.replay(event, amount)
-        return error
-    obs.counter("batch_core.fallback_total")
-    return groupsig._classify_one(gpk, message, signature, url, period,
-                                  check_revocation, gpk.engine, gpk.group)
-
-
-def classify_one(gpk, message: bytes, signature, url=(), period=None,
-                 check_revocation: bool = True) -> Optional[Exception]:
-    """Drop-in for :func:`groupsig.verify_one`: classify + outcome metrics.
-
-    Used by the verifier pool's workers so each chunk item records the
-    same ``groupsig.verify_*`` outcome counters and latency histogram
-    the serial path does, while the classification itself runs on the
-    batch core's fast kernels (token tables warm once per worker and
-    amortize across every chunk it steals).
-    """
-    from repro.core import groupsig
-
-    reg = obs.active()
-    start = reg.clock() if reg is not None else 0.0
-    error = classify_item(gpk, message, signature, url, period,
-                          check_revocation)
-    groupsig._note_verify_outcome(reg, start, error)
-    return error
-
-
-def _classify_fast(gpk, message: bytes, signature, url, period,
-                   check_revocation: bool) -> Optional[Exception]:
-    """The fast classifier; milestone-for-milestone serial accounting."""
-    from repro.core import groupsig
-
     group = gpk.group
     curve = group.curve
     order = group.order
     p = curve.p
     engine = gpk.engine
+    scan = bool(check_revocation and url)
 
     # Milestone 1: structural + subgroup rejection, zero notes (the
-    # serial batch path rejects these before deriving any generators).
+    # reference rejects these before deriving any generators).  When a
+    # per-signature scan lies ahead, the subgroup check rides the fused
+    # Miller pass below; otherwise the plain exact check is cheaper.
     t1, t2 = signature.t1, signature.t2
     if t1.is_identity() or t2.is_identity():
         return InvalidSignature("degenerate T1/T2")
-    if not (curve.is_on_curve(t1.point) and curve.is_on_curve(t2.point)):
+    fused = scan and period is None
+    check = curve.is_on_curve if fused else curve.in_subgroup
+    if not (check(t1.point) and check(t2.point)):
         return InvalidSignature("T1/T2 outside the prime-order subgroup")
 
     if period is None:
         # Per-signature generators: derive silently (uninstrumented
         # hashing), fuse the subgroup checks with the revocation-tag
         # Miller legs, and note the derivation only once the item
-        # survives -- exactly the serial note milestones.
+        # survives -- exactly the reference's note milestones.
         data = _join((gpk.encode(), message, group.encode_scalar(
             signature.r)))
         u_pt, v_pt = fastpath.hash_h0_fast(curve, data)
-        ok2, t2u_a, t2u_b = fastpath.fused_miller_subgroup(curve, t2.point,
-                                                           u_pt)
-        ok1, t1v_a, t1v_b = fastpath.fused_miller_subgroup(curve, t1.point,
-                                                           v_pt)
-        if not (ok1 and ok2):
-            return InvalidSignature("T1/T2 outside the prime-order subgroup")
+        if fused:
+            ok2, t2u_a, t2u_b = fastpath.fused_miller_subgroup(
+                curve, t2.point, u_pt)
+            ok1, t1v_a, t1v_b = fastpath.fused_miller_subgroup(
+                curve, t1.point, v_pt)
+            if not (ok1 and ok2):
+                return InvalidSignature(
+                    "T1/T2 outside the prime-order subgroup")
         instrument.note("hash_to_group", 2)
         instrument.note("psi", 2)
-        u_hat = G2Element(u_pt, group)
         u = G1Element(u_pt, group)
         v = G1Element(v_pt, group)
     else:
         # Period mode: generators are item-independent and already
         # tabulated by the engine's LRU (which notes the derivation /
-        # replays it on a hit), so the plain exact subgroup check plus
-        # two table evaluations is the cheaper fusion here.
-        if not (curve.in_subgroup(t1.point) and curve.in_subgroup(t2.point)):
-            return InvalidSignature("T1/T2 outside the prime-order subgroup")
-        context = engine.generators(message, signature.r, period)
-        u_hat, u, v = context.u_hat, context.u, context.v
-        leg = context.u_table.miller(t2.point)
-        t2u_a, t2u_b = leg.a, leg.b
-        leg = context.v_table.miller(t1.point)
-        t1v_a, t1v_b = leg.a, leg.b
+        # replays it on a hit), so two table evaluations (only when a
+        # scan needs them) give the revocation-tag legs.
+        context = engine.generators(period)
+        u, v = context.u, context.v
+        if scan:
+            leg = context.u_table.miller(t2.point)
+            t2u_a, t2u_b = leg.a, leg.b
+            leg = context.v_table.miller(t1.point)
+            t1v_a, t1v_b = leg.a, leg.b
 
     # Milestone 2: the SPK challenge (Eq.2) -- 4 exps + 3 pairings +
-    # 1 GT exp, like the serial `_verify_spk`.
+    # 1 GT exp, like the reference.
     reg = obs.active()
     start = reg.clock() if reg is not None else 0.0
     c = signature.c
@@ -180,34 +138,17 @@ def _classify_fast(gpk, message: bytes, signature, url, period,
         left = G1Element(dual_tv.mul(s_x, -s_delta % order), group)
         instrument.note("exp")
         right = G1Element(dual_tv.mul(c, -s_alpha % order), group)
-        engine.base_pairing(count_on_hit=True)
-        instrument.note("pairing", 2)
-        # R2 = e(left, g2) * e(right, w) * e(g1, g2)^-c.  The two NAF
-        # table evaluations ride one shared Miller accumulator and one
-        # shared final exponentiation (FE is a homomorphism), and the
-        # last factor goes through the fixed-base GT table.
-        if left.point.is_infinity():
-            if right.point.is_infinity():
-                prod_ab = (1, 0)
-            else:
-                prod_ab = fastpath.miller_eval(engine.w_naf_steps,
-                                               right.point, p)
-        elif right.point.is_infinity():
-            prod_ab = fastpath.miller_eval(engine.g2_naf_steps,
-                                           left.point, p)
-        else:
-            prod_ab = fastpath.miller_eval_pair(engine.g2_naf_steps,
-                                                left.point,
-                                                engine.w_naf_steps,
-                                                right.point, p)
-        prod = Fp2(prod_ab[0], prod_ab[1], p)
+        # R2 = e(left, g2) * e(right, w) * e(g1, g2)^-c: the two NAF
+        # table evaluations share one Miller chain and one final
+        # exponentiation, and the last factor goes through the
+        # fixed-base GT table.
+        engine.base_pairing()
         instrument.note("exp_gt")
-        r2 = GTElement(final_exponentiation(curve, prod)
+        r2 = GTElement(engine.pair_g2_w(left, right)
                        * engine.gt_table.pow(-c % order), group)
         instrument.note("exp")
         r3 = G1Element(dual_ut.mul(-s_delta % order, s_x), group)
-        expected = groupsig._challenge(gpk, message, signature.r, t1, t2,
-                                       r1, r2, r3)
+        expected = gpk.challenge(message, signature.r, t1, t2, r1, r2, r3)
     if reg is not None:
         reg.observe("groupsig.spk_seconds", reg.clock() - start)
     if expected != c:
@@ -218,8 +159,8 @@ def _classify_fast(gpk, message: bytes, signature, url, period,
     # z^h == 1 on the unit circle with the norm inversions batched.
     # The speculative evaluation of every token is wall-clock-only:
     # pairings are noted in scan order up to the short-circuit hit,
-    # exactly like the serial scan.
-    if not (check_revocation and url):
+    # exactly like the reference scan.
+    if not scan:
         return None
     start = reg.clock() if reg is not None else 0.0
     hit: Optional[int] = None
@@ -262,5 +203,5 @@ def _classify_fast(gpk, message: bytes, signature, url, period,
         reg.counter("groupsig.scan_total")
         reg.observe("groupsig.scan_seconds", reg.clock() - start)
     if hit is not None:
-        return groupsig._revoked_error(hit)
+        return RevokedKeyError.for_token(hit)
     return None

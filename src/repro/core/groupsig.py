@@ -29,13 +29,19 @@ Two revocation-check modes are provided:
   on user privacy" of Section V.C (signatures by the same user within
   one period become linkable).
 
-**The engine layer.**  Every ``gpk`` owns a lazily-built
-:class:`CryptoEngine` holding precomputation tables for the fixed system
-parameters (``g1``, ``g2``, ``w``, the cached base pairing ``e(g1,
-g2)``, and a bounded cache of per-period generator contexts).  The
-engine changes wall-clock cost only: whenever a table evaluation stands
-in for an abstract operation the same :mod:`repro.instrument` note is
-recorded, so the measured counts above hold with the engine on or off.
+**One classifier.**  :func:`verify` (one item, raises),
+:func:`verify_batch` (a list, returns outcomes) and the verifier pool's
+workers all call :func:`classify`, which runs each item on the batch
+core's fused kernels (:mod:`repro.core.batch_core`) and falls back to
+:func:`reference_classify` -- the paper's algorithm on generic pairings
+-- only if a kernel strays off its domain.  Every ``gpk`` owns a
+lazily-built :class:`CryptoEngine` holding the kernels' precomputation
+tables (one per fixed base: ``g1``, ``g2``, ``w``, the base pairing
+``e(g1, g2)``, per-URL token lines, and a bounded cache of per-period
+generator contexts).  The engine changes wall-clock cost only: whenever
+a table evaluation stands in for an abstract operation the same
+:mod:`repro.instrument` note is recorded, so the measured counts above
+are the reference's.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import random
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import instrument, obs
 from repro.errors import (
@@ -53,6 +59,8 @@ from repro.errors import (
     ParameterError,
     RevokedKeyError,
 )
+from repro.core import batch_core
+from repro.pairing import fastpath
 from repro.pairing.fields import Fp2
 from repro.pairing.group import (
     FixedBaseExp,
@@ -62,7 +70,7 @@ from repro.pairing.group import (
     PairingGroup,
 )
 from repro.pairing.precompute import PairingTable
-from repro.pairing.tate import tate_pairing
+from repro.pairing.tate import final_exponentiation, tate_pairing
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,15 @@ class GroupPublicKey:
 
     def encode(self) -> bytes:
         return self.g1.encode() + self.g2.encode() + self.w.encode()
+
+    def challenge(self, message: bytes, r: int, t1: G1Element,
+                  t2: G1Element, r1: G1Element, r2: GTElement,
+                  r3: G1Element) -> int:
+        """The Fiat-Shamir challenge ``c = H(gpk, M, r, T1, T2, R1, R2, R3)``."""
+        group = self.group
+        return group.hash_to_scalar(
+            self.encode(), message, group.encode_scalar(r),
+            t1.encode(), t2.encode(), r1.encode(), r2.encode(), r3.encode())
 
     @classmethod
     def decode(cls, group: PairingGroup, data: bytes) -> "GroupPublicKey":
@@ -282,21 +299,18 @@ def derive_generators(gpk: GroupPublicKey, message: bytes, r: int,
 
 @dataclass(frozen=True)
 class GeneratorContext:
-    """Generators for one (message, r) or one period, plus their tables.
+    """The generators of one period, plus their pairing tables.
 
-    ``u_table`` / ``v_table`` are present only in period mode, where
-    their build cost amortizes across every signature of the period;
-    per-signature generators are used once or twice and are not worth
-    tabulating (the revocation scan builds a throwaway ``u_hat`` table
-    itself when the URL is long enough to repay it).
+    Period generators depend only on ``(gpk, period)``, so the table
+    build amortizes across every signature of the period.
     """
 
     u_hat: G2Element
     v_hat: G2Element
     u: G1Element
     v: G1Element
-    u_table: Optional[PairingTable] = None
-    v_table: Optional[PairingTable] = None
+    u_table: PairingTable
+    v_table: PairingTable
     #: gpk epoch the memoized ``u_table`` was built under.  The scan
     #: refuses a memo whose epoch disagrees with the verifying gpk's, so
     #: a context replayed across a key rotation rebuilds instead of
@@ -307,19 +321,18 @@ class GeneratorContext:
 class CryptoEngine:
     """Bounded precomputation state owned by one :class:`GroupPublicKey`.
 
-    Holds pairing tables for the fixed parameters ``g2`` and ``w``, a
-    fixed-base exponentiation table for ``g1``, the cached base pairing
-    ``e(g1, g2)``, and an LRU cache (at most ``max_periods`` entries) of
-    per-period generator contexts.  Everything is built lazily on first
-    use and protected by a lock so a multi-threaded router can share one
-    engine.
+    Holds one table per fixed base: NAF Miller step tables for ``g2``
+    and ``w``, a fixed-base exponentiation table for ``g1``, the cached
+    base pairing ``e(g1, g2)`` and its GT window table, per-URL token
+    line tables (an LRU of :attr:`max_urls` lists), and an LRU cache (at
+    most ``max_periods`` entries) of per-period generator contexts.
+    Everything is built lazily on first use and protected by a lock so
+    a multi-threaded router can share one engine.
 
     Invariant: using the engine never changes an instrumented operation
     count.  A table evaluation notes the same "pairing"/"exp" the naive
     computation would; a period-cache hit replays the notes the fresh
-    derivation would have produced.  The single deliberate exception is
-    the legacy ``verify(..., precomputed=True)`` mode, whose documented
-    contract is precisely "the cached base pairing is not re-counted".
+    derivation would have produced.
     """
 
     #: Bound on the per-URL token line-table cache (distinct revocation
@@ -333,10 +346,7 @@ class CryptoEngine:
         self.group = gpk.group
         self.max_periods = max_periods
         self._lock = threading.Lock()
-        self._g2_table: Optional[PairingTable] = None
-        self._w_table: Optional[PairingTable] = None
-        self._g2_naf_steps: Optional[list] = None
-        self._w_naf_steps: Optional[list] = None
+        self._naf_steps: Dict[str, list] = {}
         self._g1_fixed: Optional[FixedBaseExp] = None
         self._base: Optional[GTElement] = None
         self._gt_table = None
@@ -355,57 +365,33 @@ class CryptoEngine:
             reg.observe("engine.table_build_seconds", reg.clock() - start)
         return table
 
-    @property
-    def g2_table(self) -> PairingTable:
+    def _fixed_naf_steps(self, name: str) -> list:
+        """NAF Miller steps for the fixed base ``gpk.<name>``, built once
+        and reported like a table build."""
         with self._lock:
-            if self._g2_table is None:
-                self._g2_table = self._build_table(self.gpk.g2)
-            return self._g2_table
-
-    @property
-    def w_table(self) -> PairingTable:
-        with self._lock:
-            if self._w_table is None:
-                self._w_table = self._build_table(self.gpk.w)
-            return self._w_table
-
-    def _build_naf_steps(self, base) -> list:
-        """NAF line steps for a fixed base, reported like a table build."""
-        from repro.pairing import fastpath
-
-        reg = obs.active()
-        start = reg.clock() if reg is not None else 0.0
-        steps = fastpath.naf_steps(self.group.curve, base.point)
-        if reg is not None:
-            reg.counter("engine.table_build_total")
-            reg.observe("engine.table_build_seconds", reg.clock() - start)
-        return steps
+            cached = self._naf_steps.get(name)
+        if cached is None:
+            reg = obs.active()
+            start = reg.clock() if reg is not None else 0.0
+            cached = fastpath.naf_steps(self.group.curve,
+                                        getattr(self.gpk, name).point)
+            if reg is not None:
+                reg.counter("engine.table_build_total")
+                reg.observe("engine.table_build_seconds",
+                            reg.clock() - start)
+            with self._lock:
+                cached = self._naf_steps.setdefault(name, cached)
+        return cached
 
     @property
     def g2_naf_steps(self) -> list:
-        """NAF Miller steps for ``g2`` (batch core only; FE-identical)."""
-        with self._lock:
-            cached = self._g2_naf_steps
-        if cached is None:
-            cached = self._build_naf_steps(self.gpk.g2)
-            with self._lock:
-                if self._g2_naf_steps is None:
-                    self._g2_naf_steps = cached
-                cached = self._g2_naf_steps
-        return cached
+        """NAF Miller steps for ``g2`` (FE-identical to a plain table)."""
+        return self._fixed_naf_steps("g2")
 
     @property
     def w_naf_steps(self) -> list:
-        """NAF Miller steps for ``w`` (batch core only; FE-identical)."""
-        with self._lock:
-            cached = self._w_naf_steps
-        if cached is None:
-            cached = self._build_naf_steps(self.gpk.w)
-            with self._lock:
-                if self._w_naf_steps is None:
-                    self._w_naf_steps = cached
-                cached = self._w_naf_steps
-        return cached
+        """NAF Miller steps for ``w`` (FE-identical to a plain table)."""
+        return self._fixed_naf_steps("w")
 
     def g1_exp(self, exponent: int) -> G1Element:
         """``g1 ** exponent`` via the fixed-base table (one "exp")."""
@@ -415,20 +401,36 @@ class CryptoEngine:
             fixed = self._g1_fixed
         return fixed.exp(exponent)
 
-    def pair_g2(self, element: G1Element) -> GTElement:
-        """``e(element, g2)`` via stored lines (symmetric swap)."""
-        return self.group.pair_with(self.g2_table, element)
+    def pair_g2_w(self, left: G1Element, right: G1Element) -> Fp2:
+        """``e(left, g2) * e(right, w)``: the two pairings of R2.
 
-    def pair_w(self, element: G1Element) -> GTElement:
-        """``e(element, w)`` via stored lines (symmetric swap)."""
-        return self.group.pair_with(self.w_table, element)
+        Sign and verify both fold R2 into this product.  The two NAF
+        table evaluations ride one shared Miller accumulator and pay one
+        final exponentiation (FE is a homomorphism), so the value is
+        bit-identical to two :meth:`PairingGroup.pair` calls; notes the
+        2 pairings those would.
+        """
+        instrument.note("pairing", 2)
+        curve = self.group.curve
+        p = curve.p
+        if left.point.is_infinity():
+            if right.point.is_infinity():
+                raw = (1, 0)
+            else:
+                raw = fastpath.miller_eval(self.w_naf_steps, right.point, p)
+        elif right.point.is_infinity():
+            raw = fastpath.miller_eval(self.g2_naf_steps, left.point, p)
+        else:
+            raw = fastpath.miller_eval_pair(self.g2_naf_steps, left.point,
+                                            self.w_naf_steps, right.point,
+                                            p)
+        return final_exponentiation(curve, Fp2(raw[0], raw[1], p))
 
-    def base_pairing(self, count_on_hit: bool = True) -> GTElement:
+    def base_pairing(self) -> GTElement:
         """The fixed pairing ``e(g1, g2)``, computed once per gpk.
 
         A cache hit still notes one "pairing" so counts match the
-        paper's accounting; ``count_on_hit=False`` is the legacy
-        ``precomputed=True`` contract where the hit is free.
+        paper's accounting.
         """
         with self._lock:
             cached = self._base
@@ -440,11 +442,8 @@ class CryptoEngine:
                     self._base = value
             return value
         obs.counter("engine.base_pairing_hit_total")
-        if count_on_hit:
-            instrument.note("pairing")
+        instrument.note("pairing")
         return cached
-
-    # -- batch-core support tables ----------------------------------------
 
     @property
     def gt_table(self):
@@ -456,8 +455,6 @@ class CryptoEngine:
         ``base ** -c`` factor of R2 and notes the same one "exp_gt" the
         naive ``**`` would.
         """
-        from repro.pairing import fastpath
-
         with self._lock:
             cached_base = self._base
             cached_table = self._gt_table
@@ -465,8 +462,7 @@ class CryptoEngine:
             return cached_table
         if cached_base is None:
             # Quiet warm of the fixed pairing value: the *use* sites
-            # (base_pairing with count_on_hit) keep noting one pairing
-            # per verification, exactly as before.
+            # (base_pairing) keep noting one pairing per verification.
             value = GTElement(
                 tate_pairing(self.group.curve, self.gpk.g1.point,
                              self.gpk.g2.point), self.group)
@@ -486,13 +482,12 @@ class CryptoEngine:
         The Eq.3 scan pairs every token against a *varying* ``u_hat``;
         by symmetry ``e(A_k, u_hat)`` evaluates through a table built
         for the fixed ``A_k``, so one build per token amortizes over
-        every batch scanned against the same URL.  Cached per-URL
-        (bounded LRU of :attr:`max_urls` lists); building is
-        uninstrumented per the engine convention, evaluations note their
-        pairings at the call sites.
+        every signature scanned against the same URL.  Built at the
+        first scan against a URL and cached per-URL (bounded LRU of
+        :attr:`max_urls` lists); building is uninstrumented per the
+        engine convention, evaluations note their pairings at the call
+        sites.
         """
-        from repro.pairing import fastpath
-
         key = tuple(token.a.point for token in url)
         with self._lock:
             cached = self._token_steps.get(key)
@@ -519,17 +514,13 @@ class CryptoEngine:
 
     # -- per-period generator cache -------------------------------------
 
-    def generators(self, message: bytes, r: int,
-                   period: Optional[bytes]) -> GeneratorContext:
-        """Derive (or recall) the Eq.1 generators for a verification.
+    def generators(self, period: bytes) -> GeneratorContext:
+        """Derive (or recall) the Eq.1 generators of one period.
 
-        Per-signature mode always derives fresh.  Period mode consults
-        the LRU cache; a hit replays the notes (2 hash_to_group, 2 psi)
-        the derivation would have recorded, keeping counts invariant.
+        Consults the LRU cache; a hit replays the notes (2
+        hash_to_group, 2 psi) the derivation would have recorded,
+        keeping counts invariant.
         """
-        if period is None:
-            u_hat, v_hat, u, v = derive_generators(self.gpk, message, r)
-            return GeneratorContext(u_hat, v_hat, u, v)
         key = bytes(period)
         with self._lock:
             context = self._periods.get(key)
@@ -541,7 +532,7 @@ class CryptoEngine:
             instrument.note("psi", 2)
             return context
         obs.counter("engine.period_cache_miss_total")
-        u_hat, v_hat, u, v = derive_generators(self.gpk, message, r, period)
+        u_hat, v_hat, u, v = derive_generators(self.gpk, b"", 0, period)
         context = GeneratorContext(
             u_hat, v_hat, u, v,
             u_table=self._build_table(u_hat),
@@ -555,17 +546,6 @@ class CryptoEngine:
         return context
 
 
-def _challenge(gpk: GroupPublicKey, message: bytes, r: int,
-               t1: G1Element, t2: G1Element,
-               r1: G1Element, r2: GTElement, r3: G1Element) -> int:
-    """The Fiat-Shamir challenge ``c = H(gpk, M, r, T1, T2, R1, R2, R3)``."""
-    group = gpk.group
-    return group.hash_to_scalar(
-        gpk.encode(), message, group.encode_scalar(r),
-        t1.encode(), t2.encode(),
-        r1.encode(), r2.encode(), r3.encode())
-
-
 # ---------------------------------------------------------------------------
 # Sign (paper steps 2.2.1 - 2.2.4)
 # ---------------------------------------------------------------------------
@@ -573,20 +553,19 @@ def _challenge(gpk: GroupPublicKey, message: bytes, r: int,
 
 def sign(gpk: GroupPublicKey, gsk: GroupPrivateKey, message: bytes,
          rng: Optional[random.Random] = None,
-         period: Optional[bytes] = None,
-         use_engine: bool = True) -> GroupSignature:
+         period: Optional[bytes] = None) -> GroupSignature:
     """Produce a group signature on ``message``.
 
     Instrumented cost: 8 exponentiations (6 G1 exps/multi-exps plus the
     2 psi applications, which the paper prices as exponentiations) and
-    2 pairings -- matching Section V.C.  With ``use_engine`` (default)
-    the two pairings evaluate through the gpk engine's ``g2``/``w``
-    line tables; counts are identical either way.
+    2 pairings -- matching Section V.C.  The two pairings evaluate
+    through the gpk engine's ``g2``/``w`` NAF step tables
+    (:meth:`CryptoEngine.pair_g2_w`), the same kernel verification
+    uses; the signature is bit-identical to generic pairings.
     """
     group = gpk.group
     rng = rng or random.SystemRandom()
     order = group.order
-    engine = gpk.engine if use_engine else None
     reg = obs.active()
     start = reg.clock() if reg is not None else 0.0
 
@@ -608,13 +587,10 @@ def sign(gpk: GroupPublicKey, gsk: GroupPrivateKey, message: bytes,
         # into two pairings: e(T2^r_x * v^-r_delta, g2) * e(v^-r_alpha, w).
         left = group.multi_exp([(t2, r_x), (v, -r_delta)])
         right = v ** (-r_alpha % order)
-        if engine is not None:
-            r2 = engine.pair_g2(left) * engine.pair_w(right)
-        else:
-            r2 = group.pair(left, gpk.g2) * group.pair(right, gpk.w)
+        r2 = GTElement(gpk.engine.pair_g2_w(left, right), group)
         r3 = group.multi_exp([(t1, r_x), (u, -r_delta)])
 
-        c = _challenge(gpk, message, r, t1, t2, r1, r2, r3)
+        c = gpk.challenge(message, r, t1, t2, r1, r2, r3)
         s_alpha = (r_alpha + c * alpha) % order
         s_x = (r_x + c * gsk.exponent_sum) % order
         s_delta = (r_delta + c * delta) % order
@@ -629,203 +605,180 @@ def sign(gpk: GroupPublicKey, gsk: GroupPrivateKey, message: bytes,
 # ---------------------------------------------------------------------------
 
 
-def _note_verify_outcome(reg, start: float, error: Optional[Exception]
-                         ) -> None:
-    """Record one verification's outcome counter + latency histogram.
+def classify(gpk: GroupPublicKey,
+             items: Sequence[Tuple[bytes, GroupSignature]],
+             url: Sequence[RevocationToken] = (),
+             period: Optional[bytes] = None,
+             check_revocation: bool = True) -> List[Optional[Exception]]:
+    """The one verification classifier: a verdict per ``(message, sig)``.
 
-    Shared by every verification entry point (:func:`verify`,
-    :func:`verify_one`, :func:`verify_batch`) so the metric names are
-    identical whichever path classified the signature.
+    Returns ``None`` on acceptance, or the :class:`InvalidSignature` /
+    :class:`RevokedKeyError` (with ``token_index``) the paper's
+    algorithm rejects with.  :func:`verify`, :func:`verify_batch` and
+    the verifier pool's workers all classify here.  Each item runs on
+    the batch core's fused kernels under an isolated operation counter
+    whose tally is replayed on success; an unexpected exception (a
+    kernel off its domain, never a verdict) discards the tally, counts
+    ``batch_core.fallback_total`` and reruns the item on
+    :func:`reference_classify` -- so outcome, message, ``token_index``
+    and op counts are always the reference's.  Records each item's
+    ``groupsig.verify_*`` outcome counter and latency.
     """
-    if reg is None:
-        return
-    if error is None:
-        outcome = "accept"
-    elif isinstance(error, RevokedKeyError):
-        outcome = "reject_revoked"
-    else:
-        outcome = "reject_invalid"
-    reg.counter(f"groupsig.verify_{outcome}_total")
-    reg.observe("groupsig.verify_seconds", reg.clock() - start)
+    reg = obs.active()
+    results: List[Optional[Exception]] = []
+    for message, signature in items:
+        start = reg.clock() if reg is not None else 0.0
+        with instrument.count_operations() as fast_ops:
+            try:
+                error = batch_core.classify_fast(gpk, message, signature,
+                                                 url, period,
+                                                 check_revocation)
+                exact = True
+            except Exception:
+                exact = False
+        if exact:
+            for event, amount in fast_ops.snapshot().items():
+                instrument.replay(event, amount)
+        else:
+            obs.counter("batch_core.fallback_total")
+            error = reference_classify(gpk, message, signature, url,
+                                       period, check_revocation)
+        if reg is not None:
+            if error is None:
+                outcome = "accept"
+            elif isinstance(error, RevokedKeyError):
+                outcome = "reject_revoked"
+            else:
+                outcome = "reject_invalid"
+            reg.counter(f"groupsig.verify_{outcome}_total")
+            reg.observe("groupsig.verify_seconds", reg.clock() - start)
+        results.append(error)
+    return results
 
 
 def verify(gpk: GroupPublicKey, message: bytes, signature: GroupSignature,
            url: Sequence[RevocationToken] = (),
            period: Optional[bytes] = None,
-           check_revocation: bool = True,
-           precomputed: bool = False,
-           use_engine: bool = True) -> None:
+           check_revocation: bool = True) -> None:
     """Verify a group signature and (optionally) its revocation status.
 
     Raises :class:`InvalidSignature` on a bad proof and
     :class:`RevokedKeyError` when a token in ``url`` matches.
     Instrumented cost: 6 exponentiations and ``3 + 2*len(url)``
-    pairings, per Section V.C -- with or without the engine, which
-    trades memory for wall-clock time but notes the same counts.
-
-    With ``precomputed=True``, the fixed pairing ``e(g1, g2)`` comes
-    from the engine's cache without being re-counted, reducing the base
-    cost to ``2 + 2*len(url)`` pairings -- an implementation
-    optimization the paper's accounting does not take (its count keeps
-    the third pairing), kept off by default so measured counts match
-    the paper.
+    pairings, per Section V.C; structurally degenerate or off-subgroup
+    T1/T2 are rejected before any counted operation.
     """
-    group = gpk.group
-    engine = gpk.engine if use_engine else None
+    with obs.span("groupsig.verify"):
+        error = classify(gpk, [(message, signature)], url, period,
+                         check_revocation)[0]
+    if error is not None:
+        raise error
+
+
+def verify_batch(gpk: GroupPublicKey,
+                 batch: Sequence[Tuple[bytes, GroupSignature]],
+                 url: Sequence[RevocationToken] = (),
+                 period: Optional[bytes] = None,
+                 check_revocation: bool = True
+                 ) -> List[Optional[Exception]]:
+    """Verify many ``(message, signature)`` pairs against one gpk.
+
+    Returns one entry per input: ``None`` on acceptance, or the
+    exception instance :func:`verify` would have raised -- both run
+    :func:`classify`, so outcomes, ``token_index`` attributes and
+    instrumented operation counts are identical item for item.  The
+    batch shares the engine's tables (token lines, NAF steps, the GT
+    window table), which changes wall-clock cost only.
+    """
     reg = obs.active()
     start = reg.clock() if reg is not None else 0.0
-    try:
-        with obs.span("groupsig.verify"):
-            if engine is not None:
-                context = engine.generators(message, signature.r, period)
-            else:
-                u_hat, v_hat, u, v = derive_generators(gpk, message,
-                                                       signature.r, period)
-                context = GeneratorContext(u_hat, v_hat, u, v)
-
-            t1, t2 = signature.t1, signature.t2
-            if t1.is_identity() or t2.is_identity():
-                raise InvalidSignature("degenerate T1/T2")
-            # Small-subgroup hardening: decoded points satisfy the curve
-            # equation, but the curve's cofactor is large; T1/T2 must lie
-            # in the prime-order subgroup or the SPK algebra is off-group.
-            curve = group.curve
-            if not (curve.in_subgroup(t1.point)
-                    and curve.in_subgroup(t2.point)):
-                raise InvalidSignature(
-                    "T1/T2 outside the prime-order subgroup")
-
-            _verify_spk(gpk, message, signature, context, engine,
-                        precomputed)
-
-            if check_revocation and url:
-                _scan_url(gpk, signature, url, context, engine)
-    except (InvalidSignature, RevokedKeyError) as exc:
-        _note_verify_outcome(reg, start, exc)
-        raise
-    _note_verify_outcome(reg, start, None)
-
-
-def _verify_spk(gpk: GroupPublicKey, message: bytes,
-                signature: GroupSignature, context: GeneratorContext,
-                engine: Optional["CryptoEngine"],
-                precomputed: bool = False) -> None:
-    """Recompute the Fiat-Shamir challenge (Eq.2); 6 exps + 3 pairings.
-
-    Assumes T1/T2 have already passed the structural and subgroup
-    checks (``verify`` and ``verify_batch`` both enforce them first).
-    """
-    group = gpk.group
-    order = group.order
-    reg = obs.active()
-    start = reg.clock() if reg is not None else 0.0
-    with obs.span("groupsig.spk"):
-        u, v = context.u, context.v
-        t1, t2, c = signature.t1, signature.t2, signature.c
-        s_alpha, s_x, s_delta = (signature.s_alpha, signature.s_x,
-                                 signature.s_delta)
-
-        r1 = group.multi_exp([(u, s_alpha), (t1, -c % order)])
-        # R2 = e(T2^s_x * v^-s_delta, g2) * e(v^-s_alpha * T2^c, w)
-        #      * e(g1, g2)^-c
-        left = group.multi_exp([(t2, s_x), (v, -s_delta % order)])
-        right = group.multi_exp([(v, -s_alpha % order), (t2, c)])
-        if engine is not None:
-            base = engine.base_pairing(count_on_hit=not precomputed)
-            r2 = (engine.pair_g2(left) * engine.pair_w(right)
-                  * (base ** (-c % order)))
-        else:
-            if precomputed:
-                base = gpk.engine.base_pairing(count_on_hit=False)
-            else:
-                base = group.pair(gpk.g1, gpk.g2)
-            r2 = (group.pair(left, gpk.g2) * group.pair(right, gpk.w)
-                  * (base ** (-c % order)))
-        r3 = group.multi_exp([(t1, s_x), (u, -s_delta % order)])
-
-        expected = _challenge(gpk, message, signature.r, t1, t2, r1, r2, r3)
+    results = classify(gpk, batch, url, period, check_revocation)
     if reg is not None:
-        reg.observe("groupsig.spk_seconds", reg.clock() - start)
-    if expected != c:
-        raise InvalidSignature("challenge mismatch (Eq.2 failed)")
+        reg.counter("groupsig.verify_batch_total")
+        reg.counter("groupsig.verify_batch_items_total", len(batch))
+        reg.observe("groupsig.verify_batch_seconds", reg.clock() - start)
+    return results
+
+
+def reference_classify(gpk: GroupPublicKey, message: bytes,
+                       signature: GroupSignature,
+                       url: Sequence[RevocationToken] = (),
+                       period: Optional[bytes] = None,
+                       check_revocation: bool = True
+                       ) -> Optional[Exception]:
+    """The paper's verification algorithm on generic pairings.
+
+    Structural and subgroup rejection (no counted operation), the Eq.1
+    generators, the SPK challenge of Eq.2 (6 exps + 3 pairings + 1 GT
+    exp) and the linear Eq.3 scan (2 pairings per token examined, the
+    first match wins) -- no engine state, no fast kernel.  It is
+    :func:`classify`'s exact fallback, the tests' oracle and the
+    benches' baseline; :func:`classify` must agree with it on outcome,
+    message, ``token_index`` and op counts for every input.
+    """
+    group = gpk.group
+    curve = group.curve
+    order = group.order
+    t1, t2, c = signature.t1, signature.t2, signature.c
+    if t1.is_identity() or t2.is_identity():
+        return InvalidSignature("degenerate T1/T2")
+    # Small-subgroup hardening: decoded points satisfy the curve
+    # equation, but the curve's cofactor is large; T1/T2 must lie in
+    # the prime-order subgroup or the SPK algebra is off-group.
+    if not (curve.in_subgroup(t1.point) and curve.in_subgroup(t2.point)):
+        return InvalidSignature("T1/T2 outside the prime-order subgroup")
+    u_hat, v_hat, u, v = derive_generators(gpk, message, signature.r,
+                                           period)
+    r1 = group.multi_exp([(u, signature.s_alpha), (t1, -c % order)])
+    # R2 = e(T2^s_x * v^-s_delta, g2) * e(v^-s_alpha * T2^c, w)
+    #      * e(g1, g2)^-c
+    left = group.multi_exp([(t2, signature.s_x),
+                            (v, -signature.s_delta % order)])
+    right = group.multi_exp([(v, -signature.s_alpha % order), (t2, c)])
+    r2 = (group.pair(left, gpk.g2) * group.pair(right, gpk.w)
+          * group.pair(gpk.g1, gpk.g2) ** (-c % order))
+    r3 = group.multi_exp([(t1, signature.s_x),
+                          (u, -signature.s_delta % order)])
+    if gpk.challenge(message, signature.r, t1, t2, r1, r2, r3) != c:
+        return InvalidSignature("challenge mismatch (Eq.2 failed)")
+    if check_revocation:
+        for token_index, token in enumerate(url):
+            if _token_encoded(group, signature, token, u_hat, v_hat):
+                return RevokedKeyError.for_token(token_index)
+    return None
 
 
 def _scan_url(gpk: GroupPublicKey, signature: GroupSignature,
-              url: Sequence[RevocationToken], context: GeneratorContext,
-              engine: Optional["CryptoEngine"]) -> None:
-    """Eq.3 revocation scan; 2 counted pairings per token examined.
+              url: Sequence[RevocationToken],
+              context: GeneratorContext) -> None:
+    """Eq.3 scan on one period's tables; 2 counted pairings per token.
 
-    The engine path rewrites Eq.3 in *tag form*: by bilinearity (and
-    ``e(u, v_hat) == e(v, u_hat)`` in this symmetric setting)
+    The serial reference the sharded revocation index is held to
+    (:func:`repro.core.revocation.serial_scan_outcome`).  Eq.3 is
+    rewritten in *tag form*: by bilinearity (and ``e(u, v_hat) ==
+    e(v, u_hat)`` in this symmetric setting)
 
         e(T2 / A, u_hat) == e(T1, v_hat)
             <=>  e(T2, u_hat) / e(T1, v_hat) == e(A, u_hat),
 
     so the scan computes the left side once and one ``u_hat``-table
-    evaluation per token -- an exact algebraic equivalence, not a
-    probabilistic screen.  Counting is unchanged: the paper's algorithm
-    spends 2 pairings on every token it examines, and the short-circuit
-    on the first match is preserved.
+    evaluation per token -- an exact algebraic equivalence.  Counting
+    is the paper's: 2 pairings per token examined, short-circuiting on
+    the first match.
     """
-    group = gpk.group
-    u_hat, v_hat = context.u_hat, context.v_hat
-    reg = obs.active()
-    start = reg.clock() if reg is not None else 0.0
-    hit: Optional[int] = None
-    with obs.span("groupsig.scan"):
-        if engine is None or len(url) < 2:
-            # The tag rewrite only pays for itself from the second token
-            # on.
-            for token_index, token in enumerate(url):
-                if _token_encoded(group, signature, token, u_hat, v_hat):
-                    hit = token_index
-                    break
-        else:
-            curve = group.curve
-            u_table = context.u_table
-            if u_table is None or context.u_table_epoch != gpk.epoch:
-                # Build once and memoize on the context: repeat scans
-                # with the same generators (re-verification, audits, the
-                # batch core's per-item path) must not pay the build
-                # again.  The dataclass is frozen to keep the *derived*
-                # fields immutable; the table is a pure cache of them.
-                # The memo is keyed on the gpk epoch: a context carried
-                # across a key rotation (or a table poisoned before a
-                # URL delta) must rebuild, never serve stale lines.
-                u_table = group.make_pairing_table(u_hat)
-                object.__setattr__(context, "u_table", u_table)
-                object.__setattr__(context, "u_table_epoch", gpk.epoch)
-            if context.v_table is not None:
-                t1_side = context.v_table.pairing(signature.t1.point)
-            else:
-                t1_side = tate_pairing(curve, signature.t1.point,
-                                       v_hat.point)
-            tau = u_table.pairing(signature.t2.point) * t1_side.inverse()
-            for token_index, token in enumerate(url):
-                instrument.note("pairing", 2)
-                if u_table.pairing(token.a.point) == tau:
-                    hit = token_index
-                    break
-    if reg is not None:
-        examined = len(url) if hit is None else hit + 1
-        reg.counter("groupsig.scan_tokens_total", examined)
-        reg.counter("groupsig.scan_total")
-        reg.observe("groupsig.scan_seconds", reg.clock() - start)
-    if hit is not None:
-        raise _revoked_error(hit)
-
-
-def _revoked_error(token_index: int) -> RevokedKeyError:
-    """Build the Eq.3 match error, recording *which* token matched.
-
-    ``token_index`` lets callers (the operator's audit trail, the
-    parallel verification pool's identity checks) confirm that two scans
-    opened the same revocation entry, not merely that both rejected.
-    """
-    error = RevokedKeyError(
-        f"signer's key appears in the URL (token {token_index})")
-    error.token_index = token_index
-    return error
+    u_table = context.u_table
+    if context.u_table_epoch != gpk.epoch:
+        # The memo is keyed on the gpk epoch: a context carried across
+        # a key rotation must rebuild, never serve stale lines.
+        u_table = gpk.group.make_pairing_table(context.u_hat)
+        object.__setattr__(context, "u_table", u_table)
+        object.__setattr__(context, "u_table_epoch", gpk.epoch)
+    tau = (u_table.pairing(signature.t2.point)
+           * context.v_table.pairing(signature.t1.point).inverse())
+    for token_index, token in enumerate(url):
+        instrument.note("pairing", 2)
+        if u_table.pairing(token.a.point) == tau:
+            raise RevokedKeyError.for_token(token_index)
 
 
 def _token_encoded(group: PairingGroup, signature: GroupSignature,
@@ -835,189 +788,6 @@ def _token_encoded(group: PairingGroup, signature: GroupSignature,
     lhs = group.pair(signature.t2 / token.a, u_hat)
     rhs = group.pair(signature.t1, v_hat)
     return lhs == rhs
-
-
-def verify_batch(gpk: GroupPublicKey,
-                 batch: Sequence[Tuple[bytes, GroupSignature]],
-                 url: Sequence[RevocationToken] = (),
-                 period: Optional[bytes] = None,
-                 check_revocation: bool = True,
-                 rng: Optional[random.Random] = None,
-                 screen_subgroup: bool = False,
-                 use_engine: bool = True) -> List[Optional[Exception]]:
-    """Verify many ``(message, signature)`` pairs against one gpk.
-
-    Returns one entry per input: ``None`` on acceptance, or the
-    :class:`InvalidSignature` / :class:`RevokedKeyError` instance that
-    individual verification would have raised.  With the default
-    options the accept/reject outcome is *exactly* the per-item
-    :func:`verify` outcome -- batching shares the engine's tables and
-    (in period mode) the generator derivation, which changes wall-clock
-    cost only.
-
-    ``screen_subgroup=True`` replaces the per-item subgroup membership
-    checks with a single small-exponent screen: one multi-scalar
-    multiplication testing ``sum_i delta_i * r * P_i == O`` for random
-    64-bit ``delta_i`` over every T1/T2 in the batch, falling back to
-    exact per-item checks when the screen fails (so honest batches are
-    classified identically).  The screen is sound only against
-    *non-adversarial* corruption: this curve's cofactor is even, so an
-    attacker can craft off-subgroup points whose small-torsion
-    components cancel in the sum (or vanish for half the ``delta``
-    draws) and slip past the screen.  Leave it off unless every
-    signature in the batch comes from an authenticated channel where
-    off-curve tampering is out of scope; the SPK challenge check is
-    always exact either way.
-
-    With the engine enabled (and no screen requested) items are
-    classified by the batch verification core
-    (:mod:`repro.core.batch_core`): fused Miller/subgroup kernels,
-    per-URL token line tables and a shared final-exponentiation tail --
-    outcomes, ``token_index`` attributes, and instrumented operation
-    counts are bit-identical to this function's serial path, enforced
-    per item by an exact fallback.
-    """
-    group = gpk.group
-    engine = gpk.engine if use_engine else None
-    reg = obs.active()
-    start = reg.clock() if reg is not None else 0.0
-
-    if engine is not None and not screen_subgroup:
-        from repro.core import batch_core
-
-        results = [
-            batch_core.classify_item(gpk, message, signature, url, period,
-                                     check_revocation)
-            for message, signature in batch
-        ]
-        _note_batch_outcomes(reg, start, batch, results)
-        return results
-
-    results: List[Optional[Exception]] = [None] * len(batch)
-
-    live: List[int] = []
-    for index, (_message, signature) in enumerate(batch):
-        if signature.t1.is_identity() or signature.t2.is_identity():
-            results[index] = InvalidSignature("degenerate T1/T2")
-        else:
-            live.append(index)
-
-    curve = group.curve
-
-    def exact_subgroup(indices: Sequence[int]) -> List[int]:
-        passed = []
-        for index in indices:
-            signature = batch[index][1]
-            if (curve.in_subgroup(signature.t1.point)
-                    and curve.in_subgroup(signature.t2.point)):
-                passed.append(index)
-            else:
-                results[index] = InvalidSignature(
-                    "T1/T2 outside the prime-order subgroup")
-        return passed
-
-    if screen_subgroup and len(live) >= 2:
-        rng = rng or random.SystemRandom()
-        pairs = []
-        for index in live:
-            signature = batch[index][1]
-            pairs.append((signature.t1.point,
-                          rng.randrange(1, 1 << 64) * curve.r))
-            pairs.append((signature.t2.point,
-                          rng.randrange(1, 1 << 64) * curve.r))
-        if curve.multi_mul_raw(pairs).is_infinity():
-            passed = list(live)
-        else:
-            passed = exact_subgroup(live)
-    else:
-        passed = exact_subgroup(live)
-
-    for index in passed:
-        message, signature = batch[index]
-        if engine is not None:
-            context = engine.generators(message, signature.r, period)
-        else:
-            u_hat, v_hat, u, v = derive_generators(gpk, message,
-                                                   signature.r, period)
-            context = GeneratorContext(u_hat, v_hat, u, v)
-        try:
-            _verify_spk(gpk, message, signature, context, engine)
-            if check_revocation and url:
-                _scan_url(gpk, signature, url, context, engine)
-        except (InvalidSignature, RevokedKeyError) as exc:
-            results[index] = exc
-    _note_batch_outcomes(reg, start, batch, results)
-    return results
-
-
-def _note_batch_outcomes(reg, start: float, batch: Sequence,
-                         results: Sequence[Optional[Exception]]) -> None:
-    """The shared obs tail of :func:`verify_batch` (both paths)."""
-    if reg is None:
-        return
-    reg.counter("groupsig.verify_batch_total")
-    reg.counter("groupsig.verify_batch_items_total", len(batch))
-    reg.observe("groupsig.verify_batch_seconds", reg.clock() - start)
-    for error in results:
-        if error is None:
-            reg.counter("groupsig.verify_accept_total")
-        elif isinstance(error, RevokedKeyError):
-            reg.counter("groupsig.verify_reject_revoked_total")
-        else:
-            reg.counter("groupsig.verify_reject_invalid_total")
-
-
-def verify_one(gpk: GroupPublicKey, message: bytes,
-               signature: GroupSignature,
-               url: Sequence[RevocationToken] = (),
-               period: Optional[bytes] = None,
-               check_revocation: bool = True,
-               use_engine: bool = True) -> Optional[Exception]:
-    """Classify one item exactly as default-mode :func:`verify_batch`.
-
-    Returns ``None`` / :class:`InvalidSignature` /
-    :class:`RevokedKeyError` instead of raising, and runs the checks in
-    the batch path's order: structural and subgroup rejection happen
-    *before* generator derivation, so a degenerate signature records
-    zero operations (:func:`verify` derives generators first and counts
-    2 hash_to_group + 2 psi even on such input).  The verifier pool's
-    workers use this to stay count-identical with the serial batch.
-    """
-    group = gpk.group
-    engine = gpk.engine if use_engine else None
-    reg = obs.active()
-    start = reg.clock() if reg is not None else 0.0
-    error = _classify_one(gpk, message, signature, url, period,
-                          check_revocation, engine, group)
-    _note_verify_outcome(reg, start, error)
-    return error
-
-
-def _classify_one(gpk: GroupPublicKey, message: bytes,
-                  signature: GroupSignature,
-                  url: Sequence[RevocationToken],
-                  period: Optional[bytes], check_revocation: bool,
-                  engine: Optional["CryptoEngine"],
-                  group: PairingGroup) -> Optional[Exception]:
-    t1, t2 = signature.t1, signature.t2
-    if t1.is_identity() or t2.is_identity():
-        return InvalidSignature("degenerate T1/T2")
-    curve = group.curve
-    if not (curve.in_subgroup(t1.point) and curve.in_subgroup(t2.point)):
-        return InvalidSignature("T1/T2 outside the prime-order subgroup")
-    if engine is not None:
-        context = engine.generators(message, signature.r, period)
-    else:
-        u_hat, v_hat, u, v = derive_generators(gpk, message, signature.r,
-                                               period)
-        context = GeneratorContext(u_hat, v_hat, u, v)
-    try:
-        _verify_spk(gpk, message, signature, context, engine)
-        if check_revocation and url:
-            _scan_url(gpk, signature, url, context, engine)
-    except (InvalidSignature, RevokedKeyError) as exc:
-        return exc
-    return None
 
 
 def validate_member_key(gpk: GroupPublicKey, key: GroupPrivateKey) -> bool:
@@ -1133,50 +903,34 @@ class PeriodRevocationTable:
     """
 
     def __init__(self, gpk: GroupPublicKey,
-                 url: Sequence[RevocationToken], period: bytes,
-                 use_engine: bool = True) -> None:
-        group = gpk.group
+                 url: Sequence[RevocationToken], period: bytes) -> None:
         self.period = period
         self.gpk = gpk
         # Period generators are derived ONCE here and reused for every
         # check -- that amortization is what makes the paper's "6 exp +
-        # 5 pairings" total hold per verified signature.  The engine
-        # adds its per-period line tables on top, so building a tag and
-        # checking a signature skip the Miller-loop point arithmetic;
-        # each tag still notes the one "pairing" the abstract table
-        # construction spends per token.
-        if use_engine:
-            context = gpk.engine.generators(b"", 0, period)
-        else:
-            u_hat, v_hat, u, v = derive_generators(gpk, b"", 0, period)
-            context = GeneratorContext(u_hat, v_hat, u, v)
-        self._u_hat, self._v_hat = context.u_hat, context.v_hat
+        # 5 pairings" total hold per verified signature.  The engine's
+        # per-period line tables let building a tag and checking a
+        # signature skip the Miller-loop point arithmetic; each tag
+        # still notes the one "pairing" the abstract table construction
+        # spends per token.
+        context = gpk.engine.generators(period)
         self._u_table = context.u_table
         self._v_table = context.v_table
-        if self._u_table is not None:
-            tags = set()
-            for token in url:
-                instrument.note("pairing")
-                tags.add(self._encode_gt(self._u_table.pairing(token.a.point)))
-            self._tags = tags
-        else:
-            self._tags = {group.pair(token.a, self._u_hat).encode()
-                          for token in url}
+        tags = set()
+        for token in url:
+            instrument.note("pairing")
+            tags.add(self._encode_gt(self._u_table.pairing(token.a.point)))
+        self._tags = tags
 
     def _encode_gt(self, value: Fp2) -> bytes:
         return GTElement(value, self.gpk.group).encode()
 
     def is_revoked(self, message: bytes, signature: GroupSignature) -> bool:
         """Two pairings + set lookup, independent of |URL|."""
-        group = self.gpk.group
-        if self._u_table is not None and self._v_table is not None:
-            instrument.note("pairing", 2)
-            tag_value = (self._u_table.pairing(signature.t2.point)
-                         * self._v_table.pairing(signature.t1.point).inverse())
-            return self._encode_gt(tag_value) in self._tags
-        tag = (group.pair(signature.t2, self._u_hat)
-               / group.pair(signature.t1, self._v_hat))
-        return tag.encode() in self._tags
+        instrument.note("pairing", 2)
+        tag_value = (self._u_table.pairing(signature.t2.point)
+                     * self._v_table.pairing(signature.t1.point).inverse())
+        return self._encode_gt(tag_value) in self._tags
 
 
 def random_group_id(group: PairingGroup,

@@ -55,7 +55,7 @@ from repro.core.groupsig import (
     RevocationToken,
 )
 from repro.core.wire import Reader, Writer
-from repro.errors import EncodingError, ParameterError
+from repro.errors import EncodingError, ParameterError, RevokedKeyError
 from repro.pairing.group import GTElement
 
 
@@ -246,7 +246,7 @@ class RevocationState:
         self.period = epoch_period(self.epoch)
         # Derived once per epoch; every check and tag build reuses the
         # tables, exactly like PeriodRevocationTable amortizes them.
-        context = gpk.engine.generators(b"", 0, self.period)
+        context = gpk.engine.generators(self.period)
         self._u_table = context.u_table
         self._v_table = context.v_table
 
@@ -343,7 +343,7 @@ class RevocationState:
 
         Computes the signature's period tag (2 counted pairings), hashes
         it into its shard, and raises
-        :func:`repro.core.groupsig._revoked_error` on a match -- the
+        :meth:`RevokedKeyError.for_token` on a match -- the
         same exception object shape, message text, and ``token_index``
         as the serial scan, enforced by ``tests/test_revocation.py``.
         ``message`` is unused in period mode (the generators depend on
@@ -361,7 +361,7 @@ class RevocationState:
         obs.counter("revocation.checks_total")
         if hit is not None:
             obs.counter("revocation.check_revoked_total")
-            raise groupsig._revoked_error(hit)
+            raise RevokedKeyError.for_token(hit)
 
 
 @dataclass(frozen=True)
@@ -432,10 +432,9 @@ def serial_scan_outcome(gpk: GroupPublicKey, message: bytes,
     sharded path to the serial path's exact behaviour (outcome class,
     message text, ``token_index``).
     """
-    engine = gpk.engine
-    context = engine.generators(message, signature.r, period)
+    context = gpk.engine.generators(period)
     try:
-        groupsig._scan_url(gpk, signature, tuple(tokens), context, engine)
-    except groupsig.RevokedKeyError as exc:
+        groupsig._scan_url(gpk, signature, tuple(tokens), context)
+    except RevokedKeyError as exc:
         return exc
     return None

@@ -3,7 +3,7 @@
 Section V.C prices verification at 6 exponentiations and ``3 + 2*|URL|``
 pairings -- on a busy gateway router the revocation scan dominates and
 every signature is independent, so the work shards perfectly across
-cores.  :class:`VerifierPool` runs :func:`repro.core.groupsig.verify`
+cores.  :class:`VerifierPool` runs :func:`repro.core.groupsig.classify`
 for chunks of a batch in warm worker processes and reassembles results
 in submission order.
 
@@ -23,7 +23,9 @@ Design constraints, in order of importance:
    the same bytes a real distributed verifier would receive.  Each
    worker decodes once at initialization and warms its own
    :class:`~repro.core.groupsig.CryptoEngine` tables, outside any
-   counted region.
+   counted region.  Workers start from a *spawn* context: a forked
+   child inherits the parent's locks mid-state (the parent may hold
+   threads), which can deadlock it before it runs a single task.
 
 Worker sizing: ``processes=None`` sizes the pool from the cores this
 process may actually run on (``os.sched_getaffinity``, not the
@@ -140,13 +142,11 @@ def _worker_init(preset: str, gpk_blob: bytes,
     _worker_tokens = tuple(RevocationToken.decode(group, blob)
                            for blob in token_blobs)
     engine = _worker_gpk.engine
-    engine.g2_table
-    engine.w_table
-    engine.base_pairing(count_on_hit=False)
-    # Batch-core tables: the NAF step tables for the SPK's R2 legs, the
-    # fixed-base GT table for e(g1, g2)^-c, and the per-token line
-    # tables for this pool's URL snapshot.  Built once here, they make
-    # every chunk the worker steals run entirely on warm state.
+    # The classifier's tables: the NAF step tables for the SPK's R2
+    # legs, the fixed-base GT table for e(g1, g2)^-c (which quietly
+    # warms the base pairing), and the per-token line tables for this
+    # pool's URL snapshot.  Built once here, they make every chunk the
+    # worker steals run entirely on warm state.
     engine.g2_naf_steps
     engine.w_naf_steps
     engine.gt_table
@@ -191,33 +191,25 @@ def _run_chunk(gpk: GroupPublicKey,
     """Verify ``(index, message, signature, trace_ctx)`` items one by one.
 
     Shared by worker processes and the serial fallback so both paths
-    are literally the same code.  Each item runs under its own counter;
-    the caller replays the returned tallies, keeping measured counts
+    are literally the same code.  Each item runs through
+    :func:`groupsig.classify` -- the classifier serial verification
+    uses, so the pool inherits the batch core's single-core speedup
+    before parallelism multiplies it -- under its own counter; the
+    caller replays the returned tallies, keeping measured counts
     identical whether the work happened here or across a pipe.  An item
     with a trace context gets a ``pool.verify_item`` span parented
     under it (the groupsig spk/scan spans nest inside), attributing the
     item's crypto ops to the originating handshake's trace.
-
-    Items run on the batch core's fast kernels
-    (:func:`repro.core.batch_core.classify_one`) whenever the gpk
-    carries an engine -- outcome and replayed-count identical to
-    :func:`groupsig.verify_one` by the batch core's contract -- so the
-    pool inherits the single-core batch speedup before parallelism
-    multiplies it.
     """
-    from repro.core import batch_core
-
-    classify = (batch_core.classify_one if gpk.engine is not None
-                else groupsig.verify_one)
     out = []
     for index, message, signature, ctx in items:
         with obs.span("pool.verify_item", context=ctx, index=index,
                       pid=os.getpid()) if ctx is not None \
                 else _UNTRACED_ITEM:
             with instrument.count_operations() as ops:
-                error = classify(
-                    gpk, message, signature, url=tokens, period=period,
-                    check_revocation=check_revocation)
+                error = groupsig.classify(gpk, [(message, signature)],
+                                          tokens, period,
+                                          check_revocation)[0]
         if error is None:
             outcome = None
         elif isinstance(error, RevokedKeyError):
@@ -290,7 +282,6 @@ class VerifierPool:
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  max_inflight: Optional[int] = None,
                  task_timeout: float = DEFAULT_TASK_TIMEOUT,
-                 start_method: Optional[str] = None,
                  max_worker_restarts: int = DEFAULT_MAX_WORKER_RESTARTS,
                  respawn_backoff: float = DEFAULT_RESPAWN_BACKOFF,
                  max_respawn_backoff: float = DEFAULT_MAX_RESPAWN_BACKOFF
@@ -329,7 +320,6 @@ class VerifierPool:
                 processes = self.host_cores
         self.processes = processes
         self.max_inflight = max_inflight or max(2 * processes, 2)
-        self._start_method = start_method
         self._initargs = (gpk.group.params.name, gpk.encode(),
                           tuple(t.encode() for t in self.tokens))
         self._pool = self._spawn() if processes > 0 else None
@@ -339,8 +329,7 @@ class VerifierPool:
     def _spawn(self):
         """One fresh worker set, or ``None`` when the host can't."""
         try:
-            context = (multiprocessing.get_context(self._start_method)
-                       if self._start_method else multiprocessing)
+            context = multiprocessing.get_context("spawn")
             return context.Pool(processes=self.processes,
                                 initializer=_worker_init,
                                 initargs=self._initargs)

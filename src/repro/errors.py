@@ -37,6 +37,18 @@ class InvalidSignature(SignatureError):
 class RevokedKeyError(SignatureError):
     """A group signature was produced by a revoked group private key."""
 
+    @classmethod
+    def for_token(cls, token_index: int) -> "RevokedKeyError":
+        """The Eq.3 match error, recording *which* URL token matched.
+
+        ``token_index`` lets callers (the operator's audit trail, the
+        verifier pool's identity checks) confirm that two scans opened
+        the same revocation entry, not merely that both rejected.
+        """
+        error = cls(f"signer's key appears in the URL (token {token_index})")
+        error.token_index = token_index
+        return error
+
 
 class CertificateError(ReproError):
     """A certificate is invalid, expired, or revoked."""

@@ -225,16 +225,6 @@ class PairingGroup:
         return FixedBaseExp(element,
                             FixedBaseTable(self.curve, element.point))
 
-    def pair_with(self, table: PairingTable,
-                  element: _GroupElement) -> GTElement:
-        """Evaluate ``e(table.point, element)`` via stored lines.
-
-        Counted as one pairing -- identical output and identical
-        instrumented cost to :meth:`pair`, just faster.
-        """
-        instrument.note("pairing")
-        return GTElement(table.pairing(element.point), self)
-
     def pair_product(self,
                      terms: Sequence[Tuple[Union[PairingTable, _GroupElement],
                                            _GroupElement]]) -> GTElement:

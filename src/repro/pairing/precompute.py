@@ -30,7 +30,7 @@ Neither table reports to :mod:`repro.instrument`: precomputation is an
 implementation strategy, not an operation of the paper's abstract cost
 model.  Callers that evaluate a table in lieu of a pairing or an
 exponentiation are responsible for noting the abstract operation (see
-``PairingGroup.pair_with``).  Every code path here is cross-checked
+``CryptoEngine.pair_g2_w``).  Every code path here is cross-checked
 against the naive reference implementations by
 ``tests/test_pairing_precompute.py``.
 """

@@ -4,6 +4,10 @@ Expensive artifacts (pairing groups, master keys, a fully enrolled
 deployment) are session-scoped; tests must not mutate them.  Tests that
 need mutation (revocation, list updates) build their own deployment via
 the ``fresh_deployment`` factory.
+
+Every test also runs under :func:`_no_classifier_fallback`: a fast
+verification kernel that strays off its domain must fail the suite,
+not hide behind the reference classifier.
 """
 
 from __future__ import annotations
@@ -12,9 +16,44 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core import groupsig
 from repro.core.deployment import Deployment
 from repro.pairing import PairingGroup
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "forces_fallback: the test forces the classifier's "
+        "fallback to the reference on purpose")
+
+
+@pytest.fixture(autouse=True)
+def _no_classifier_fallback(request, monkeypatch):
+    """Fail any test during which ``batch_core.fallback_total`` moves.
+
+    In production the fallback keeps a verdict exact when a fast kernel
+    strays off its domain; in a test it would mask that kernel bug.
+    Only in-process classification is watched (pool workers run in
+    their own interpreters).  Tests that force the fallback on purpose
+    carry ``@pytest.mark.forces_fallback``.
+    """
+    if request.node.get_closest_marker("forces_fallback") is not None:
+        yield
+        return
+    fallbacks = []
+    counter = obs.counter
+
+    def watched(name, amount=1):
+        if name == "batch_core.fallback_total":
+            fallbacks.append(amount)
+        return counter(name, amount)
+
+    monkeypatch.setattr(obs, "counter", watched)
+    yield
+    assert not fallbacks, (
+        f"{len(fallbacks)} verification(s) fell back to the reference "
+        "classifier")
 
 
 @pytest.fixture(scope="session")

@@ -6,14 +6,15 @@ Pins for the randomized multi-pairing batch core and its satellites:
   pairing error terms cancel in an *unrandomized* product equation are
   both caught by the randomized ``batch_pairing_check`` and localized
   by ``validate_member_keys_batch``'s bisection.
-* **Bit-identity.**  ``batch_core.classify_item`` matches the serial
-  reference classifier on chaos batches (seeds 101/202/303): outcome
-  type, error message, ``token_index``, and replayed operation counts.
+* **Bit-identity.**  ``groupsig.classify`` (the batch core's kernels)
+  matches ``groupsig.reference_classify`` on chaos batches (seeds
+  101/202/303): outcome type, error message, ``token_index``, and
+  replayed operation counts.
 * **Accounting.**  ``pair_product`` bills one pairing per *evaluated*
   term; degenerate (identity) terms are free -- the regression pin for
   the earlier bill-len(terms) over-count.
-* **Scan table cache.**  The Eq.3 ``u_table`` memoizes on the
-  generator context, so repeat scans never pay the build twice.
+* **Scan table cache.**  Repeat Eq.3 scans on one period context
+  note the same counts.
 * **Kernel identity.**  ``clear_cofactor_fast``, ``hash_h0_fast`` and
   the split-exponent ``unitary_tag_is_one`` agree bit for bit with
   their reference implementations, and ``_h_split``'s exactness
@@ -29,7 +30,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro import instrument
+from repro import instrument, obs
 from repro.core import batch_core, groupsig
 from repro.core import verifier_pool
 from repro.errors import InvalidSignature, ParameterError, RevokedKeyError
@@ -156,7 +157,7 @@ class TestAdversarialCancellation:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: classify_item vs the serial reference classifier
+# Bit-identity: classify vs the reference classifier
 # ---------------------------------------------------------------------------
 
 class TestBitIdentity:
@@ -193,11 +194,11 @@ class TestBitIdentity:
         for message, signature in self._chaos_batch(gpk, member_keys,
                                                     seed):
             with instrument.count_operations() as fast_ops:
-                fast = batch_core.classify_item(gpk, message, signature,
-                                                url=url)
+                fast = groupsig.classify(gpk, [(message, signature)],
+                                         url)[0]
             with instrument.count_operations() as ref_ops:
-                ref = groupsig._classify_one(gpk, message, signature, url,
-                                             None, True, None, gpk.group)
+                ref = groupsig.reference_classify(gpk, message, signature,
+                                                  url)
             assert type(fast) is type(ref)
             assert str(fast) == str(ref)
             assert getattr(fast, "token_index", None) == \
@@ -217,19 +218,20 @@ class TestBitIdentity:
             signature = groupsig.sign(gpk, member_keys[name], message,
                                       rng=rng, period=period)
             with instrument.count_operations() as fast_ops:
-                fast = batch_core.classify_item(gpk, message, signature,
-                                                url=url, period=period)
+                fast = groupsig.classify(gpk, [(message, signature)], url,
+                                         period)[0]
             with instrument.count_operations() as ref_ops:
-                ref = groupsig._classify_one(gpk, message, signature, url,
-                                             period, True, None, gpk.group)
+                ref = groupsig.reference_classify(gpk, message, signature,
+                                                  url, period)
             assert type(fast) is type(ref)
             assert getattr(fast, "token_index", None) == \
                 getattr(ref, "token_index", None)
             assert fast_ops.snapshot() == ref_ops.snapshot()
 
+    @pytest.mark.forces_fallback
     def test_fallback_path_stays_exact(self, gpk, member_keys,
                                        monkeypatch):
-        """A fast-path crash discards its tally and reruns serially."""
+        """A fast-path crash discards its tally and reruns the reference."""
         rng = random.Random(66)
         message = b"fallback probe"
         signature = groupsig.sign(gpk, member_keys["a1"], message, rng=rng)
@@ -237,48 +239,35 @@ class TestBitIdentity:
         def boom(*args, **kwargs):
             raise RuntimeError("kernel off its domain")
 
-        monkeypatch.setattr(batch_core, "_classify_fast", boom)
-        with instrument.count_operations() as ops:
-            assert batch_core.classify_item(gpk, message, signature) is None
+        monkeypatch.setattr(batch_core, "classify_fast", boom)
+        with obs.collecting() as reg, \
+                instrument.count_operations() as ops:
+            assert groupsig.classify(gpk, [(message, signature)]) == [None]
+        assert reg.counter_value("batch_core.fallback_total") == 1
         with instrument.count_operations() as ref_ops:
-            assert groupsig._classify_one(gpk, message, signature, (), None,
-                                          True, None, gpk.group) is None
+            assert groupsig.reference_classify(gpk, message,
+                                               signature) is None
         assert ops.snapshot() == ref_ops.snapshot()
 
 
 # ---------------------------------------------------------------------------
-# Satellite 2: the Eq.3 u_table memoizes on the generator context
+# Satellite 2: repeat Eq.3 scans on one period context
 # ---------------------------------------------------------------------------
 
 class TestScanTableCache:
-    def test_u_table_built_once_per_context(self, gpk, member_keys):
-        rng = random.Random(321)
-        message = b"cache probe"
-        signature = groupsig.sign(gpk, member_keys["a1"], message, rng=rng)
-        # Two tokens: the tag rewrite (and with it the table) only
-        # engages from the second token on.
-        url = [groupsig.RevocationToken(member_keys["b1"].a),
-               groupsig.RevocationToken(member_keys["b2"].a)]
-        context = gpk.engine.generators(message, signature.r, None)
-        assert context.u_table is None
-        groupsig._scan_url(gpk, signature, url, context, gpk.engine)
-        table = context.u_table
-        assert table is not None
-        groupsig._scan_url(gpk, signature, url, context, gpk.engine)
-        assert context.u_table is table
-
     def test_cached_scan_counts_unchanged(self, gpk, member_keys):
         rng = random.Random(322)
         message = b"cache counts"
-        signature = groupsig.sign(gpk, member_keys["a2"], message, rng=rng)
+        period = b"cache-period"
+        signature = groupsig.sign(gpk, member_keys["a2"], message, rng=rng,
+                                  period=period)
         url = [groupsig.RevocationToken(member_keys["b1"].a),
                groupsig.RevocationToken(member_keys["b2"].a)]
-        context = gpk.engine.generators(message, signature.r, None)
+        context = gpk.engine.generators(period)
         snapshots = []
         for _ in range(2):
             with instrument.count_operations() as ops:
-                groupsig._scan_url(gpk, signature, url, context,
-                                   gpk.engine)
+                groupsig._scan_url(gpk, signature, url, context)
             snapshots.append(ops.snapshot())
         assert snapshots[0] == snapshots[1]
         assert snapshots[0]["pairing"] == 2 * len(url)

@@ -1,12 +1,13 @@
-"""The engine-threaded verification paths: equivalence and op counts.
+"""The engine-backed verification paths: equivalence and op counts.
 
-Three properties pin the tentpole refactor down:
+Three properties pin the classifier down:
 
-1. engine-on and engine-off ``verify`` accept/reject identically;
+1. ``verify`` and the engine-free ``reference_classify`` accept/reject
+   identically;
 2. ``verify_batch`` classifies every item exactly as per-item ``verify``
    would (including bad signatures and revoked signers);
-3. the instrumented operation counts are unchanged by the engine --
-   tables move wall-clock time, never abstract cost.
+3. the instrumented operation counts are the reference's -- tables
+   move wall-clock time, never abstract cost.
 """
 
 import random
@@ -32,6 +33,18 @@ def signed_batch(gpk, member_keys):
     return batch
 
 
+def _reference_verify(gpk, message, signature, url=(), period=None):
+    """The reference classifier with :func:`groupsig.verify`'s raising."""
+    error = groupsig.reference_classify(gpk, message, signature, url,
+                                        period)
+    if error is not None:
+        raise error
+
+
+def _verifiers():
+    return (groupsig.verify, _reference_verify)
+
+
 def _tampered(signature):
     return groupsig.GroupSignature(
         signature.r, signature.t1, signature.t2, signature.c,
@@ -41,15 +54,14 @@ def _tampered(signature):
 class TestEngineEquivalence:
     def test_valid_signature_both_paths(self, gpk, signed_batch):
         message, signature = signed_batch[0]
-        groupsig.verify(gpk, message, signature, use_engine=True)
-        groupsig.verify(gpk, message, signature, use_engine=False)
+        for verify in _verifiers():
+            verify(gpk, message, signature)
 
     def test_bad_signature_both_paths(self, gpk, signed_batch):
         message, signature = signed_batch[0]
-        for use_engine in (True, False):
+        for verify in _verifiers():
             with pytest.raises(InvalidSignature):
-                groupsig.verify(gpk, message, _tampered(signature),
-                                use_engine=use_engine)
+                verify(gpk, message, _tampered(signature))
 
     def test_revoked_scan_both_paths(self, gpk, member_keys, signed_batch):
         url = [groupsig.RevocationToken(member_keys["a1"].a),
@@ -57,10 +69,9 @@ class TestEngineEquivalence:
                groupsig.RevocationToken(member_keys["b2"].a)]
         for index, (message, signature) in enumerate(signed_batch):
             outcomes = set()
-            for use_engine in (True, False):
+            for verify in _verifiers():
                 try:
-                    groupsig.verify(gpk, message, signature, url=url,
-                                    use_engine=use_engine)
+                    verify(gpk, message, signature, url=url)
                     outcomes.add("ok")
                 except RevokedKeyError:
                     outcomes.add("revoked")
@@ -74,10 +85,9 @@ class TestEngineEquivalence:
                groupsig.RevocationToken(member_keys["b2"].a),
                groupsig.RevocationToken(member_keys["a2"].a)]
         snapshots = []
-        for use_engine in (True, False):
+        for verify in _verifiers():
             with instrument.count_operations() as ops:
-                groupsig.verify(gpk, message, signature, url=url,
-                                use_engine=use_engine)
+                verify(gpk, message, signature, url=url)
             snapshots.append(ops.snapshot())
         assert snapshots[0] == snapshots[1]
         assert snapshots[0]["pairing"] == 3 + 2 * len(url)
@@ -91,10 +101,9 @@ class TestEngineEquivalence:
         # Warm the period cache so the engine path is the cache-hit one.
         groupsig.verify(gpk, message, signature, period=period)
         snapshots = []
-        for use_engine in (True, False):
+        for verify in _verifiers():
             with instrument.count_operations() as ops:
-                groupsig.verify(gpk, message, signature, period=period,
-                                use_engine=use_engine)
+                verify(gpk, message, signature, period=period)
             snapshots.append(ops.snapshot())
         assert snapshots[0] == snapshots[1]
 
@@ -103,7 +112,7 @@ class TestEngineEquivalence:
         assert engine is gpk.engine          # cached on the instance
         assert not hasattr(groupsig, "_BASE_PAIRING_CACHE")
         for index in range(3 * engine.max_periods):
-            engine.generators(b"", 0, b"period-%d" % index)
+            engine.generators(b"period-%d" % index)
         assert len(engine._periods) == engine.max_periods
 
 
@@ -151,17 +160,6 @@ class TestVerifyBatch:
         assert isinstance(results[1], RevokedKeyError)
         assert results[2] is None
 
-    def test_screen_subgroup_same_outcome_for_honest_batch(self, gpk,
-                                                           signed_batch):
-        rng = random.Random(17)
-        batch = list(signed_batch)
-        batch[1] = (batch[1][0], _tampered(batch[1][1]))
-        exact = groupsig.verify_batch(gpk, batch)
-        screened = groupsig.verify_batch(gpk, batch, rng=rng,
-                                         screen_subgroup=True)
-        assert [type(item) for item in exact] == \
-            [type(item) for item in screened]
-
     def test_empty_batch(self, gpk):
         assert groupsig.verify_batch(gpk, []) == []
 
@@ -179,8 +177,8 @@ class TestSmoke:
         rng = random.Random(5)
         message = b"smoke"
         good = groupsig.sign(gpk, member_keys["a1"], message, rng=rng)
-        groupsig.verify(gpk, message, good, use_engine=True)
-        groupsig.verify(gpk, message, good, use_engine=False)
+        for verify in _verifiers():
+            verify(gpk, message, good)
         results = groupsig.verify_batch(
             gpk, [(message, good), (message, _tampered(good))])
         assert results[0] is None

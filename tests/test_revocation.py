@@ -259,18 +259,17 @@ class TestScanMemoEpochGuard:
         period = b"guard-period"
         signature = groupsig.sign(gpk, key, b"guard", rng=rng,
                                   period=period)
-        engine = gpk.engine
-        context = engine.generators(b"guard", signature.r, period)
+        context = gpk.engine.generators(period)
 
         with pytest.raises(RevokedKeyError):
-            groupsig._scan_url(gpk, signature, url, context, engine)
+            groupsig._scan_url(gpk, signature, url, context)
         first_table = context.u_table
         assert first_table is not None
         assert context.u_table_epoch == 0
 
         object.__setattr__(gpk, "epoch", 3)
         with pytest.raises(RevokedKeyError) as excinfo:
-            groupsig._scan_url(gpk, signature, url, context, engine)
+            groupsig._scan_url(gpk, signature, url, context)
         assert excinfo.value.token_index == 1
         assert context.u_table is not first_table
         assert context.u_table_epoch == 3
