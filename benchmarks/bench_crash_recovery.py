@@ -22,7 +22,7 @@ Two experiments:
   has passed.
 
 * **Checkpoint warm-up at |URL| = 10^3.**  A cold router enabling
-  sharded revocation pays one tag pairing per listed token; warming
+  the tag index pays one tag pairing per listed token; warming
   from a peer's signed :class:`TagCheckpoint` replaces all of them
   with one ECDSA verification.  Gate: warm-up >= 5x the cold build,
   and the warm build performs *zero* pairings.
@@ -49,7 +49,6 @@ from repro.pairing import PairingGroup
 
 CHAOS_SEEDS = (101, 202, 303)
 START = 1_000_000.0
-NUM_SHARDS = 64
 WARMUP_URL_SIZE = 1000
 REQUIRED_WARMUP_SPEEDUP = 5.0
 STORM_REPLAYS = 8          # per captured request, pre- and post-crash
@@ -107,10 +106,10 @@ class _ProtocolRun:
         self.store = DurableRouterStore(MemoryStorage(), "MR-1",
                                         sync_every=10_000)
         self.router.attach_durable(self.store)
-        self.router.enable_sharded_revocation(
-            num_shards=8, cache=RevocationTagCache())
+        state = self.router.enable_sharded_revocation(
+            cache=RevocationTagCache())
         for user in self.deployment.users.values():
-            user.auth_period = self.router.engine.auth_period
+            user.auth_period = state.period
         self.store.sync()
         self.trace = []
         self.captured = {}
@@ -338,18 +337,15 @@ def test_crash_recovery(reporter):
     operator._snapshot_url()
     source.refresh_lists()
     target.refresh_lists()
-    source.enable_sharded_revocation(num_shards=NUM_SHARDS,
-                                     cache=RevocationTagCache())
+    source.enable_sharded_revocation(cache=RevocationTagCache())
     checkpoint = source.make_tag_checkpoint()
     assert checkpoint is not None
 
     def cold():
-        target.enable_sharded_revocation(num_shards=NUM_SHARDS,
-                                         cache=RevocationTagCache())
+        target.enable_sharded_revocation(cache=RevocationTagCache())
 
     def warm():
-        target.enable_sharded_revocation(num_shards=NUM_SHARDS,
-                                         cache=RevocationTagCache(),
+        target.enable_sharded_revocation(cache=RevocationTagCache(),
                                          warm_checkpoint=checkpoint)
 
     with instrument.count_operations() as cold_ops:
@@ -362,16 +358,15 @@ def test_crash_recovery(reporter):
     cold_s, warm_s = _interleaved_best(cold, warm, rounds=3)
     warmup_speedup = cold_s / warm_s
 
-    report.table(("|URL|", "shards", "cold ms", "warm ms", "speedup",
+    report.table(("|URL|", "cold ms", "warm ms", "speedup",
                   "cold pairings", "warm pairings"),
-                 [(WARMUP_URL_SIZE, NUM_SHARDS, f"{cold_s * 1000:.2f}",
+                 [(WARMUP_URL_SIZE, f"{cold_s * 1000:.2f}",
                    f"{warm_s * 1000:.2f}", f"{warmup_speedup:.1f}x",
                    cold_pairings, warm_pairings)])
     report.row(f"gate: checkpoint warm-up >= "
                f"{REQUIRED_WARMUP_SPEEDUP:g}x the cold build at "
                f"|URL| = {WARMUP_URL_SIZE}")
     report.record("warmup_url_size", WARMUP_URL_SIZE)
-    report.record("warmup_num_shards", NUM_SHARDS)
     report.record("required_warmup_speedup", REQUIRED_WARMUP_SPEEDUP)
     report.record("warmup_speedup", warmup_speedup)
     report.record("cold_pairings", cold_pairings)

@@ -38,7 +38,7 @@ RETRY = RetryPolicy(initial_timeout=2.0, backoff_factor=2.0,
 
 
 def _build_scenario(seed: int) -> Scenario:
-    """The durable, sharded, gossiping 4-router city under 15% loss
+    """The durable, tag-indexed, gossiping 4-router city under 15% loss
     (same shape as scripts/chaos_recovery_run.py), health enabled."""
     scenario = Scenario(ScenarioConfig(
         preset="TEST", seed=seed,

@@ -1,13 +1,14 @@
-"""revocation_scale -- sharded URL + tag cache vs the serial Eq.3 scan.
+"""revocation_scale -- tag index + tag cache vs the serial Eq.3 scan.
 
 The paper's verifier-local revocation walks the whole URL (one table
-pairing per listed token per verification).  The sharded path
+pairing per listed token per verification).  The tag index
 (:mod:`repro.core.revocation`) computes the signature's period tag --
-2 pairings, |URL|-independent -- and consults exactly one shard.  This
-experiment measures the crossover at metropolitan URL sizes and holds
-the fast path to *bit-identical* behaviour: same outcomes, same error
-message, same ``token_index`` as the serial first-match scan, including
-under shuffled URL orderings (chaos seeds 101/202/303).
+2 pairings, |URL|-independent -- and looks it up in one
+``{tag: first URL index}`` map.  This experiment measures the crossover
+at metropolitan URL sizes and holds the index to *bit-identical*
+behaviour: same outcomes, same error message, same ``token_index`` as
+the serial first-match scan, including under shuffled URL orderings
+(chaos seeds 101/202/303).
 
 The second half measures epidemic CRL/URL distribution: a single
 router refreshes from the NO, every other router starts stale, and
@@ -18,7 +19,7 @@ per-exchange loss.
 CI runs |URL| in {100, 1000} and a 24-router overlay; the nightly
 job sets ``BENCH_REVOCATION_LARGE=1`` to add |URL| = 10^4, a
 1000-router overlay, and a telemetry-rollup JSONL from a full gossip
-scenario.  Gates (scripts/bench_gate.py): sharded+cached >= 5x the
+scenario.  Gates (scripts/bench_gate.py): indexed+cached >= 5x the
 linear scan at |URL| = 1000, identity booleans, and convergence.
 """
 
@@ -47,7 +48,6 @@ URL_SIZES = (100, 1000)
 LARGE_URL_SIZE = 10_000
 GATE_URL_SIZE = 1000
 REQUIRED_SPEEDUP = 5.0
-NUM_SHARDS = 64
 CHAOS_SEEDS = (101, 202, 303)
 
 EPIDEMIC_ROUTERS = 24
@@ -74,7 +74,7 @@ def _interleaved_best(fn_a, fn_b, rounds):
 
 
 def _check_outcome(state, message, signature):
-    """The sharded check's outcome in the serial scan's shape."""
+    """The tag check's outcome in the serial scan's shape."""
     try:
         state.check(message, signature)
     except groupsig.RevokedKeyError as exc:
@@ -128,12 +128,12 @@ def test_revocation_scale(reporter, scale_scheme):
     sizes = URL_SIZES + ((LARGE_URL_SIZE,) if LARGE else ())
     # Decoys are random G1 points (any URL entry is just a token): the
     # clean signer's scan walks every one of them, the paper's
-    # worst case and the cost sharding removes.
+    # worst case and the cost the tag index removes.
     decoys = [RevocationToken(group.random_g1(rng))
               for _ in range(max(sizes) - 1)]
 
     cache = RevocationTagCache(capacity=2 * max(sizes))
-    report = reporter("revocation_scale: sharded URL + tag cache vs "
+    report = reporter("revocation_scale: tag index + tag cache vs "
                       "serial Eq.3 scan; epidemic spread under loss")
 
     outcomes_identical = True
@@ -145,7 +145,7 @@ def test_revocation_scale(reporter, scale_scheme):
         # serial scan's worst case for a revoked signature, and the
         # largest token_index the identity check can get wrong.
         tokens = tuple(decoys[:size - 1]) + (RevocationToken(revoked_key.a),)
-        state = RevocationState(gpk, num_shards=NUM_SHARDS, cache=cache)
+        state = RevocationState(gpk, cache=cache)
         state.update(tokens, url_version=size)
 
         # Bit-identity at this size: clean passes both paths, revoked
@@ -154,30 +154,30 @@ def test_revocation_scale(reporter, scale_scheme):
                                            tokens, period)
         serial_revoked = serial_scan_outcome(gpk, message, sig_revoked,
                                              tokens, period)
-        sharded_clean = _check_outcome(state, message, sig_clean)
-        sharded_revoked = _check_outcome(state, message, sig_revoked)
+        indexed_clean = _check_outcome(state, message, sig_clean)
+        indexed_revoked = _check_outcome(state, message, sig_revoked)
         outcomes_identical &= (serial_clean is None
-                               and sharded_clean is None
+                               and indexed_clean is None
                                and serial_revoked is not None
-                               and sharded_revoked is not None
+                               and indexed_revoked is not None
                                and str(serial_revoked)
-                               == str(sharded_revoked))
+                               == str(indexed_revoked))
         token_index_identical &= (
-            serial_revoked is not None and sharded_revoked is not None
-            and serial_revoked.token_index == sharded_revoked.token_index
+            serial_revoked is not None and indexed_revoked is not None
+            and serial_revoked.token_index == indexed_revoked.token_index
             == size - 1)
 
-        linear_s, sharded_s = _interleaved_best(
+        linear_s, indexed_s = _interleaved_best(
             lambda t=tokens: serial_scan_outcome(gpk, message, sig_clean,
                                                  t, period),
             lambda s=state: s.check(message, sig_clean),
             rounds=3)
-        speedups[size] = linear_s / sharded_s
-        rows.append((size, f"{linear_s * 1000:.2f}",
-                     f"{sharded_s * 1e6:.1f}",
+        speedups[size] = linear_s / indexed_s
+        rows.append((str(size), f"{linear_s * 1000:.2f}",
+                     f"{indexed_s * 1e6:.1f}",
                      f"{speedups[size]:.1f}x"))
 
-    # Shuffled-URL identity at the gated size: the sharded lookup must
+    # Shuffled-URL identity at the gated size: the tag lookup must
     # report the *same first-match index* the serial scan does for any
     # ordering (chaos seeds fixed by the issue).
     base = list(tuple(decoys[:GATE_URL_SIZE - 1])
@@ -185,31 +185,29 @@ def test_revocation_scale(reporter, scale_scheme):
     for seed in CHAOS_SEEDS:
         shuffled = list(base)
         random.Random(seed).shuffle(shuffled)
-        state = RevocationState(gpk, num_shards=NUM_SHARDS, cache=cache)
+        state = RevocationState(gpk, cache=cache)
         state.update(tuple(shuffled), url_version=seed)
         serial = serial_scan_outcome(gpk, message, sig_revoked,
                                      tuple(shuffled), period)
-        sharded = _check_outcome(state, message, sig_revoked)
-        outcomes_identical &= (serial is not None and sharded is not None
-                               and str(serial) == str(sharded))
+        indexed = _check_outcome(state, message, sig_revoked)
+        outcomes_identical &= (serial is not None and indexed is not None
+                               and str(serial) == str(indexed))
         token_index_identical &= (
-            serial is not None and sharded is not None
-            and serial.token_index == sharded.token_index)
+            serial is not None and indexed is not None
+            and serial.token_index == indexed.token_index)
 
     # Cache contract on the measured state: a warm rebuild derives no
     # tags at all (every lookup hits), the property that makes delta
     # updates cheap at metropolitan scale.
-    warm_state = RevocationState(gpk, num_shards=NUM_SHARDS, cache=cache)
+    warm_state = RevocationState(gpk, cache=cache)
     with instrument.count_operations() as warm_ops:
         warm_state.update(tuple(base), url_version=GATE_URL_SIZE + 1)
     rebuild_pairing_free = warm_ops.total("pairing") == 0
 
-    report.table(("|URL|", "linear ms", "sharded us", "speedup"),
-                 [(str(s), lin, sh, sp) for s, lin, sh, sp in rows])
-    report.row(f"gate: sharded+cached >= {REQUIRED_SPEEDUP:g}x at "
+    report.table(("|URL|", "linear ms", "indexed us", "speedup"), rows)
+    report.row(f"gate: indexed+cached >= {REQUIRED_SPEEDUP:g}x at "
                f"|URL| = {GATE_URL_SIZE}")
     report.record("url_sizes", list(sizes))
-    report.record("num_shards", NUM_SHARDS)
     report.record("required_speedup", REQUIRED_SPEEDUP)
     for size in sizes:
         report.record(f"speedup_url{size}", speedups[size])
@@ -265,7 +263,7 @@ def test_revocation_scale(reporter, scale_scheme):
 @pytest.mark.skipif(not LARGE, reason="nightly only "
                     "(BENCH_REVOCATION_LARGE=1)")
 def test_nightly_gossip_scenario_telemetry(reporter):
-    """Full-stack nightly run: a gossip + sharded-revocation scenario
+    """Full-stack nightly run: a gossip + tag-index revocation scenario
     with telemetry windows, dumped as JSONL for the artifact upload."""
     from repro.wmn.scenario import Scenario, ScenarioConfig
 

@@ -2,8 +2,9 @@
 
 Paper claims: 'the actually computational cost of signature
 verification depends on the size of URL' (linear, +2 pairings per
-token), and the precomputed-table variant is |URL|-independent at 6
-exp + 5 pairings.  The bench sweeps |URL| and shows the crossover:
+token), and the precomputed-table variant (here the tag index,
+:class:`~repro.core.revocation.RevocationState`) is |URL|-independent
+at 6 exp + 5 pairings.  The bench sweeps |URL| and shows the crossover:
 the fast variant wins as soon as |URL| > 1.
 """
 
@@ -12,9 +13,8 @@ import time
 
 from repro.analysis.opreport import url_scaling_table
 from repro.core import groupsig
-from repro.core.groupsig import PeriodRevocationTable, RevocationToken
-
-PERIOD = b"bench-epoch"
+from repro.core.groupsig import RevocationToken
+from repro.core.revocation import RevocationState
 
 
 def test_e3_url_scaling_series(reporter, ss512_scheme):
@@ -46,7 +46,7 @@ def test_e3_fast_variant_crossover(reporter, ss512_scheme):
     gpk, _master, keys = ss512_scheme
     rng = random.Random(21)
     decoys = [RevocationToken(k.a) for k in keys[1:33]]
-    report = reporter("E3b: linear scan vs precomputed-table revocation")
+    report = reporter("E3b: linear scan vs tag-index revocation")
 
     rows = []
     for url_size in (0, 1, 2, 8, 32):
@@ -57,12 +57,14 @@ def test_e3_fast_variant_crossover(reporter, ss512_scheme):
         groupsig.verify(gpk, message, signature, url=url)
         linear = time.perf_counter() - start
 
+        state = RevocationState(gpk)
         period_signature = groupsig.sign(gpk, keys[0], message, rng=rng,
-                                         period=PERIOD)
-        table = PeriodRevocationTable(gpk, url, PERIOD)   # amortized
+                                         period=state.period)
+        state.update(url)   # amortized
         start = time.perf_counter()
-        groupsig.verify(gpk, message, period_signature, period=PERIOD)
-        assert not table.is_revoked(message, period_signature)
+        groupsig.verify(gpk, message, period_signature,
+                        period=state.period, check_revocation=False)
+        state.check(message, period_signature)
         fast = time.perf_counter() - start
         rows.append((url_size, f"{linear * 1000:.1f}",
                      f"{fast * 1000:.1f}",

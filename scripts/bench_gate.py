@@ -156,8 +156,8 @@ GATES: Dict[str, Dict[str, dict]] = {
         "url_size": {"kind": "exact"},
         "chunk_size": {"kind": "exact"},
     },
-    # Metropolitan revocation (ISSUE 8 acceptance): the sharded+cached
-    # scan must beat the linear Eq.3 scan >= 5x at |URL| = 1000 as an
+    # Metropolitan revocation (ISSUE 8 acceptance): the indexed+cached
+    # check must beat the linear Eq.3 scan >= 5x at |URL| = 1000 as an
     # absolute floor, the bit-identity and cache contracts are
     # booleans checked exactly, and the epidemic overlay must have
     # converged deterministically under the 15% loss model.  Router
@@ -172,14 +172,13 @@ GATES: Dict[str, Dict[str, dict]] = {
         "epidemic_converged": {"kind": "exact"},
         "epidemic_deterministic": {"kind": "exact"},
         "epidemic_loss_pct": {"kind": "exact"},
-        "num_shards": {"kind": "exact"},
         "required_speedup": {"kind": "exact"},
     },
     # Durable crash recovery (ISSUE 9 acceptance): a crashed/restored
     # router must be observably indistinguishable from one that never
     # crashed -- the four identity booleans and the degraded re-entry
     # check are exact -- and the signed-checkpoint warm-up must beat
-    # the cold shard build >= 5x at |URL| = 1000 with *zero* pairings
+    # the cold index build >= 5x at |URL| = 1000 with *zero* pairings
     # on the warm path (both absolute floors, baseline-independent).
     "crash_recovery": {
         "outcomes_identical": {"kind": "exact"},
@@ -192,7 +191,6 @@ GATES: Dict[str, Dict[str, dict]] = {
         "warm_pairings": {"kind": "exact"},
         "cold_pairings": {"kind": "exact"},
         "warmup_url_size": {"kind": "exact"},
-        "warmup_num_shards": {"kind": "exact"},
         "required_warmup_speedup": {"kind": "exact"},
     },
     # Health observatory (ISSUE 10 acceptance): every injected router

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI crash/restart chaos driver: durable city scenarios under churn.
 
-For each chaos seed this script runs the same durable, sharded,
+For each chaos seed this script runs the same durable, tag-indexed,
 gossiping 4-router scenario **twice** with an identical fault plan --
 an fsync-lossy power cut, two staggered router kills, two restarts --
 and requires the runs to replay bit-identically: same connection

@@ -14,8 +14,9 @@
 #
 # The chaos subset runs the seeded fault-injection suites (radio
 # drop/duplicate/corrupt/delay, verifier-pool worker kill/hang,
-# router degraded mode, durable-journal corruption, and crash/restart
-# recovery) across the three fixed CI seeds.
+# router degraded mode, durable-journal corruption, crash/restart
+# recovery, and the tag index against the serial scan) across the
+# three fixed CI seeds.
 
 set -e
 cd "$(dirname "$0")/.."
@@ -70,7 +71,8 @@ if [ "$mode" = "chaos" ]; then
         tests/test_pool_recovery.py \
         tests/test_durable.py \
         tests/test_durable_fuzz.py \
-        tests/test_crash_recovery.py
+        tests/test_crash_recovery.py \
+        tests/test_revocation.py
 fi
 
 exec python -m pytest -x -q ${junit:+"$junit"}

@@ -34,7 +34,6 @@ from repro.wmn.topology import TopologyConfig
 
 def _small_city(seed: int, user_count: int,
                 dos_policy_factory=None,
-                data_interval: Optional[float] = None,
                 list_refresh_period: float = 600.0,
                 beacon_interval: float = 5.0) -> Scenario:
     """One router, a handful of users -- the standard campaign arena."""
@@ -46,7 +45,6 @@ def _small_city(seed: int, user_count: int,
         group_sizes=(("Company X", max(8, user_count)),
                      ("University Z", max(8, user_count))),
         beacon_interval=beacon_interval,
-        data_interval=data_interval,
         dos_policy_factory=dos_policy_factory,
         list_refresh_period=list_refresh_period)
     return Scenario(config)

@@ -19,7 +19,7 @@ from repro.core.groupsig import (
     GroupPublicKey,
     RevocationToken,
 )
-from repro.errors import RevokedKeyError
+from repro.core.revocation import RevocationState
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,24 @@ def measure_verify_cost(gpk: GroupPublicKey, gsk: GroupPrivateKey,
 
 def measure_fast_verify_cost(gpk: GroupPublicKey, gsk: GroupPrivateKey,
                              url: Sequence[RevocationToken],
-                             period: bytes = b"period-0",
                              message: bytes = b"op-report",
                              rng: Optional[random.Random] = None) -> OpCost:
-    """The precomputed-table variant: verify + O(1) revocation check."""
+    """The tag-index variant: verify + O(1) revocation check.
+
+    The signer must not be on ``url`` (a hit raises
+    :class:`~repro.errors.RevokedKeyError`); the index is built before
+    counting starts, as a router builds it once per URL version.
+    """
     rng = rng or random.Random(0)
-    signature = groupsig.sign(gpk, gsk, message, rng=rng, period=period)
-    table = groupsig.PeriodRevocationTable(gpk, url, period)  # precomputed
+    state = RevocationState(gpk)
+    signature = groupsig.sign(gpk, gsk, message, rng=rng,
+                              period=state.period)
+    state.update(url)
     start = time.perf_counter()
     with instrument.count_operations() as ops:
-        groupsig.verify(gpk, message, signature, url=(), period=period)
-        if table.is_revoked(message, signature):
-            raise RevokedKeyError("unexpected revocation hit")
+        groupsig.verify(gpk, message, signature, period=state.period,
+                        check_revocation=False)
+        state.check(message, signature)
     return OpCost(exponentiations=ops.exponentiations(),
                   pairings=ops.pairings(),
                   gt_exponentiations=ops.total("exp_gt"),

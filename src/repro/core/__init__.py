@@ -11,7 +11,6 @@ from repro.core.groupsig import (
     GroupPublicKey,
     GroupPrivateKey,
     GroupSignature,
-    PeriodRevocationTable,
     RevocationToken,
     issue_member_key,
     keygen_master,
@@ -25,23 +24,18 @@ from repro.core.groupsig import (
 from repro.core.revocation import (
     RevocationState,
     RevocationTagCache,
-    ShardedURL,
     epoch_period,
-    shard_of_tag,
 )
 
 __all__ = [
     "RevocationState",
     "RevocationTagCache",
-    "ShardedURL",
     "epoch_period",
-    "shard_of_tag",
     "CryptoEngine",
     "GroupMasterSecret",
     "GroupPrivateKey",
     "GroupPublicKey",
     "GroupSignature",
-    "PeriodRevocationTable",
     "RevocationToken",
     "issue_member_key",
     "keygen_master",

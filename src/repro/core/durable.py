@@ -38,7 +38,9 @@ from repro import obs
 from repro.core.wire import Reader, Writer
 from repro.errors import EncodingError
 
-FORMAT_VERSION = 1
+#: Version 2 replaced the shard count with the tag-index flag; a
+#: version-1 snapshot is refused rather than misparsed.
+FORMAT_VERSION = 2
 SNAPSHOT_MAGIC = b"DJR1"
 
 # Record kinds.
@@ -168,7 +170,10 @@ class DurableState:
     lists_fetched_at: float = 0.0
     channel_up: bool = True
     cut_off: bool = False
-    num_shards: int = 0
+    #: The period-mode tag index was on.  Its own flag, not implied by
+    #: ``tag_entries``: an index enabled on an empty URL has no entries
+    #: yet must restore into period mode.
+    tag_index: bool = False
     tag_epoch: int = 0
     tag_entries: Tuple[Tuple[bytes, bytes], ...] = ()
 
@@ -207,7 +212,7 @@ def _encode_snapshot_fields(writer: Writer, state: DurableState) -> None:
     writer.raw(_pack_f64(state.lists_fetched_at))
     writer.u8(1 if state.channel_up else 0)
     writer.u8(1 if state.cut_off else 0)
-    writer.u32(state.num_shards)
+    writer.u8(1 if state.tag_index else 0)
     writer.u64(state.tag_epoch)
     _encode_entries(writer, state.tag_entries)
 
@@ -239,7 +244,7 @@ def _decode_snapshot_fields(reader: Reader) -> DurableState:
     state.lists_fetched_at = _unpack_f64(reader)
     state.channel_up = bool(reader.u8())
     state.cut_off = bool(reader.u8())
-    state.num_shards = reader.u32()
+    state.tag_index = bool(reader.u8())
     state.tag_epoch = reader.u64()
     state.tag_entries = _decode_entries(reader)
     return state
@@ -264,8 +269,8 @@ def _apply_record(state: DurableState, kind: int, reader: Reader) -> None:
         state.channel_up = bool(reader.u8())
         state.cut_off = bool(reader.u8())
     elif kind == REC_CHECKPOINT:
+        state.tag_index = True
         state.tag_epoch = reader.u64()
-        state.num_shards = reader.u32()
         state.tag_entries = _decode_entries(reader)
     else:
         raise EncodingError(f"unknown journal record kind {kind}")
@@ -359,15 +364,16 @@ class DurableRouterStore:
         writer.u8(1 if cut_off else 0)
         self._append(writer)
 
-    def record_checkpoint(self, tag_epoch: int, num_shards: int,
+    def record_checkpoint(self, tag_epoch: int,
                           entries: Tuple[Tuple[bytes, bytes], ...]) -> None:
+        """Journal the tag index's entries (the record also means the
+        index is on)."""
         state = self._require_state()
+        state.tag_index = True
         state.tag_epoch = tag_epoch
-        state.num_shards = num_shards
         state.tag_entries = tuple(entries)
         writer = self._record_writer(REC_CHECKPOINT)
         writer.u64(tag_epoch)
-        writer.u32(num_shards)
         _encode_entries(writer, state.tag_entries)
         self._append(writer)
 

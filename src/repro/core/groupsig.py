@@ -753,7 +753,7 @@ def _scan_url(gpk: GroupPublicKey, signature: GroupSignature,
               context: GeneratorContext) -> None:
     """Eq.3 scan on one period's tables; 2 counted pairings per token.
 
-    The serial reference the sharded revocation index is held to
+    The serial reference the period tag index is held to
     (:func:`repro.core.revocation.serial_scan_outcome`).  Eq.3 is
     rewritten in *tag form*: by bilinearity (and ``e(u, v_hat) ==
     e(v, u_hat)`` in this symmetric setting)
@@ -882,55 +882,16 @@ def revocation_tag(gpk: GroupPublicKey, message: bytes,
     """Return the period tag ``e(T2, u_hat) / e(T1, v_hat) = e(A, u_hat)``.
 
     With per-period generators this value is constant for a given signer
-    within a period, enabling the precomputed-table revocation check
-    below (2 pairings, |URL|-independent).  It equals ``e(A, u_hat)``
-    because ``e(v^alpha, u_hat) = e(u^alpha, v_hat)`` in this setting.
+    within a period, enabling the tag-index revocation check of
+    :class:`repro.core.revocation.RevocationState` (2 pairings,
+    |URL|-independent).  It equals ``e(A, u_hat)`` because
+    ``e(v^alpha, u_hat) = e(u^alpha, v_hat)`` in this setting.
     """
     group = gpk.group
     u_hat, v_hat, _u, _v = derive_generators(gpk, message, signature.r,
                                              period)
     tag = group.pair(signature.t2, u_hat) / group.pair(signature.t1, v_hat)
     return tag.encode()
-
-
-class PeriodRevocationTable:
-    """Precomputed ``{e(A, u_hat_period)}`` set for O(1) revocation checks.
-
-    Build once per (URL, period); then :meth:`is_revoked` costs two
-    pairings regardless of the URL size.  The privacy cost: all
-    signatures by one signer in the period share their tag, so the
-    verifier can link them (Section V.C acknowledges this trade).
-    """
-
-    def __init__(self, gpk: GroupPublicKey,
-                 url: Sequence[RevocationToken], period: bytes) -> None:
-        self.period = period
-        self.gpk = gpk
-        # Period generators are derived ONCE here and reused for every
-        # check -- that amortization is what makes the paper's "6 exp +
-        # 5 pairings" total hold per verified signature.  The engine's
-        # per-period line tables let building a tag and checking a
-        # signature skip the Miller-loop point arithmetic; each tag
-        # still notes the one "pairing" the abstract table construction
-        # spends per token.
-        context = gpk.engine.generators(period)
-        self._u_table = context.u_table
-        self._v_table = context.v_table
-        tags = set()
-        for token in url:
-            instrument.note("pairing")
-            tags.add(self._encode_gt(self._u_table.pairing(token.a.point)))
-        self._tags = tags
-
-    def _encode_gt(self, value: Fp2) -> bytes:
-        return GTElement(value, self.gpk.group).encode()
-
-    def is_revoked(self, message: bytes, signature: GroupSignature) -> bool:
-        """Two pairings + set lookup, independent of |URL|."""
-        instrument.note("pairing", 2)
-        tag_value = (self._u_table.pairing(signature.t2.point)
-                     * self._v_table.pairing(signature.t1.point).inverse())
-        return self._encode_gt(tag_value) in self._tags
 
 
 def random_group_id(group: PairingGroup,

@@ -237,16 +237,14 @@ class RouterAuthEngine:
                       "duplicate_requests": 0,
                       "rejected_replay": 0, "rejected_signature": 0,
                       "rejected_revoked": 0, "rejected_puzzle": 0}
-        #: Period label for period-mode (Section V.C) generators; None
-        #: keeps the default per-signature mode.  Set (together with the
-        #: user side's matching ``auth_period``) by
-        #: :meth:`MeshRouter.enable_sharded_revocation` -- the challenge
-        #: binds the generators, so both sides must agree on the label.
-        self.auth_period: Optional[bytes] = None
-        #: Sharded fast-revocation state
-        #: (:class:`repro.core.revocation.RevocationState`); when set,
-        #: verification runs the SPK check as usual and replaces the
-        #: linear Eq.3 scan with the O(1) shard check.
+        #: Period-mode tag index
+        #: (:class:`repro.core.revocation.RevocationState`), set by
+        #: :meth:`MeshRouter.enable_sharded_revocation`.  When set,
+        #: verification runs the SPK check under the index's epoch
+        #: period (users sign under the matching ``auth_period`` -- the
+        #: challenge binds the generators) and replaces the linear Eq.3
+        #: scan with the O(1) tag lookup; ``None`` keeps the default
+        #: per-signature mode.
         self.revocation_state = None
 
     def _bump(self, key: str) -> None:
@@ -426,21 +424,20 @@ class RouterAuthEngine:
             # spk/scan children), so the stage needs no extra span here.
             with obs.timer("router.verify_seconds"):
                 if state is not None:
-                    # Sharded path: SPK correctness first (same order as
-                    # the serial scan -- a forged signature is rejected
-                    # as invalid, never as revoked), then the O(1)
-                    # shard check instead of the linear Eq.3 scan.
+                    # Tag-index path: SPK correctness first (same order
+                    # as the serial scan -- a forged signature is
+                    # rejected as invalid, never as revoked), then the
+                    # O(1) tag lookup instead of the linear Eq.3 scan.
                     payload = request.signed_payload()
                     groupsig.verify(self.gpk, payload,
                                     request.group_signature,
-                                    period=self.auth_period,
+                                    period=state.period,
                                     check_revocation=False)
                     state.check(payload, request.group_signature)
                 else:
                     groupsig.verify(self.gpk, request.signed_payload(),
                                     request.group_signature,
-                                    url=url.tokens,
-                                    period=self.auth_period)
+                                    url=url.tokens)
         except groupsig.RevokedKeyError:
             self._bump("rejected_revoked")
             raise
@@ -511,12 +508,12 @@ class RouterAuthEngine:
             url = self.url_provider()
             state = self.revocation_state
             if state is not None:
-                # Sharded path: batch-verify the SPKs, then run the
-                # O(1) shard check per survivor.  The pool is skipped --
+                # Tag-index path: batch-verify the SPKs, then run the
+                # O(1) tag lookup per survivor.  The pool is skipped --
                 # its workers snapshot the flat URL, and the whole point
                 # here is not to scan it.
                 errors = groupsig.verify_batch(self.gpk, batch,
-                                               period=self.auth_period,
+                                               period=state.period,
                                                check_revocation=False)
                 for slot, (payload, sig) in enumerate(batch):
                     if errors[slot] is None:
@@ -532,8 +529,7 @@ class RouterAuthEngine:
                 errors = pool.verify_batch(batch, traces=batch_traces)
             else:
                 errors = groupsig.verify_batch(self.gpk, batch,
-                                               url=url.tokens,
-                                               period=self.auth_period)
+                                               url=url.tokens)
             for position, error in zip(positions, errors):
                 if error is None:
                     outcomes[position] = self._accept(
@@ -568,7 +564,7 @@ class UserAuthEngine:
         self.ts_window = ts_window
         self.max_puzzle_difficulty = max_puzzle_difficulty
         #: Period label for period-mode signing; must equal the
-        #: router's ``auth_period`` (the Fiat-Shamir challenge binds
+        #: router's tag-index period (the Fiat-Shamir challenge binds
         #: the period-derived generators).  ``None`` = default mode.
         self.auth_period: Optional[bytes] = None
 

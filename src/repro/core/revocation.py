@@ -1,36 +1,35 @@
-"""Metropolitan-scale revocation: sharded URLs and the epoch tag cache.
+"""Metropolitan-scale revocation: the period tag index and its cache.
 
 The paper's verifier-local revocation (Eq.3) scans the whole URL -- 2
 pairings per listed token per verification -- which collapses at the
 ROADMAP's metropolitan scale (10^5..10^6 users).  This module makes the
-scan sublinear without changing a single accept/reject outcome:
+check |URL|-independent without changing a single accept/reject
+outcome:
 
-**Tag-space sharding.**  In period mode (Section V.C) the revocation
+**The tag index.**  In period mode (Section V.C) the revocation
 relation collapses to a *tag* comparison:
 
     e(T2, u_hat) / e(T1, v_hat)  ==  e(A, u_hat)
 
 where ``u_hat`` depends only on ``(gpk, period)``.  The right side is a
-pure function of the revocation token ``A`` (the tag *preimage*), so
-every token's tag can be computed once per period and the URL
-partitioned into ``num_shards`` groups by ``H(tag) mod num_shards``.  A
-verifier computes the left side (2 pairings), hashes it, and consults
-*exactly one shard* -- the pairing is injective in ``A`` for a fixed
-``u_hat``, so at most one URL entry can match and shard-local lookup
-returns the very ``token_index`` the serial first-match scan would.
-Epoch rotation changes the period (:func:`epoch_period`), hence every
-tag, hence every shard assignment: rebalance is automatic and
-deterministic, not an administrative action.
+pure function of the revocation token ``A``, so every token's tag is
+computed once per period and :class:`RevocationState` keeps one
+``{tag: first URL index}`` map.  A verifier computes the left side (2
+pairings) and looks it up -- the pairing is injective in ``A`` for a
+fixed ``u_hat``, so a hit names the very ``token_index`` the serial
+first-match scan would.  The period is derived from the gpk epoch
+(:func:`epoch_period`), so epoch rotation re-derives every tag in one
+deterministic step.
 
 **The tag cache.**  Tags are keyed by ``(gpk epoch, token)`` in a
-bounded LRU (:class:`RevocationTagCache`).  Rebuilding a sharded URL
-after a delta update re-derives only the *new* tokens' tags (cache
-hits are pairing-free); an epoch bump strictly invalidates every entry
-of the retired epoch, and a delta that removes a token evicts its
-entry.  Hits/misses/evictions surface as ``revocation.cache.hit`` /
+bounded LRU (:class:`RevocationTagCache`).  Rebuilding the index after
+a delta update re-derives only the *new* tokens' tags (cache hits are
+pairing-free); an epoch bump strictly invalidates every entry of the
+retired epoch, and a delta that removes a token evicts its entry.
+Hits/misses/evictions surface as ``revocation.cache.hit`` /
 ``revocation.cache.miss`` / ``revocation.cache.evict`` counters.
 
-**Scope.**  The fast path is period-mode only: with per-signature
+**Scope.**  The index is period-mode only: with per-signature
 generators the tag depends on ``(message, r)`` and cannot be
 precomputed per token.  That is the paper's own Section V.C trade --
 signatures by one signer within a period (here: an epoch) are linkable
@@ -41,7 +40,6 @@ default verification path is untouched.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -63,26 +61,13 @@ def epoch_period(epoch: int) -> bytes:
     """The canonical period label for one gpk epoch.
 
     Deriving the Section V.C period generators from the *epoch* (rather
-    than a wall-clock period) ties the whole sharded-revocation state to
-    the key lifetime: rotating the gpk changes ``u_hat``, every token's
-    tag, and therefore every shard assignment in one deterministic step.
+    than a wall-clock period) ties the tag index to the key lifetime:
+    rotating the gpk changes ``u_hat`` and therefore every token's tag
+    in one deterministic step.
     """
     if epoch < 0:
         raise ParameterError("epoch must be >= 0")
     return b"PEACE/url-epoch/%d" % epoch
-
-
-def shard_of_tag(tag: bytes, num_shards: int) -> int:
-    """Deterministic shard index for one revocation tag.
-
-    SHA-256 of the tag's canonical GT encoding, reduced mod
-    ``num_shards`` -- stable across processes and hosts (``hash()`` is
-    salted per process and must not be used here).
-    """
-    if num_shards < 1:
-        raise ParameterError("num_shards must be >= 1")
-    digest = hashlib.sha256(tag).digest()
-    return int.from_bytes(digest[:8], "big") % num_shards
 
 
 class RevocationTagCache:
@@ -156,86 +141,24 @@ class RevocationTagCache:
         return len(stale)
 
 
-@dataclass(frozen=True)
-class ShardEntry:
-    """One URL entry inside a shard: global position, token, tag."""
-
-    index: int                 # position in the unsharded URL
-    token: RevocationToken
-    tag: bytes                 # canonical GT encoding of e(A, u_hat)
-
-
-@dataclass(frozen=True)
-class ShardedURL:
-    """One epoch's URL partitioned into tag-addressed shards.
-
-    ``shards[s]`` holds the entries whose tag hashes to ``s``, sorted by
-    their *global* URL index; ``lookup`` resolves a tag to the smallest
-    matching index -- exactly the token the serial first-match scan
-    reports (duplicate tokens share a tag, and the serial scan stops at
-    the first).
-    """
-
-    epoch: int
-    url_version: int
-    num_shards: int
-    shards: Tuple[Tuple[ShardEntry, ...], ...]
-
-    def __post_init__(self) -> None:
-        index: Dict[bytes, int] = {}
-        for shard in self.shards:
-            for entry in shard:
-                if entry.tag not in index or entry.index < index[entry.tag]:
-                    index[entry.tag] = entry.index
-        object.__setattr__(self, "_first_by_tag", index)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def shard_sizes(self) -> Tuple[int, ...]:
-        return tuple(len(shard) for shard in self.shards)
-
-    def lookup(self, tag: bytes) -> Optional[int]:
-        """Smallest global URL index carrying ``tag``, or ``None``.
-
-        The dict consults only this tag's shard content (the index is
-        keyed by tag, and a tag lives in exactly one shard); kept as one
-        flat mapping so the lookup is a single O(1) step.
-        """
-        return self._first_by_tag.get(tag)
-
-    def scan_shard(self, tag: bytes) -> Optional[int]:
-        """Explicit shard-local scan (what :meth:`lookup` amortizes).
-
-        Walks only ``shards[shard_of_tag(tag)]`` in global-index order
-        and returns the first match -- the reference the bit-identity
-        tests hold :meth:`lookup` to.
-        """
-        for entry in self.shards[shard_of_tag(tag, self.num_shards)]:
-            if entry.tag == tag:
-                return entry.index
-        return None
-
-
 class RevocationState:
-    """Router-side sharded revocation for one gpk epoch.
+    """Router-side period-mode revocation index for one gpk epoch.
 
-    Owns the period generator tables (derived once per epoch from the
-    gpk engine), the current :class:`ShardedURL`, and the shared
+    Holds the epoch, its period label, the URL version and one
+    ``{tag: first URL index}`` map, filled through the shared
     :class:`RevocationTagCache`.  :meth:`check` costs 2 pairings plus a
-    hash -- independent of ``|URL|`` -- and raises the *identical*
-    :class:`~repro.errors.RevokedKeyError` (message and ``token_index``)
-    the serial Eq.3 scan produces.
+    dict lookup -- independent of ``|URL|`` -- and raises the
+    *identical* :class:`~repro.errors.RevokedKeyError` (message and
+    ``token_index``) the serial Eq.3 scan produces.
     """
 
-    def __init__(self, gpk: GroupPublicKey, num_shards: int = 16,
+    def __init__(self, gpk: GroupPublicKey,
                  cache: Optional[RevocationTagCache] = None) -> None:
-        if num_shards < 1:
-            raise ParameterError("num_shards must be >= 1")
-        self.num_shards = num_shards
         self.cache = cache if cache is not None else RevocationTagCache()
-        self.sharded: Optional[ShardedURL] = None
-        self._tokens: Tuple[RevocationToken, ...] = ()
+        self.url_version = 0
+        # (token encoding, tag) per URL entry, in URL order.
+        self._entries: Tuple[Tuple[bytes, bytes], ...] = ()
+        self._first_by_tag: Dict[bytes, int] = {}
         self._adopt_gpk(gpk)
 
     # -- epoch / generator management ----------------------------------
@@ -245,7 +168,7 @@ class RevocationState:
         self.epoch = gpk.epoch
         self.period = epoch_period(self.epoch)
         # Derived once per epoch; every check and tag build reuses the
-        # tables, exactly like PeriodRevocationTable amortizes them.
+        # tables (the amortization behind "6 exp + 5 pairings").
         context = gpk.engine.generators(self.period)
         self._u_table = context.u_table
         self._v_table = context.v_table
@@ -253,12 +176,11 @@ class RevocationState:
     def rotate(self, gpk: GroupPublicKey,
                url: Optional[Sequence[RevocationToken]] = None,
                url_version: int = 0) -> None:
-        """Adopt a rotated gpk: strict cache invalidation + rebalance.
+        """Adopt a rotated gpk: strict cache invalidation + rebuild.
 
         Every tag of the retired epoch is dropped from the cache, the
-        period generators are re-derived, and the (new) URL is re-
-        sharded under the new epoch's tags -- the deterministic
-        rebalance the epoch rotation implies.
+        period generators are re-derived, and the (new) URL is
+        re-indexed under the new epoch's tags.
         """
         retired = self.epoch
         self._adopt_gpk(gpk)
@@ -269,26 +191,9 @@ class RevocationState:
 
     # -- URL maintenance ------------------------------------------------
 
-    def _tag_of(self, token: RevocationToken) -> bytes:
-        """One token's epoch tag, through the cache.
-
-        A miss costs the one abstract pairing ``e(A, u_hat)`` the
-        period table evaluates (same billing as
-        :class:`~repro.core.groupsig.PeriodRevocationTable`); a hit is
-        pairing-free -- that is the cache's entire point.
-        """
-        encoding = token.encode()
-        tag = self.cache.get(self.epoch, encoding)
-        if tag is None:
-            instrument.note("pairing")
-            value = self._u_table.pairing(token.a.point)
-            tag = GTElement(value, self.gpk.group).encode()
-            self.cache.put(self.epoch, encoding, tag)
-        return tag
-
     def update(self, tokens: Sequence[RevocationToken],
-               url_version: int = 0) -> ShardedURL:
-        """(Re)build the sharded URL from ``tokens``.
+               url_version: int = 0) -> None:
+        """(Re)build the index from ``tokens``.
 
         Tokens already tagged under this epoch hit the cache and cost
         nothing; tokens that *left* the list (a delta's ``removed``)
@@ -297,16 +202,17 @@ class RevocationState:
         removal.
         """
         tokens = tuple(tokens)
-        removed = ({t.encode() for t in self._tokens}
-                   - {t.encode() for t in tokens})
+        encodings = tuple(token.encode() for token in tokens)
+        removed = ({encoding for encoding, _ in self._entries}
+                   - set(encodings))
         # Bulk tag derivation: cache hits are pairing-free; the misses
         # share the u_hat line table per Miller loop and one batched
         # final-exponentiation easy part (PairingTable.pairing_each),
         # still billed one abstract pairing per derived tag.
         tags: list = []
         miss_slots: list = []
-        for token in tokens:
-            tag = self.cache.get(self.epoch, token.encode())
+        for encoding in encodings:
+            tag = self.cache.get(self.epoch, encoding)
             tags.append(tag)
             if tag is None:
                 miss_slots.append(len(tags) - 1)
@@ -317,47 +223,45 @@ class RevocationState:
                 instrument.note("pairing")
                 tag = GTElement(value, self.gpk.group).encode()
                 tags[slot] = tag
-                self.cache.put(self.epoch, tokens[slot].encode(), tag)
-        shards: Tuple[list, ...] = tuple([] for _ in range(self.num_shards))
-        for index, (token, tag) in enumerate(zip(tokens, tags)):
-            shards[shard_of_tag(tag, self.num_shards)].append(
-                ShardEntry(index=index, token=token, tag=tag))
+                self.cache.put(self.epoch, encodings[slot], tag)
+        # Duplicate tokens share a tag; the serial scan stops at the
+        # first, so the index keeps the smallest position.
+        first_by_tag: Dict[bytes, int] = {}
+        for index, tag in enumerate(tags):
+            first_by_tag.setdefault(tag, index)
         for encoding in sorted(removed):
             self.cache.evict(self.epoch, encoding)
-        self._tokens = tokens
-        self.sharded = ShardedURL(
-            epoch=self.epoch, url_version=url_version,
-            num_shards=self.num_shards,
-            shards=tuple(tuple(shard) for shard in shards))
+        self._entries = tuple(zip(encodings, tags))
+        self._first_by_tag = first_by_tag
+        self.url_version = url_version
         obs.counter("revocation.state.rebuilds_total")
-        return self.sharded
 
-    @property
-    def url_version(self) -> int:
-        return self.sharded.url_version if self.sharded is not None else 0
+    def entries(self) -> Tuple[Tuple[bytes, bytes], ...]:
+        """``(token encoding, tag)`` per URL entry, in URL order -- what
+        a :class:`TagCheckpoint` or a journal checkpoint carries."""
+        return self._entries
 
     # -- the check ------------------------------------------------------
 
     def check(self, message: bytes, signature: GroupSignature) -> None:
-        """Eq.3 against this state's shard only; |URL|-independent.
+        """Eq.3 as one tag lookup; |URL|-independent.
 
-        Computes the signature's period tag (2 counted pairings), hashes
-        it into its shard, and raises
-        :meth:`RevokedKeyError.for_token` on a match -- the
-        same exception object shape, message text, and ``token_index``
-        as the serial scan, enforced by ``tests/test_revocation.py``.
-        ``message`` is unused in period mode (the generators depend on
-        the period alone) and kept for signature parity with the scan.
+        Computes the signature's period tag (2 counted pairings), looks
+        it up, and raises :meth:`RevokedKeyError.for_token` on a match
+        -- the same exception object shape, message text, and
+        ``token_index`` as the serial scan, enforced by
+        ``tests/test_revocation.py``.  ``message`` is unused in period
+        mode (the generators depend on the period alone) and kept for
+        signature parity with the scan.
         """
         del message
-        with obs.span("revocation.shard_check"):
+        with obs.span("revocation.tag_check"):
             instrument.note("pairing", 2)
             tag_value = (self._u_table.pairing(signature.t2.point)
                          * self._v_table.pairing(signature.t1.point)
                          .inverse())
             tag = GTElement(tag_value, self.gpk.group).encode()
-            hit = (self.sharded.lookup(tag)
-                   if self.sharded is not None else None)
+            hit = self._first_by_tag.get(tag)
         obs.counter("revocation.checks_total")
         if hit is not None:
             obs.counter("revocation.check_revoked_total")
@@ -381,18 +285,22 @@ class TagCheckpoint:
     ``CertificateError``, not a silent skip.
     """
 
+    #: Leads the signed payload.  Distinct from the ``b"TCK"`` of the
+    #: layout that also carried a shard count, so a checkpoint in that
+    #: layout is refused by :meth:`decode` instead of misparsed.
+    MAGIC = b"TC2"
+
     router_id: str
     epoch: int
     url_version: int
-    num_shards: int
     entries: Tuple[Tuple[bytes, bytes], ...]  # (token encoding, tag)
     certificate: bytes                        # serving router's Cert_k
     signature: bytes                          # ECDSA over signed_payload
 
     def signed_payload(self) -> bytes:
-        writer = (Writer().raw(b"TCK").string(self.router_id)
+        writer = (Writer().raw(self.MAGIC).string(self.router_id)
                   .u64(self.epoch).u64(self.url_version)
-                  .u32(self.num_shards).u32(len(self.entries)))
+                  .u32(len(self.entries)))
         for token_encoding, tag in self.entries:
             writer.var(token_encoding)
             writer.var(tag)
@@ -405,31 +313,29 @@ class TagCheckpoint:
     @classmethod
     def decode(cls, data: bytes) -> "TagCheckpoint":
         reader = Reader(data)
-        if reader.raw(3) != b"TCK":
+        if reader.raw(len(cls.MAGIC)) != cls.MAGIC:
             raise EncodingError("not a tag checkpoint")
         router_id = reader.string()
         epoch = reader.u64()
         url_version = reader.u64()
-        num_shards = reader.u32()
         count = reader.u32()
         entries = tuple((reader.var(), reader.var()) for _ in range(count))
         certificate = reader.var()
         signature = reader.var()
         reader.expect_end()
         return cls(router_id=router_id, epoch=epoch,
-                   url_version=url_version, num_shards=num_shards,
-                   entries=entries, certificate=certificate,
-                   signature=signature)
+                   url_version=url_version, entries=entries,
+                   certificate=certificate, signature=signature)
 
 
 def serial_scan_outcome(gpk: GroupPublicKey, message: bytes,
                         signature: GroupSignature,
                         tokens: Iterable[RevocationToken],
                         period: bytes) -> Optional[Exception]:
-    """Reference outcome: the unsharded serial Eq.3 scan in period mode.
+    """Reference outcome: the serial Eq.3 scan in period mode.
 
     Used by the bit-identity tests and the scale benchmark to hold the
-    sharded path to the serial path's exact behaviour (outcome class,
+    tag index to the serial path's exact behaviour (outcome class,
     message text, ``token_index``).
     """
     context = gpk.engine.generators(period)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro import obs
@@ -118,9 +119,6 @@ class MeshRouter:
         self._url_history: "OrderedDict[int, UserRevocationList]" \
             = OrderedDict()
         self._record_history()
-        #: Sharded fast-revocation state; ``None`` keeps the default
-        #: linear-scan verification path untouched.
-        self.revocation_state: Optional[RevocationState] = None
 
     # -- list refresh over the NO secure channel ------------------------------
 
@@ -234,34 +232,37 @@ class MeshRouter:
                 self._lists_fetched_at)
             self._journal_checkpoint()
 
-    # -- sharded fast revocation ----------------------------------------------
+    # -- period-mode tag index ------------------------------------------------
 
-    def enable_sharded_revocation(self, num_shards: int = 16,
+    @property
+    def revocation_state(self) -> Optional[RevocationState]:
+        """The auth engine's tag index; ``None`` keeps the default
+        linear-scan verification path untouched."""
+        return self.engine.revocation_state
+
+    def enable_sharded_revocation(self,
                                   cache: Optional[RevocationTagCache] = None,
                                   warm_checkpoint: Optional[TagCheckpoint]
                                   = None) -> RevocationState:
-        """Opt this router into the sharded epoch-tag revocation path.
+        """Opt this router into the period-mode tag-index revocation path.
 
         Builds a :class:`~repro.core.revocation.RevocationState` over
-        the current URL and threads it (plus the epoch period) into the
-        auth engine: handshakes verify SPK correctness as usual, then
-        run the O(1) shard check instead of the linear Eq.3 scan.
+        the current URL and hands it to the auth engine: handshakes
+        verify SPK correctness as usual under the state's epoch period,
+        then run the O(1) tag lookup instead of the linear Eq.3 scan.
         Users must sign under the same epoch period (see
         ``NetworkUser.auth_period``); outcomes are bit-identical to the
         serial scan.  ``cache`` may be shared across routers.
 
         ``warm_checkpoint`` pre-warms the cache from a peer's signed
         :class:`~repro.core.revocation.TagCheckpoint` *before* the
-        first shard build, so a cold router skips the per-token pairing
+        first index build, so a cold router skips the per-token pairing
         re-derivation entirely (verified exactly like a gossiped
         checkpoint; tampering raises ``CertificateError`` and the build
         falls back to full re-derivation).
         """
-        state = RevocationState(self.engine.gpk, num_shards=num_shards,
-                                cache=cache)
-        self.revocation_state = state
+        state = RevocationState(self.engine.gpk, cache=cache)
         self.engine.revocation_state = state
-        self.engine.auth_period = state.period
         if warm_checkpoint is not None:
             try:
                 self.adopt_tag_checkpoint(warm_checkpoint)
@@ -274,14 +275,13 @@ class MeshRouter:
         return state
 
     def _sync_revocation_state(self) -> None:
-        """Re-shard after any list or epoch change (no-op when off)."""
+        """Re-index after any list or epoch change (no-op when off)."""
         state = self.revocation_state
         if state is None:
             return
         if state.epoch != self.engine.gpk.epoch:
             state.rotate(self.engine.gpk, self._url.tokens,
                          self._url.version)
-            self.engine.auth_period = state.period
         elif state.url_version != self._url.version:
             state.update(self._url.tokens, self._url.version)
 
@@ -376,34 +376,26 @@ class MeshRouter:
     def url(self) -> UserRevocationList:
         return self._url
 
-    # -- shard-checkpoint gossip ----------------------------------------------
+    # -- tag-checkpoint gossip ------------------------------------------------
 
     def make_tag_checkpoint(self) -> Optional[TagCheckpoint]:
         """Export this router's warm epoch tags, signed with RPK/RSK.
 
-        ``None`` when there is nothing trustworthy to serve: the
-        sharded path is off, no shard build happened yet, or NO cut
-        this router off (a revoked router must not seed peers' caches
-        any more than it may adopt their lists -- E7).
+        ``None`` when there is nothing trustworthy to serve: the tag
+        index is off, or NO cut this router off (a revoked router must
+        not seed peers' caches any more than it may adopt their lists
+        -- E7).
         """
         state = self.revocation_state
-        if self._cut_off or state is None or state.sharded is None:
+        if self._cut_off or state is None:
             return None
-        entries = tuple((entry.token.encode(), entry.tag)
-                        for shard in state.sharded.shards
-                        for entry in shard)
         unsigned = TagCheckpoint(
             router_id=self.router_id, epoch=state.epoch,
-            url_version=state.url_version,
-            num_shards=state.num_shards, entries=entries,
+            url_version=state.url_version, entries=state.entries(),
             certificate=self.certificate.encode(), signature=b"")
         signature = self.keypair.sign(unsigned.signed_payload())
         obs.counter("gossip.checkpoint.served")
-        return TagCheckpoint(
-            router_id=unsigned.router_id, epoch=unsigned.epoch,
-            url_version=unsigned.url_version,
-            num_shards=unsigned.num_shards, entries=unsigned.entries,
-            certificate=unsigned.certificate, signature=signature)
+        return replace(unsigned, signature=signature)
 
     def _reject_checkpoint(self, reason: str) -> None:
         obs.counter("gossip.checkpoint.rejected")
@@ -420,7 +412,7 @@ class MeshRouter:
         ``gossip.checkpoint.rejected``) -- the caller falls back to
         full tag re-derivation.  A ``_cut_off`` router adopts nothing.
         Returns the number of tags adopted (0 when the checkpoint is
-        authentic but for another epoch, or sharding is off here).
+        authentic but for another epoch, or the tag index is off here).
         """
         if self._cut_off:
             return 0
@@ -486,23 +478,16 @@ class MeshRouter:
 
     def _capture_state(self) -> DurableState:
         state = self.revocation_state
-        num_shards = 0
-        tag_epoch = self.engine.gpk.epoch
-        entries: Tuple[Tuple[bytes, bytes], ...] = ()
-        if state is not None and state.sharded is not None:
-            num_shards = state.num_shards
-            tag_epoch = state.epoch
-            entries = tuple((entry.token.encode(), entry.tag)
-                            for shard in state.sharded.shards
-                            for entry in shard)
         return DurableState(
             store_id=self.router_id, epoch=self.engine.gpk.epoch,
             gpk_blob=self.engine.gpk.encode(),
             crl_blob=self._crl.encode(), url_blob=self._url.encode(),
             lists_fetched_at=self._lists_fetched_at,
             channel_up=self._channel_up, cut_off=self._cut_off,
-            num_shards=num_shards, tag_epoch=tag_epoch,
-            tag_entries=entries)
+            tag_index=state is not None,
+            tag_epoch=(state.epoch if state is not None
+                       else self.engine.gpk.epoch),
+            tag_entries=state.entries() if state is not None else ())
 
     def _journal_lists(self) -> None:
         if self._durable is None:
@@ -512,18 +497,12 @@ class MeshRouter:
         self._journal_checkpoint()
 
     def _journal_checkpoint(self) -> None:
-        """Persist the current shard tags so a local restart warms its
-        cache from disk without peers (no-op when sharding is off)."""
-        if self._durable is None:
-            return
+        """Persist the current index tags so a local restart warms its
+        cache from disk without peers (no-op when the index is off)."""
         state = self.revocation_state
-        if state is None or state.sharded is None:
+        if self._durable is None or state is None:
             return
-        entries = tuple((entry.token.encode(), entry.tag)
-                        for shard in state.sharded.shards
-                        for entry in shard)
-        self._durable.record_checkpoint(state.epoch, state.num_shards,
-                                        entries)
+        self._durable.record_checkpoint(state.epoch, state.entries())
 
     @classmethod
     def restore(cls, store: DurableRouterStore, operator: NetworkOperator,
@@ -544,9 +523,9 @@ class MeshRouter:
           fresh NO fetch: a partitioned router reboots into degraded
           mode and re-enters the refusal path once its recovered lists
           age past ``staleness_grace``.
-        * If the journal carried shard checkpoints, the sharded path is
-          re-enabled with the cache pre-warmed from them (zero pairing
-          re-derivation for journaled tags).
+        * If the tag index was on, it is re-enabled with the cache
+          pre-warmed from the journaled tags (zero pairing re-derivation
+          for them).
         * The recovered journal is re-attached, so post-restart changes
           keep appending where the crash left off.
         """
@@ -573,13 +552,12 @@ class MeshRouter:
                 gpk = GroupPublicKey.decode(operator.group, state.gpk_blob)
                 router.engine.gpk = GroupPublicKey(
                     gpk.group, gpk.w, epoch=state.epoch)
-            if state.num_shards:
+            if state.tag_index:
                 warm_cache = cache if cache is not None \
                     else RevocationTagCache()
                 for token_encoding, tag in state.tag_entries:
                     warm_cache.put(state.tag_epoch, token_encoding, tag)
-                router.enable_sharded_revocation(
-                    num_shards=state.num_shards, cache=warm_cache)
+                router.enable_sharded_revocation(cache=warm_cache)
             router.attach_durable(store, record_initial=False)
             router.recovery = info
         obs.counter("recovery.restores_total")

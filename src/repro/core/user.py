@@ -52,7 +52,7 @@ class NetworkUser:
         self.signing_key: EcdsaKeyPair = ecdsa_generate(curve, rng=self.rng)
         self.credentials: Dict[str, GroupPrivateKey] = {}
         #: Period-mode signing label; set to the routers' epoch period
-        #: when the deployment runs sharded revocation (``None`` keeps
+        #: when the deployment runs tag-index revocation (``None`` keeps
         #: default per-signature generators).
         self.auth_period: Optional[bytes] = None
 
@@ -62,7 +62,7 @@ class NetworkUser:
         Existing credentials are dead under the new gpk and are
         dropped; the user must re-enroll with each group manager.
         A period-mode user follows the rotation to the new epoch's
-        period label (the routers' sharded state does the same).
+        period label (the routers' tag index does the same).
         """
         self.gpk = gpk
         self.credentials.clear()

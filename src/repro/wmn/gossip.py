@@ -239,12 +239,12 @@ class ListGossip:
                           target: MeshRouter) -> None:
         """Warm ``target``'s tag cache from ``source``'s checkpoint.
 
-        Offered only when both ends run the sharded path on the same
+        Offered only when both ends run the tag index on the same
         epoch and the target's cache is actually cold -- a checkpoint
         is pure optimization, so an up-to-date peer costs nothing.
         The target performs the full verification chain; rejection
         (``CertificateError``) leaves its cache untouched and the next
-        shard build re-derives the tags it is missing.
+        index build re-derives the tags it is missing.
         """
         src_state = source.revocation_state
         dst_state = target.revocation_state

@@ -387,7 +387,6 @@ class SimUser(SimNode):
         self.cost_model = cost_model or CostModel()
         self.context = context
         self.auto_connect = auto_connect
-        self.data_interval = data_interval
         self.data_payload = data_payload
         self.user_range = user_range
         self.boost_range = boost_range
@@ -397,6 +396,11 @@ class SimUser(SimNode):
         self.rng = rng or random.Random(2)
         if reconnect_interval is not None:
             loop.schedule_every(reconnect_interval, self.disconnect,
+                                jitter_rng=self.rng)
+        # One uplink series for the node's lifetime; it idles while the
+        # user is not connected.
+        if data_interval is not None:
+            loop.schedule_every(data_interval, self._send_data,
                                 jitter_rng=self.rng)
 
         self.state = "idle"            # idle | connecting | connected
@@ -574,9 +578,6 @@ class SimUser(SimNode):
         obs.observe("wmn.auth_delay_seconds", delay)
         self._finish_handshake_span("connected")
         self._pending = None
-        if self.data_interval is not None:
-            self.loop.schedule_every(self.data_interval, self._send_data,
-                                     jitter_rng=self.rng)
 
     # -- data plane ------------------------------------------------------------
 

@@ -84,11 +84,10 @@ class ScenarioConfig:
     gossip_fanout: int = 2               # peers contacted per round
     gossip_loss: float = 0.0             # per-exchange loss probability
     sharded_revocation: bool = False     # O(1) epoch-tag revocation path
-    revocation_shards: int = 16          # shards when sharding is on
     durable: bool = False                # journal router state (crashable)
     durable_dir: Optional[str] = None    # None: in-memory storage backend
     durable_sync_every: int = 1          # records per fsync (fault surface)
-    gossip_checkpoints: bool = False     # shard-checkpoint warm-up offers
+    gossip_checkpoints: bool = False     # tag-checkpoint warm-up offers
     health: bool = False                 # per-window health + alert rules
     health_rules: Optional[Tuple[AlertRule, ...]] = None  # None: metro pack
     health_policy: Optional[HealthPolicy] = None
@@ -190,7 +189,7 @@ class Scenario:
                 checkpoints=config.gossip_checkpoints)
             self.gossip.start()
 
-        # Sharded revocation: every router gets the O(1) epoch-tag
+        # Tag-index revocation: every router gets the O(1) epoch-tag
         # check, every user signs under the matching epoch period.  In
         # a durable scenario each router owns its cache (a crash must
         # actually lose it -- that coldness is what checkpoint warm-up
@@ -203,14 +202,13 @@ class Scenario:
                 cache = (RevocationTagCache() if config.durable
                          else shared_cache)
                 self.tag_caches[router_id] = cache
-                sim.router.enable_sharded_revocation(
-                    num_shards=config.revocation_shards, cache=cache)
+                sim.router.enable_sharded_revocation(cache=cache)
             period = epoch_period(self.deployment.operator.gpk.epoch)
             for user in self.deployment.users.values():
                 user.auth_period = period
 
         # Durable journals: attached last so the initial snapshot
-        # already carries the sharded checkpoint state.
+        # already carries the tag index.
         self.durable_stores: Dict[str, DurableRouterStore] = {}
         self._incarnations: Dict[str, int] = {}
         if config.durable:
@@ -284,8 +282,8 @@ class Scenario:
 
         The new incarnation gets a *fresh* rng stream (a rebooted
         process does not resume its predecessor's entropy) and -- when
-        the sharded path is on -- a fresh cold cache, pre-warmed only
-        with whatever shard checkpoint the journal carried.  Degraded
+        the tag index is on -- a fresh cold cache, pre-warmed only
+        with whatever tag checkpoint the journal carried.  Degraded
         re-entry is automatic: a router that journaled ``channel_up =
         False`` comes back degraded, and its recovered lists' age
         counts from their journaled fetch time.

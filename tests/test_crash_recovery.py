@@ -3,7 +3,7 @@
 Tentpole acceptance (ISSUE): scenarios with kill/restart faults replay
 bit-identically per seed; a restarted router recovers from its journal
 (re-entering degraded mode when its recovered lists aged out); and the
-signed shard-checkpoint warm-up admits only authentic checkpoints --
+signed tag-checkpoint warm-up admits only authentic checkpoints --
 tampering, wrong signers, and revoked/cut-off routers all fail closed
 into full tag re-derivation.
 """
@@ -16,9 +16,10 @@ import pytest
 from repro import instrument, obs
 from repro.core.operator_entity import NetworkOperator
 from repro.core.protocols.user_router import RetryPolicy
-from repro.core.revocation import RevocationTagCache
+from repro.core.revocation import RevocationTagCache, TagCheckpoint
 from repro.core.router import MeshRouter
-from repro.errors import CertificateError, FaultInjectionError
+from repro.core.wire import Writer
+from repro.errors import CertificateError, EncodingError, FaultInjectionError
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -38,7 +39,7 @@ RETRY = RetryPolicy(initial_timeout=2.0, backoff_factor=2.0,
 
 
 def crash_scenario(seed, **overrides):
-    """A durable, sharded, gossiping 4-router city under 15% loss."""
+    """A durable, tag-indexed, gossiping 4-router city under 15% loss."""
     defaults = dict(
         preset="TEST", seed=seed,
         topology=TopologyConfig(area_side=800.0, router_grid=2,
@@ -185,8 +186,8 @@ class TestScenarioCrashChaos:
 # Checkpoint warm-up security
 
 
-def checkpoint_pair(seed=7, revocations=3, shards=4):
-    """NO + a warm source router + a not-yet-sharded target, with
+def checkpoint_pair(seed=7, revocations=3):
+    """NO + a warm source router + a target without the tag index, with
     ``revocations`` real URL entries."""
     loop = EventLoop(start=1_000_000.0)
     clock = SimClock(loop)
@@ -201,8 +202,7 @@ def checkpoint_pair(seed=7, revocations=3, shards=4):
         operator.revoke_user_key(index)
     source.refresh_lists()
     target.refresh_lists()
-    source.enable_sharded_revocation(num_shards=shards,
-                                     cache=RevocationTagCache())
+    source.enable_sharded_revocation(cache=RevocationTagCache())
     return loop, clock, operator, source, target
 
 
@@ -221,8 +221,7 @@ class TestCheckpointSecurity:
         assert len(checkpoint.entries) == 3
         with instrument.count_operations() as ops:
             target.enable_sharded_revocation(
-                num_shards=4, cache=RevocationTagCache(),
-                warm_checkpoint=checkpoint)
+                cache=RevocationTagCache(), warm_checkpoint=checkpoint)
         assert ops.total("pairing") == 0
         assert target.tag_warm_fraction() == 1.0
         # Tags are pure functions of (epoch, token): the warmed cache
@@ -238,8 +237,7 @@ class TestCheckpointSecurity:
         with obs.collecting() as registry, \
                 instrument.count_operations() as ops:
             target.enable_sharded_revocation(
-                num_shards=4, cache=RevocationTagCache(),
-                warm_checkpoint=tampered)
+                cache=RevocationTagCache(), warm_checkpoint=tampered)
             assert registry.counter_value(
                 "gossip.checkpoint.rejected") == 1
         # Full re-derive fallback: every tag paid for honestly, and
@@ -257,18 +255,40 @@ class TestCheckpointSecurity:
         forged = dataclasses.replace(
             checkpoint, signature=target.keypair.sign(
                 checkpoint.signed_payload()))
-        target.enable_sharded_revocation(num_shards=4,
-                                         cache=RevocationTagCache())
+        target.enable_sharded_revocation(cache=RevocationTagCache())
         with pytest.raises(CertificateError, match="bad signature"):
             target.adopt_tag_checkpoint(forged)
+
+    def test_wire_round_trip_then_adopt(self):
+        _loop, _clock, _op, source, target = checkpoint_pair()
+        checkpoint = source.make_tag_checkpoint()
+        decoded = TagCheckpoint.decode(checkpoint.encode())
+        assert decoded == checkpoint
+        target.enable_sharded_revocation(cache=RevocationTagCache())
+        assert target.adopt_tag_checkpoint(decoded) == 3
+
+    def test_old_layout_refused(self):
+        """A checkpoint in the layout that carried a shard count
+        (``b"TCK"``, then a u32 count before the entries) fails to
+        decode instead of misparsing into a checkpoint."""
+        _loop, _clock, _op, source, _target = checkpoint_pair()
+        checkpoint = source.make_tag_checkpoint()
+        writer = (Writer().raw(b"TCK").string(checkpoint.router_id)
+                  .u64(checkpoint.epoch).u64(checkpoint.url_version)
+                  .u32(16).u32(len(checkpoint.entries)))
+        for token, tag in checkpoint.entries:
+            writer.var(token).var(tag)
+        old = (writer.var(checkpoint.certificate)
+               .var(checkpoint.signature).done())
+        with pytest.raises(EncodingError):
+            TagCheckpoint.decode(old)
 
     def test_certificate_swap_rejected(self):
         _loop, _clock, _op, source, target = checkpoint_pair()
         checkpoint = source.make_tag_checkpoint()
         swapped = dataclasses.replace(
             checkpoint, certificate=target.certificate.encode())
-        target.enable_sharded_revocation(num_shards=4,
-                                         cache=RevocationTagCache())
+        target.enable_sharded_revocation(cache=RevocationTagCache())
         with pytest.raises(CertificateError, match="names"):
             target.adopt_tag_checkpoint(swapped)
 
@@ -279,16 +299,14 @@ class TestCheckpointSecurity:
         checkpoint = source.make_tag_checkpoint()
         operator.revoke_router(source.router_id)
         target.refresh_lists()
-        target.enable_sharded_revocation(num_shards=4,
-                                         cache=RevocationTagCache())
+        target.enable_sharded_revocation(cache=RevocationTagCache())
         with pytest.raises(CertificateError, match="revoked"):
             target.adopt_tag_checkpoint(checkpoint)
 
     def test_cut_off_router_neither_serves_nor_adopts(self):
         _loop, _clock, _op, source, target = checkpoint_pair()
         checkpoint = source.make_tag_checkpoint()
-        target.enable_sharded_revocation(num_shards=4,
-                                         cache=RevocationTagCache())
+        target.enable_sharded_revocation(cache=RevocationTagCache())
         target.revocation_state.cache = RevocationTagCache()  # cold
         target.sever_operator_channel()
         assert target.adopt_tag_checkpoint(checkpoint) == 0
@@ -301,8 +319,7 @@ class TestCheckpointSecurity:
         stale = dataclasses.replace(checkpoint, epoch=checkpoint.epoch + 1)
         stale = dataclasses.replace(
             stale, signature=source.keypair.sign(stale.signed_payload()))
-        target.enable_sharded_revocation(num_shards=4,
-                                         cache=RevocationTagCache())
+        target.enable_sharded_revocation(cache=RevocationTagCache())
         target.revocation_state.cache = RevocationTagCache()  # cold
         # Authentic but for another epoch: not an attack, just useless.
         assert target.adopt_tag_checkpoint(stale) == 0
@@ -312,8 +329,7 @@ class TestCheckpointSecurity:
 class TestCheckpointGossip:
     def _overlay(self, seed=7):
         loop, clock, operator, source, target = checkpoint_pair(seed)
-        target.enable_sharded_revocation(num_shards=4,
-                                         cache=RevocationTagCache())
+        target.enable_sharded_revocation(cache=RevocationTagCache())
         target.revocation_state.cache = RevocationTagCache()  # cold
         gossip = ListGossip(loop, [source, target], round_period=30.0,
                             fanout=1, rng=random.Random(seed),

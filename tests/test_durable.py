@@ -9,11 +9,14 @@ indistinguishable from one that was merely partitioned.
 
 import os
 import random
+import struct
 
 import pytest
 
 from repro import instrument, obs
 from repro.core.durable import (
+    REC_SNAPSHOT,
+    SNAPSHOT_MAGIC,
     DurableRouterStore,
     DurableState,
     FileStorage,
@@ -21,6 +24,7 @@ from repro.core.durable import (
 )
 from repro.core.revocation import RevocationTagCache
 from repro.core.router import MeshRouter
+from repro.core.wire import Writer
 from repro.errors import DegradedModeError, EncodingError
 from repro.wmn.simclock import EventLoop, SimClock
 
@@ -86,7 +90,7 @@ class TestJournalRoundTrip:
         store = seeded_store()
         store.record_lists(b"crl1", b"url1", 200.0)
         store.record_channel(channel_up=False, cut_off=False)
-        store.record_checkpoint(3, 4, ((b"tok", b"tag"),))
+        store.record_checkpoint(3, ((b"tok", b"tag"),))
         store.record_epoch(4, b"gpk4", b"crl2", b"url2", 300.0)
         info = DurableRouterStore(store.storage, "MR-1").load()
         assert info.records_replayed == 4
@@ -95,8 +99,10 @@ class TestJournalRoundTrip:
             == (4, b"crl2", b"url2")
         assert state.lists_fetched_at == 300.0
         assert not state.channel_up
-        # The epoch record invalidates tags derived under epoch 3.
+        # The epoch record invalidates tags derived under epoch 3, but
+        # the index stays on.
         assert state.tag_epoch == 4 and state.tag_entries == ()
+        assert state.tag_index
         assert state == store.state
 
     def test_fetched_at_is_bit_exact(self):
@@ -116,6 +122,24 @@ class TestJournalRoundTrip:
     def test_record_before_initialize_rejected(self):
         with pytest.raises(EncodingError):
             make_store().record_channel(True, False)
+
+
+class TestFormatVersion:
+    def test_format_1_snapshot_refused(self):
+        """A snapshot in the format-1 layout (a u32 shard count where
+        format 2 keeps the u8 tag-index flag) fails the version check:
+        the store refuses it instead of misparsing it."""
+        payload = (Writer().u8(REC_SNAPSHOT).u64(0).raw(SNAPSHOT_MAGIC)
+                   .u32(1).string("MR-1").u64(3).var(b"gpk")
+                   .var(b"crl0").var(b"url0")
+                   .raw(struct.pack(">d", 123.5))
+                   .u8(1).u8(0)                  # channel_up, cut_off
+                   .u32(16).u64(3).u32(0)        # shards, tag epoch, tags
+                   .done())
+        store = make_store()
+        store.storage.replace(store._frame(payload))
+        with pytest.raises(EncodingError):
+            store.load()
 
 
 class TestCorruptionRecovery:
@@ -293,8 +317,7 @@ class TestRouterRestore:
         operator.revoke_user_key(
             deployment.users["bob"].credentials["University Z"].index)
         router.refresh_lists()
-        router.enable_sharded_revocation(
-            num_shards=4, cache=RevocationTagCache())
+        router.enable_sharded_revocation(cache=RevocationTagCache())
         store = make_store()
         router.attach_durable(store)
         with instrument.count_operations() as ops:
@@ -303,7 +326,32 @@ class TestRouterRestore:
                 cache=RevocationTagCache())
         assert ops.total("pairing") == 0
         assert restored.tag_warm_fraction() == 1.0
-        assert restored.revocation_state.num_shards == 4
+        assert restored.revocation_state.entries() \
+            == router.revocation_state.entries()
+
+    def test_index_on_empty_url_restores_in_period_mode(
+            self, fresh_deployment):
+        """An index enabled on an empty URL journals no tags, yet the
+        restored router must come back with the index on: its users
+        sign under the epoch period, which default mode rejects."""
+        loop, clock = self._clocked()
+        deployment = fresh_deployment(clock=clock)
+        router = deployment.routers["MR-1"]
+        state = router.enable_sharded_revocation(cache=RevocationTagCache())
+        assert state.entries() == ()
+        store = make_store()
+        router.attach_durable(store)
+        restored = MeshRouter.restore(store, deployment.operator,
+                                      clock=clock,
+                                      cache=RevocationTagCache())
+        assert restored.revocation_state is not None
+        assert restored.revocation_state.period == state.period
+        alice = deployment.users["alice"]
+        alice.auth_period = state.period
+        request, pending = alice.connect_to_router(restored.make_beacon())
+        confirm, session = restored.process_request(request)
+        assert alice.complete_router_handshake(pending, confirm) \
+            .session_id == session.session_id
 
     def test_restart_journal_keeps_appending(self, fresh_deployment):
         """Post-restore changes append to the recovered journal, so a

@@ -247,7 +247,7 @@ class TestScenarioWiring:
                                     user_count=4, seed=5),
             group_sizes=(("Company X", 8),),
             gossip_period=30.0, gossip_loss=0.1,
-            sharded_revocation=True, revocation_shards=8))
+            sharded_revocation=True))
         assert scenario.gossip is not None
         graph = scenario.topology.backbone
         for router_id, peers in scenario.gossip._peers.items():
@@ -255,9 +255,8 @@ class TestScenarioWiring:
         period = epoch_period(scenario.deployment.operator.gpk.epoch)
         for sim in scenario.sim_routers.values():
             state = sim.router.revocation_state
-            assert state is not None
-            assert state.num_shards == 8
-            assert sim.router.engine.auth_period == state.period == period
+            assert state is sim.router.engine.revocation_state
+            assert state.period == period
         for user in scenario.deployment.users.values():
             assert user.auth_period == period
         scenario.run(100.0)

@@ -6,6 +6,8 @@ import pytest
 
 from repro import instrument
 from repro.core import groupsig
+from repro.core.revocation import RevocationState, epoch_period
+from repro.errors import RevokedKeyError
 
 PERIOD = b"2026-07-06T00"
 MSG = b"fast-revocation-message"
@@ -32,45 +34,50 @@ class TestPeriodMode:
 
 
 class TestRevocationTable:
+    """The Section V.C table as :class:`RevocationState` keeps it: one
+    tag per URL token under the epoch period, a 2-pairing check."""
+
+    def _index(self, gpk, member_keys, names):
+        state = RevocationState(gpk)
+        state.update([groupsig.RevocationToken(member_keys[n].a)
+                      for n in names])
+        return state
+
+    def _sign(self, gpk, member_keys, rng):
+        return groupsig.sign(gpk, member_keys["a1"], MSG, rng=rng,
+                             period=epoch_period(gpk.epoch))
+
     def test_detects_revoked_signer(self, gpk, member_keys, rng):
-        sig = groupsig.sign(gpk, member_keys["a1"], MSG, rng=rng,
-                            period=PERIOD)
-        table = groupsig.PeriodRevocationTable(
-            gpk, [groupsig.RevocationToken(member_keys["a1"].a)], PERIOD)
-        assert table.is_revoked(MSG, sig)
+        sig = self._sign(gpk, member_keys, rng)
+        state = self._index(gpk, member_keys, ["a1"])
+        with pytest.raises(RevokedKeyError):
+            state.check(MSG, sig)
 
     def test_clears_unrevoked_signer(self, gpk, member_keys, rng):
-        sig = groupsig.sign(gpk, member_keys["a1"], MSG, rng=rng,
-                            period=PERIOD)
-        table = groupsig.PeriodRevocationTable(
-            gpk, [groupsig.RevocationToken(member_keys["a2"].a),
-                  groupsig.RevocationToken(member_keys["b1"].a)], PERIOD)
-        assert not table.is_revoked(MSG, sig)
+        sig = self._sign(gpk, member_keys, rng)
+        state = self._index(gpk, member_keys, ["a2", "b1"])
+        state.check(MSG, sig)
 
     def test_check_cost_independent_of_url_size(self, gpk, member_keys,
                                                 rng):
         """The whole point: 2 pairings regardless of |URL|."""
-        sig = groupsig.sign(gpk, member_keys["a1"], MSG, rng=rng,
-                            period=PERIOD)
+        sig = self._sign(gpk, member_keys, rng)
         costs = []
         for url_names in (["a2"], ["a2", "b1", "b2"]):
-            url = [groupsig.RevocationToken(member_keys[n].a)
-                   for n in url_names]
-            table = groupsig.PeriodRevocationTable(gpk, url, PERIOD)
+            state = self._index(gpk, member_keys, url_names)
             with instrument.count_operations() as ops:
-                table.is_revoked(MSG, sig)
+                state.check(MSG, sig)
             costs.append(ops.pairings())
         assert costs[0] == costs[1] == 2
 
     def test_total_verify_cost_matches_paper(self, gpk, member_keys, rng):
         """6 exponentiations and 5 pairings (Section V.C)."""
-        sig = groupsig.sign(gpk, member_keys["a1"], MSG, rng=rng,
-                            period=PERIOD)
-        table = groupsig.PeriodRevocationTable(
-            gpk, [groupsig.RevocationToken(member_keys["a2"].a)], PERIOD)
+        sig = self._sign(gpk, member_keys, rng)
+        state = self._index(gpk, member_keys, ["a2"])
         with instrument.count_operations() as ops:
-            groupsig.verify(gpk, MSG, sig, period=PERIOD)
-            table.is_revoked(MSG, sig)
+            groupsig.verify(gpk, MSG, sig, period=state.period,
+                            check_revocation=False)
+            state.check(MSG, sig)
         assert ops.exponentiations() == 6
         assert ops.pairings() == 5
 

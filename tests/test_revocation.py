@@ -1,6 +1,6 @@
-"""Sharded URLs + the epoch tag cache (repro.core.revocation).
+"""The period tag index + the epoch tag cache (repro.core.revocation).
 
-The contract under test: the sharded, cached fast path produces
+The contract under test: the cached tag index produces
 *bit-identical* outcomes to the paper's serial Eq.3 first-match scan --
 same accept/reject decision, same error message, same ``token_index``
 -- for every URL ordering, duplicate tokens included; and the cache
@@ -20,7 +20,6 @@ from repro.core.revocation import (
     RevocationTagCache,
     epoch_period,
     serial_scan_outcome,
-    shard_of_tag,
 )
 from repro.errors import CertificateError, ParameterError, RevokedKeyError
 
@@ -52,30 +51,18 @@ class TestPrimitives:
         with pytest.raises(ParameterError):
             epoch_period(-1)
 
-    def test_shard_of_tag_stable_and_in_range(self, rng):
-        for _ in range(64):
-            tag = bytes(rng.randrange(256) for _ in range(48))
-            shard = shard_of_tag(tag, 16)
-            assert 0 <= shard < 16
-            assert shard == shard_of_tag(tag, 16)
-
-    def test_shard_of_tag_rejects_bad_count(self):
-        with pytest.raises(ParameterError):
-            shard_of_tag(b"x", 0)
-
-    def test_lookup_matches_explicit_shard_scan(self, gpk, decoys):
-        state = RevocationState(gpk, num_shards=4)
-        sharded = state.update(decoys, url_version=1)
-        assert len(sharded) == len(decoys)
-        assert sum(sharded.shard_sizes()) == len(decoys)
-        for shard in sharded.shards:
-            for entry in shard:
-                assert sharded.lookup(entry.tag) \
-                    == sharded.scan_shard(entry.tag)
+    def test_entries_follow_url_order(self, gpk, decoys):
+        state = RevocationState(gpk)
+        state.update(decoys, url_version=1)
+        entries = state.entries()
+        assert [token for token, _ in entries] \
+            == [token.encode() for token in decoys]
+        assert len({tag for _, tag in entries}) == len(decoys)
+        assert state.url_version == 1
 
 
 class TestBitIdentity:
-    """Sharded check vs the serial scan: identical, always."""
+    """Tag-index check vs the serial scan: identical, always."""
 
     def _signatures(self, gpk, member_keys, period, rng):
         revoked = groupsig.sign(gpk, member_keys["a1"], b"identity",
@@ -89,14 +76,14 @@ class TestBitIdentity:
         sig_revoked, sig_clean = self._signatures(gpk, member_keys,
                                                   period, rng)
         url = tuple(decoys) + (RevocationToken(member_keys["a1"].a),)
-        state = RevocationState(gpk, num_shards=8)
+        state = RevocationState(gpk)
         state.update(url, url_version=1)
         serial = serial_scan_outcome(gpk, b"identity", sig_revoked,
                                      url, period)
-        sharded = _outcome(lambda: state.check(b"identity", sig_revoked))
-        assert serial is not None and sharded is not None
-        assert str(serial) == str(sharded)
-        assert serial.token_index == sharded.token_index == len(decoys)
+        indexed = _outcome(lambda: state.check(b"identity", sig_revoked))
+        assert serial is not None and indexed is not None
+        assert str(serial) == str(indexed)
+        assert serial.token_index == indexed.token_index == len(decoys)
         assert serial_scan_outcome(gpk, b"identity", sig_clean,
                                    url, period) is None
         assert _outcome(lambda: state.check(b"identity", sig_clean)) is None
@@ -108,46 +95,46 @@ class TestBitIdentity:
         for seed in CHAOS_SEEDS:
             url = list(decoys) + [RevocationToken(member_keys["a1"].a)]
             random.Random(seed).shuffle(url)
-            state = RevocationState(gpk, num_shards=8, cache=cache)
+            state = RevocationState(gpk, cache=cache)
             state.update(url, url_version=seed)
             serial = serial_scan_outcome(gpk, b"identity", sig_revoked,
                                          url, period)
-            sharded = _outcome(
+            indexed = _outcome(
                 lambda: state.check(b"identity", sig_revoked))
-            assert serial is not None and sharded is not None
-            assert str(serial) == str(sharded)
-            assert serial.token_index == sharded.token_index
+            assert serial is not None and indexed is not None
+            assert str(serial) == str(indexed)
+            assert serial.token_index == indexed.token_index
 
     def test_duplicate_token_reports_first_match(self, gpk, member_keys,
                                                  period, decoys, rng):
         sig_revoked, _ = self._signatures(gpk, member_keys, period, rng)
         token = RevocationToken(member_keys["a1"].a)
         url = (decoys[0], decoys[1], token, decoys[2], token, decoys[3])
-        state = RevocationState(gpk, num_shards=8)
+        state = RevocationState(gpk)
         state.update(url, url_version=1)
         serial = serial_scan_outcome(gpk, b"identity", sig_revoked,
                                      url, period)
-        sharded = _outcome(lambda: state.check(b"identity", sig_revoked))
-        assert serial is not None and sharded is not None
-        assert serial.token_index == sharded.token_index == 2
+        indexed = _outcome(lambda: state.check(b"identity", sig_revoked))
+        assert serial is not None and indexed is not None
+        assert serial.token_index == indexed.token_index == 2
 
     def test_epoch_rotation_rebalances_and_stays_identical(
             self, group, gpk, member_keys, period, decoys, rng):
         """Rotating the gpk re-derives every tag under the new epoch's
         generators; outcomes must track the new epoch's serial scan."""
-        state = RevocationState(gpk, num_shards=8)
+        state = RevocationState(gpk)
         url = tuple(decoys) + (RevocationToken(member_keys["a1"].a),)
-        old = state.update(url, url_version=1)
+        state.update(url, url_version=1)
+        old = state.entries()
 
         new_gpk = GroupPublicKey(group, gpk.w, epoch=gpk.epoch + 1)
         state.rotate(new_gpk, url=url, url_version=2)
         assert state.epoch == gpk.epoch + 1
-        assert len(state.sharded) == len(old)
-        # Same tokens, different epoch => every tag (and therefore the
-        # shard layout) is re-derived, not carried over.
-        old_tags = {e.tag for shard in old.shards for e in shard}
-        new_tags = {e.tag for shard in state.sharded.shards
-                    for e in shard}
+        assert len(state.entries()) == len(old)
+        # Same tokens, different epoch => every tag is re-derived, not
+        # carried over.
+        old_tags = {tag for _, tag in old}
+        new_tags = {tag for _, tag in state.entries()}
         assert old_tags.isdisjoint(new_tags)
 
         new_period = epoch_period(new_gpk.epoch)
@@ -155,10 +142,10 @@ class TestBitIdentity:
                             period=new_period)
         serial = serial_scan_outcome(new_gpk, b"rot", sig, url,
                                      new_period)
-        sharded = _outcome(lambda: state.check(b"rot", sig))
-        assert serial is not None and sharded is not None
-        assert str(serial) == str(sharded)
-        assert serial.token_index == sharded.token_index == len(decoys)
+        indexed = _outcome(lambda: state.check(b"rot", sig))
+        assert serial is not None and indexed is not None
+        assert str(serial) == str(indexed)
+        assert serial.token_index == indexed.token_index == len(decoys)
 
 
 class TestTagCache:
@@ -185,7 +172,7 @@ class TestTagCache:
 
     def test_epoch_bump_strictly_invalidates(self, group, gpk, decoys):
         cache = RevocationTagCache()
-        state = RevocationState(gpk, num_shards=4, cache=cache)
+        state = RevocationState(gpk, cache=cache)
         state.update(decoys, url_version=1)
         assert len(cache) == len(decoys)
         new_gpk = GroupPublicKey(group, gpk.w, epoch=gpk.epoch + 1)
@@ -199,7 +186,7 @@ class TestTagCache:
 
     def test_delta_removal_evicts_then_rederives(self, gpk, decoys):
         cache = RevocationTagCache()
-        state = RevocationState(gpk, num_shards=4, cache=cache)
+        state = RevocationState(gpk, cache=cache)
         state.update(decoys, url_version=1)
 
         # Warm rebuild: every tag hits, no pairings at all.
@@ -225,7 +212,7 @@ class TestTagCache:
         period = epoch_period(operator.gpk.epoch)
         signature = groupsig.sign(operator.gpk, bob_credential, b"cycle",
                                   rng=deployment.rng, period=period)
-        state = RevocationState(operator.gpk, num_shards=4)
+        state = RevocationState(operator.gpk)
 
         operator.revoke_user_key(bob_credential.index)
         url = operator.issue_url()
@@ -301,7 +288,7 @@ class TestRouterIntegration:
             bob.credentials["University Z"].index)
         router.refresh_lists()
 
-        state = router.enable_sharded_revocation(num_shards=8)
+        state = router.enable_sharded_revocation()
         assert router.revocation_state is state
         period = epoch_period(deployment.operator.gpk.epoch)
         for user in deployment.users.values():
@@ -322,7 +309,7 @@ class TestRouterIntegration:
         deployment.operator.revoke_user_key(
             bob.credentials["University Z"].index)
         router.refresh_lists()
-        router.enable_sharded_revocation(num_shards=8)
+        router.enable_sharded_revocation()
         period = epoch_period(deployment.operator.gpk.epoch)
         alice.auth_period = period
         bob.auth_period = period
@@ -341,12 +328,12 @@ class TestRouterIntegration:
     def test_refresh_keeps_state_in_sync(self, fresh_deployment):
         deployment = fresh_deployment()
         router = deployment.routers["MR-1"]
-        state = router.enable_sharded_revocation(num_shards=8)
-        assert len(state.sharded) == 0
+        state = router.enable_sharded_revocation()
+        assert state.entries() == ()
         deployment.operator.revoke_user_key(
             deployment.users["bob"].credentials["University Z"].index)
         router.refresh_lists()
-        assert len(state.sharded) == 1
+        assert len(state.entries()) == 1
         assert state.url_version == router.url.version
 
 

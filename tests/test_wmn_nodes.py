@@ -60,6 +60,28 @@ class TestScenarioConnectivity:
                 == scenario.user_metrics()["data_sent"])
 
 
+class TestUplinkTimer:
+    def test_uplink_rate_flat_across_reassociations(self):
+        """One uplink series per user for its lifetime: re-associating
+        must not stack another data timer on the old ones.  A single
+        10 s series (+-5% jitter) fires at most 7 times a minute."""
+        scenario = small_scenario(
+            topology=TopologyConfig(area_side=600.0, router_grid=1,
+                                    user_count=3, seed=3,
+                                    access_range=600.0),
+            data_interval=10.0, reconnect_interval=60.0)
+        users = list(scenario.sim_users.values())
+        sent = {user.node_id: 0 for user in users}
+        for _minute in range(8):
+            scenario.run(60.0)
+            for user in users:
+                total = user.metrics["data_sent"]
+                assert total - sent[user.node_id] <= 7
+                sent[user.node_id] = total
+        assert min(sent.values()) > 0
+        assert min(user.metrics["connected"] for user in users) >= 6
+
+
 class TestTimeoutAndReconnect:
     def test_connect_timeout_returns_to_idle(self):
         """If M.3 never arrives the user gives up and retries."""
