@@ -3,14 +3,16 @@
 #
 # Usage:
 #   scripts/tier1.sh                      # full tier-1 suite (the gate)
-#   scripts/tier1.sh smoke                # ~15s subset: engine/pool checks
+#   scripts/tier1.sh smoke                # ~15s subset: engine/pool/kernel checks
 #   scripts/tier1.sh chaos                # fault-injection suite (3 seeds)
 #   scripts/tier1.sh [mode] --junit X     # also write a JUnit XML report
 #
 # The smoke subset runs the TestSmoke classes, which compare every
 # engine fast path (pairing tables, fixed-base tables, wNAF multi-exp,
 # batch verification, the multi-process verifier pool) against the
-# naive reference computation.
+# naive reference computation, and the table-driven AES and the shared
+# Jacobian curve arithmetic against their byte-wise and double-and-add
+# oracles.
 #
 # The chaos subset runs the seeded fault-injection suites (radio
 # drop/duplicate/corrupt/delay, verifier-pool worker kill/hang,
@@ -40,7 +42,9 @@ if [ "$mode" = "smoke" ]; then
     python -m pytest -x -q ${junit:+"$junit"} \
         tests/test_pairing_precompute.py::TestSmoke \
         tests/test_groupsig_batch.py::TestSmoke \
-        tests/test_verifier_pool.py::TestSmoke
+        tests/test_verifier_pool.py::TestSmoke \
+        tests/test_crypto_aes.py::TestSmoke \
+        tests/test_sig_curves.py::TestSmoke
     # obs-report smoke: the seeded traced scenario must produce at
     # least one stitched handshake trace and render it.
     python -m repro obs-report --workload scenario --format traces \

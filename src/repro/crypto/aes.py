@@ -6,9 +6,13 @@ Key sizes 128/192/256 are supported; the S-box is generated at import
 time from the AES finite-field definition rather than pasted as a magic
 table, which doubles as a self-check of the field arithmetic.
 
-This implementation favours clarity over speed and is NOT constant-time;
-it exists because the offline environment has no cryptography package.
-Performance is adequate for the simulator's session traffic.
+The rounds are table-driven: four 32-bit T-tables derived from the
+S-box fold SubBytes, ShiftRows and MixColumns into 16 lookups and XORs
+on four column words (the round keys are 32-bit words too); the final
+round reads the S-box.  This is NOT constant-time: the lookups are
+indexed by key-dependent state bytes, so the cache lines they touch
+leak key material through cache timing.  It exists because the
+offline environment has no cryptography package.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import List
 from repro import instrument
 from repro.errors import ParameterError
 
-_NB = 4  # state columns (fixed by FIPS 197)
+_MASK128 = (1 << 128) - 1
 
 
 def _xtime(a: int) -> int:
@@ -27,17 +31,6 @@ def _xtime(a: int) -> int:
     if a & 0x100:
         a ^= 0x11B
     return a & 0xFF
-
-
-def _gf_mul(a: int, b: int) -> int:
-    """General GF(2^8) multiplication (schoolbook)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
 
 
 def _build_sbox() -> List[int]:
@@ -49,7 +42,7 @@ def _build_sbox() -> List[int]:
     for i in range(255):
         exp[i] = value
         log[value] = i
-        value = _gf_mul(value, 3)
+        value ^= _xtime(value)          # value * 3
     for i in range(255, 512):
         exp[i] = exp[i - 255]
     sbox = [0] * 256
@@ -67,10 +60,31 @@ def _build_sbox() -> List[int]:
     return sbox
 
 
+def _build_t_tables(sbox: List[int]) -> List[List[int]]:
+    """``T_r[x]``: the MixColumns column contributed by S-box output
+    ``S[x]`` sitting in row ``r`` -- coefficients (2,1,1,3) rotated
+    right by ``r`` bytes."""
+    te0 = []
+    for s in sbox:
+        s2 = _xtime(s)
+        te0.append((s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s))
+    tables = [te0]
+    for _ in range(3):
+        tables.append([(w >> 8) | ((w & 0xFF) << 24) for w in tables[-1]])
+    return tables
+
+
 _SBOX = _build_sbox()
+_TE0, _TE1, _TE2, _TE3 = _build_t_tables(_SBOX)
 _RCON = [0x01]
 while len(_RCON) < 14:
     _RCON.append(_xtime(_RCON[-1]))
+
+
+def _sub_word(word: int) -> int:
+    sbox = _SBOX
+    return ((sbox[word >> 24] << 24) | (sbox[word >> 16 & 0xFF] << 16)
+            | (sbox[word >> 8 & 0xFF] << 8) | sbox[word & 0xFF])
 
 
 class AES:
@@ -85,18 +99,18 @@ class AES:
 
     # -- key schedule ----------------------------------------------------
 
-    def _expand_key(self, key: bytes) -> List[List[int]]:
-        words: List[List[int]] = [list(key[4 * i:4 * i + 4])
-                                  for i in range(self._nk)]
-        for i in range(self._nk, _NB * (self._nr + 1)):
-            temp = list(words[i - 1])
-            if i % self._nk == 0:
-                temp = temp[1:] + temp[:1]
-                temp = [_SBOX[b] for b in temp]
-                temp[0] ^= _RCON[i // self._nk - 1]
-            elif self._nk > 6 and i % self._nk == 4:
-                temp = [_SBOX[b] for b in temp]
-            words.append([words[i - self._nk][j] ^ temp[j] for j in range(4)])
+    def _expand_key(self, key: bytes) -> List[int]:
+        nk = self._nk
+        words = [int.from_bytes(key[4 * i:4 * i + 4], "big")
+                 for i in range(nk)]
+        for i in range(nk, 4 * (self._nr + 1)):   # 4 words per round key
+            temp = words[i - 1]
+            if i % nk == 0:
+                rotated = ((temp << 8) & 0xFFFFFFFF) | (temp >> 24)
+                temp = _sub_word(rotated) ^ (_RCON[i // nk - 1] << 24)
+            elif nk > 6 and i % nk == 4:
+                temp = _sub_word(temp)
+            words.append(words[i - nk] ^ temp)
         return words
 
     # -- block encryption ---------------------------------------------------
@@ -106,43 +120,42 @@ class AES:
         if len(block) != 16:
             raise ParameterError("AES block must be 16 bytes")
         instrument.note("aes_block")
-        state = [list(block[i::4]) for i in range(4)]  # column-major
-        self._add_round_key(state, 0)
-        for round_index in range(1, self._nr):
-            self._sub_bytes(state)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, round_index)
-        self._sub_bytes(state)
-        self._shift_rows(state)
-        self._add_round_key(state, self._nr)
-        return bytes(state[row][col] for col in range(4) for row in range(4))
+        return self._encrypt(int.from_bytes(block, "big")).to_bytes(16, "big")
 
-    def _add_round_key(self, state, round_index: int) -> None:
-        words = self._round_keys[4 * round_index:4 * round_index + 4]
-        for col in range(4):
-            for row in range(4):
-                state[row][col] ^= words[col][row]
-
-    @staticmethod
-    def _sub_bytes(state) -> None:
-        for row in state:
-            for col in range(4):
-                row[col] = _SBOX[row[col]]
-
-    @staticmethod
-    def _shift_rows(state) -> None:
-        for row in range(1, 4):
-            state[row] = state[row][row:] + state[row][:row]
-
-    @staticmethod
-    def _mix_columns(state) -> None:
-        for col in range(4):
-            a = [state[row][col] for row in range(4)]
-            state[0][col] = _gf_mul(a[0], 2) ^ _gf_mul(a[1], 3) ^ a[2] ^ a[3]
-            state[1][col] = a[0] ^ _gf_mul(a[1], 2) ^ _gf_mul(a[2], 3) ^ a[3]
-            state[2][col] = a[0] ^ a[1] ^ _gf_mul(a[2], 2) ^ _gf_mul(a[3], 3)
-            state[3][col] = _gf_mul(a[0], 3) ^ a[1] ^ a[2] ^ _gf_mul(a[3], 2)
+    def _encrypt(self, block: int) -> int:
+        """The forward cipher on a block held as a 128-bit integer."""
+        rk = self._round_keys
+        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+        s0 = (block >> 96) ^ rk[0]
+        s1 = (block >> 64 & 0xFFFFFFFF) ^ rk[1]
+        s2 = (block >> 32 & 0xFFFFFFFF) ^ rk[2]
+        s3 = (block & 0xFFFFFFFF) ^ rk[3]
+        # Column c of a round reads row r from column c + r (ShiftRows).
+        for k in range(4, 4 * self._nr, 4):
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[s1 >> 16 & 0xFF]
+                ^ te2[s2 >> 8 & 0xFF] ^ te3[s3 & 0xFF] ^ rk[k],
+                te0[s1 >> 24] ^ te1[s2 >> 16 & 0xFF]
+                ^ te2[s3 >> 8 & 0xFF] ^ te3[s0 & 0xFF] ^ rk[k + 1],
+                te0[s2 >> 24] ^ te1[s3 >> 16 & 0xFF]
+                ^ te2[s0 >> 8 & 0xFF] ^ te3[s1 & 0xFF] ^ rk[k + 2],
+                te0[s3 >> 24] ^ te1[s0 >> 16 & 0xFF]
+                ^ te2[s1 >> 8 & 0xFF] ^ te3[s2 & 0xFF] ^ rk[k + 3])
+        # Final round: SubBytes and ShiftRows only, one word per column.
+        sbox = _SBOX
+        k = 4 * self._nr
+        return ((((sbox[s0 >> 24] << 24 | sbox[s1 >> 16 & 0xFF] << 16
+                   | sbox[s2 >> 8 & 0xFF] << 8 | sbox[s3 & 0xFF]) ^ rk[k])
+                 << 96)
+                | (((sbox[s1 >> 24] << 24 | sbox[s2 >> 16 & 0xFF] << 16
+                     | sbox[s3 >> 8 & 0xFF] << 8 | sbox[s0 & 0xFF])
+                    ^ rk[k + 1]) << 64)
+                | (((sbox[s2 >> 24] << 24 | sbox[s3 >> 16 & 0xFF] << 16
+                     | sbox[s0 >> 8 & 0xFF] << 8 | sbox[s1 & 0xFF])
+                    ^ rk[k + 2]) << 32)
+                | ((sbox[s3 >> 24] << 24 | sbox[s0 >> 16 & 0xFF] << 16
+                    | sbox[s1 >> 8 & 0xFF] << 8 | sbox[s2 & 0xFF])
+                   ^ rk[k + 3]))
 
     # -- CTR mode --------------------------------------------------------
 
@@ -151,13 +164,15 @@ class AES:
         if len(nonce) != 16:
             raise ParameterError("CTR nonce/counter block must be 16 bytes")
         counter = int.from_bytes(nonce, "big")
-        out = bytearray()
-        while len(out) < length:
-            out += self.encrypt_block(counter.to_bytes(16, "big"))
-            counter = (counter + 1) % (1 << 128)
-        return bytes(out[:length])
+        blocks = []
+        for _ in range(-(-length // 16)):
+            instrument.note("aes_block")
+            blocks.append(self._encrypt(counter).to_bytes(16, "big"))
+            counter = (counter + 1) & _MASK128
+        return b"".join(blocks)[:length]
 
     def ctr_xor(self, nonce: bytes, data: bytes) -> bytes:
         """CTR encryption/decryption (self-inverse)."""
         stream = self.ctr_keystream(nonce, len(data))
-        return bytes(x ^ y for x, y in zip(data, stream))
+        return (int.from_bytes(data, "big")
+                ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")

@@ -2,7 +2,9 @@
 
 This package is dependency-free and intentionally small: modular
 arithmetic helpers, probabilistic primality testing / prime generation,
-and canonical integer <-> byte-string codecs.
+canonical integer <-> byte-string codecs, and the Jacobian
+short-Weierstrass arithmetic both curve modules share
+(:mod:`repro.mathx.jacobian`).
 """
 
 from repro.mathx.encoding import (

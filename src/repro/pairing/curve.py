@@ -1,8 +1,10 @@
 """Elliptic-curve arithmetic for ``y^2 = x^3 + x`` over F_p.
 
-Affine coordinates throughout: modular inversion in Python is a single
+The group law is affine: modular inversion in Python is a single
 ``pow(x, -1, p)`` call, which keeps additions simple and -- crucially for
 the Tate pairing -- exposes the line slopes the Miller loop needs.
+Scalar multiplication runs on the Jacobian arithmetic the ECDSA curves
+share (:mod:`repro.mathx.jacobian`, with ``a = 1``).
 
 Points are immutable; the point at infinity is the singleton produced by
 :meth:`Point.infinity`.
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.errors import EncodingError, NotOnCurveError, ParameterError
-from repro.mathx import bytes_to_int, int_to_bytes, sqrt_mod_p34, wnaf_digits
+from repro.mathx import bytes_to_int, int_to_bytes, jacobian, sqrt_mod_p34
 from repro.pairing.params import PairingParams
 
 
@@ -64,6 +66,9 @@ class Curve:
     (deserialization does this automatically).
     """
 
+    #: The ``a`` of ``y^2 = x^3 + a*x``, for the shared Jacobian formulas.
+    a = 1
+
     def __init__(self, params: PairingParams) -> None:
         self.params = params
         self.p = params.p
@@ -92,7 +97,7 @@ class Curve:
         would trivially return infinity for every point).
         """
         return (self.is_on_curve(point)
-                and self._mul_raw(point, self.r).is_infinity())
+                and self.multi_mul_raw([(point, self.r)]).is_infinity())
 
     # -- group law -----------------------------------------------------
 
@@ -123,72 +128,9 @@ class Curve:
         return self.add(point, point)
 
     def mul(self, point: Point, scalar: int) -> Point:
-        """Return ``scalar * point`` for a subgroup point.
-
-        The scalar is reduced modulo the subgroup order ``r``; cofactor
-        clearing (where the point is *not* yet in the subgroup) uses
-        :meth:`_mul_raw` directly.
-        """
-        return self._mul_raw(point, scalar % self.r)
-
-    def _mul_raw(self, point: Point, scalar: int) -> Point:
-        """Jacobian-coordinate double-and-add (one inversion total).
-
-        The curve is ``y^2 = x^3 + a*x`` with ``a = 1``; the affine
-        chord-and-tangent in :meth:`add` stays as the slow reference
-        implementation (the Miller loop needs its slopes anyway).
-        """
-        if scalar < 0:
-            return self._mul_raw(self.neg(point), -scalar)
-        if point.is_infinity() or scalar == 0:
-            return Point.infinity(self.p)
-        p = self.p
-        jx, jy, jz = point.x, point.y, 1
-        rx, ry, rz = 0, 1, 0   # Jacobian infinity
-        while scalar:
-            if scalar & 1:
-                rx, ry, rz = self._jadd(rx, ry, rz, jx, jy, jz)
-            jx, jy, jz = self._jdouble(jx, jy, jz)
-            scalar >>= 1
-        return self._jacobian_to_affine(rx, ry, rz)
-
-    def _jdouble(self, x, y, z):
-        p = self.p
-        if z == 0 or y == 0:
-            return (0, 1, 0)
-        ysq = y * y % p
-        s = 4 * x * ysq % p
-        zsq = z * z % p
-        m = (3 * x * x + zsq * zsq) % p          # a = 1
-        nx = (m * m - 2 * s) % p
-        ny = (m * (s - nx) - 8 * ysq * ysq) % p
-        nz = 2 * y * z % p
-        return (nx, ny, nz)
-
-    def _jadd(self, x1, y1, z1, x2, y2, z2):
-        p = self.p
-        if z1 == 0:
-            return (x2, y2, z2)
-        if z2 == 0:
-            return (x1, y1, z1)
-        z1sq = z1 * z1 % p
-        z2sq = z2 * z2 % p
-        u1 = x1 * z2sq % p
-        u2 = x2 * z1sq % p
-        s1 = y1 * z2sq * z2 % p
-        s2 = y2 * z1sq * z1 % p
-        if u1 == u2:
-            if s1 != s2:
-                return (0, 1, 0)
-            return self._jdouble(x1, y1, z1)
-        h = (u2 - u1) % p
-        r = (s2 - s1) % p
-        hsq = h * h % p
-        hcu = hsq * h % p
-        nx = (r * r - hcu - 2 * u1 * hsq) % p
-        ny = (r * (u1 * hsq - nx) - s1 * hcu) % p
-        nz = h * z1 * z2 % p
-        return (nx, ny, nz)
+        """Return ``scalar * point``, the scalar reduced modulo ``r``
+        (subgroup checks and cofactor clearing use :meth:`multi_mul_raw`)."""
+        return self.multi_mul_raw([(point, scalar % self.r)])
 
     def multi_mul(self, pairs: "list[Tuple[Point, int]]") -> Point:
         """Return ``sum(k_i * P_i)`` via interleaved width-4 wNAF.
@@ -204,65 +146,27 @@ class Curve:
 
     def multi_mul_raw(self, pairs: "list[Tuple[Point, int]]",
                       width: int = 4) -> Point:
-        """Interleaved-wNAF ``sum(k_i * P_i)`` without scalar reduction.
+        """Interleaved-wNAF ``sum(k_i * P_i)`` without scalar reduction
+        (:func:`repro.mathx.jacobian.multi_mul`).
 
-        Exposed separately because batched subgroup screening needs
-        scalars of the form ``delta_i * r`` that must NOT be reduced
-        modulo ``r`` (they would vanish).
+        Batched subgroup screening needs scalars ``delta_i * r`` that
+        must NOT be reduced modulo ``r`` (they would vanish).
         """
-        p = self.p
-        half_entries = 1 << (width - 2)     # odd multiples 1,3,..,2^(w-1)-1
-        entries = []
-        longest = 0
-        for point, scalar in pairs:
-            if scalar < 0:
-                point, scalar = self.neg(point), -scalar
-            if scalar == 0 or point.is_infinity():
-                continue
-            digits = wnaf_digits(scalar, width)
-            table = self._odd_multiples(point, half_entries)
-            entries.append((digits, table))
-            longest = max(longest, len(digits))
-        if not entries:
-            return Point.infinity(p)
-        rx, ry, rz = 0, 1, 0   # Jacobian infinity
-        for i in range(longest - 1, -1, -1):
-            rx, ry, rz = self._jdouble(rx, ry, rz)
-            for digits, table in entries:
-                if i >= len(digits):
-                    continue
-                digit = digits[i]
-                if digit == 0:
-                    continue
-                if digit > 0:
-                    tx, ty, tz = table[(digit - 1) >> 1]
-                else:
-                    tx, ty, tz = table[(-digit - 1) >> 1]
-                    ty = -ty % p
-                rx, ry, rz = self._jadd(rx, ry, rz, tx, ty, tz)
-        return self._jacobian_to_affine(rx, ry, rz)
+        return self.from_affine(jacobian.multi_mul(
+            [(self.to_affine(point), scalar) for point, scalar in pairs],
+            self.a, self.p, width))
 
-    def _odd_multiples(self, point: Point, count: int):
-        """Jacobian tuples ``[1P, 3P, 5P, ...]`` (``count`` entries)."""
-        base = (point.x, point.y, 1)
-        table = [base]
-        if count > 1:
-            twice = self._jdouble(*base)
-            for _ in range(count - 1):
-                table.append(self._jadd(*table[-1], *twice))
-        return table
+    def to_affine(self, point: Point) -> "Tuple[int, int] | None":
+        """The shared arithmetic's form: ``(x, y)``, ``None`` at infinity."""
+        return None if point.inf else (point.x, point.y)
 
-    def _jacobian_to_affine(self, rx: int, ry: int, rz: int) -> Point:
-        p = self.p
-        if rz == 0:
-            return Point.infinity(p)
-        z_inv = pow(rz, -1, p)
-        z_inv_sq = z_inv * z_inv % p
-        return Point(rx * z_inv_sq % p, ry * z_inv_sq * z_inv % p, p)
+    def from_affine(self, affine: "Tuple[int, int] | None") -> Point:
+        """Inverse of :meth:`to_affine`."""
+        return Point(*affine, self.p) if affine else Point.infinity(self.p)
 
     def clear_cofactor(self, point: Point) -> Point:
         """Map an arbitrary curve point into the order-``r`` subgroup."""
-        return self._mul_raw(point, self.h)
+        return self.multi_mul_raw([(point, self.h)])
 
     # -- encoding --------------------------------------------------------
 

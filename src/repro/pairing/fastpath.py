@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.mathx import batch_inverse
+from repro.mathx import batch_inverse, jacobian
 from repro.pairing.curve import Curve, Point
 from repro.pairing.fields import Fp2
 
@@ -396,8 +396,9 @@ def clear_cofactor_fast(curve: Curve, point: Point) -> Point:
     The cofactor ``h = (p + 1) / r`` is 353 bits with Hamming weight 6,
     so the chain is essentially 352 Jacobian doublings; running them
     inline (no per-step function calls or tuple traffic) is measurably
-    faster than ``Curve._mul_raw`` while producing the identical affine
-    point -- the doubling and addition formulas are the same ones.
+    faster than the shared :func:`repro.mathx.jacobian.multi_mul` while
+    producing the identical affine point -- affine coordinates are
+    canonical.
     """
     if point.is_infinity():
         return point
@@ -427,10 +428,10 @@ def clear_cofactor_fast(curve: Curve, point: Point) -> Point:
         W = 16 * y4 * W % p
         X, Z = nx, nz
         if bit == "1":
-            X, Y, Z = curve._jadd(X, Y, Z, xp_, yp_, 1)
+            X, Y, Z = jacobian.jadd(X, Y, Z, xp_, yp_, 1, curve.a, p)
             zsq = Z * Z % p
             W = zsq * zsq % p
-    return curve._jacobian_to_affine(X, Y, Z)
+    return curve.from_affine(jacobian.to_affine(X, Y, Z, p))
 
 
 def hash_h0_fast(curve: Curve, data: bytes) -> Tuple[Point, Point]:
@@ -849,7 +850,7 @@ class DualMultiExp:
                 nz = hh * Z % p
                 Y = (rr * (X * hsq - nx) - Y * hcu) % p
                 X, Z = nx, nz
-        return self.curve._jacobian_to_affine(X, Y, Z)
+        return curve.from_affine(jacobian.to_affine(X, Y, Z, p))
 
 
 def _affine_odd_multiples(curve: Curve, point: Point, count: int
@@ -857,11 +858,12 @@ def _affine_odd_multiples(curve: Curve, point: Point, count: int
     """Affine ``[1P, 3P, ..., (2*count-1)P]`` via one batched inversion."""
     if point.is_infinity():
         return None
-    jacobian = curve._odd_multiples(point, count)
     p = curve.p
-    zinvs = batch_inverse([z for _x, _y, z in jacobian], p)
+    multiples = jacobian.odd_multiples(point.x, point.y, count,
+                                       curve.a, p)
+    zinvs = batch_inverse([z for _x, _y, z in multiples], p)
     odds: List[Tuple[int, int]] = []
-    for (jx, jy, jz), zi in zip(jacobian, zinvs):
+    for (jx, jy, jz), zi in zip(multiples, zinvs):
         zi2 = zi * zi % p
         odds.append((jx * zi2 % p, jy * zi2 % p * zi % p))
     return odds

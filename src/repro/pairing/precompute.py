@@ -12,10 +12,8 @@ held fixed:
 This module provides the two corresponding tables:
 
 :class:`FixedBaseTable`
-    Signed-window fixed-base scalar multiplication: per-window
-    multiples of ``2^(w*j) * P`` are precomputed once, after which a
-    multiplication costs roughly ``r.bit_length() / w`` Jacobian
-    additions and zero doublings.
+    The shared signed-window table of :mod:`repro.mathx.jacobian` on
+    the pairing curve: ~``r.bit_length() / w`` additions, no doublings.
 
 :class:`PairingTable`
     The Miller loop of ``e(P, .)`` depends on ``P`` through the
@@ -40,63 +38,27 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.errors import ParameterError
-from repro.mathx import signed_window_digits
+from repro.mathx import batch_inverse, jacobian
 from repro.pairing.curve import Curve, Point
 from repro.pairing.fields import Fp2
 from repro.pairing.tate import final_exponentiation
 
 
-class FixedBaseTable:
-    """Signed-window precomputation for ``k * P`` with ``P`` fixed.
+class FixedBaseTable(jacobian.FixedBaseTable):
+    """Signed-window precomputation for ``k * P`` with ``P`` fixed: the
+    shared :class:`repro.mathx.jacobian.FixedBaseTable` on :class:`Point`."""
 
-    Stores ``d * 2^(width*j) * P`` for every window position ``j`` and
-    digit ``d`` in ``1 .. 2^(width-1)`` (negative digits negate on the
-    fly).  Build cost is a few hundred Jacobian operations; afterwards a
-    scalar multiplication is ~``ceil(bits/width)`` Jacobian additions --
-    no doublings at all.
-    """
-
-    __slots__ = ("curve", "point", "width", "_blocks")
+    __slots__ = ("curve", "point")
 
     def __init__(self, curve: Curve, point: Point, width: int = 4) -> None:
-        if width < 2:
-            raise ParameterError("fixed-base window width must be >= 2")
+        super().__init__(curve.to_affine(point), curve.r, curve.a, curve.p,
+                         width)
         self.curve = curve
         self.point = point
-        self.width = width
-        self._blocks: List[List[Tuple[int, int, int]]] = []
-        if point.is_infinity():
-            return
-        # Signed recoding of a scalar < r can carry into one extra window.
-        blocks = (curve.r.bit_length() + width - 1) // width + 1
-        half = 1 << (width - 1)
-        base = (point.x, point.y, 1)
-        for _ in range(blocks):
-            row = [base]
-            for _ in range(half - 1):
-                row.append(curve._jadd(*row[-1], *base))
-            self._blocks.append(row)
-            for _ in range(width):
-                base = curve._jdouble(*base)
 
     def mul(self, scalar: int) -> Point:
         """Return ``(scalar mod r) * P``; bit-exact vs :meth:`Curve.mul`."""
-        curve = self.curve
-        scalar %= curve.r
-        if scalar == 0 or not self._blocks:
-            return Point.infinity(curve.p)
-        p = curve.p
-        rx, ry, rz = 0, 1, 0
-        for j, digit in enumerate(signed_window_digits(scalar, self.width)):
-            if digit == 0:
-                continue
-            if digit > 0:
-                tx, ty, tz = self._blocks[j][digit - 1]
-            else:
-                tx, ty, tz = self._blocks[j][-digit - 1]
-                ty = -ty % p
-            rx, ry, rz = curve._jadd(rx, ry, rz, tx, ty, tz)
-        return curve._jacobian_to_affine(rx, ry, rz)
+        return self.curve.from_affine(super().mul(scalar))
 
 
 class PairingTable:
@@ -227,17 +189,8 @@ class PairingTable:
                 millers.append((index, self.miller(point_q)))
         if millers:
             # Montgomery batch inversion of the norms a^2 + b^2.
-            norms = [(v.a * v.a + v.b * v.b) % p for _, v in millers]
-            prefix = []
-            running = 1
-            for norm in norms:
-                prefix.append(running)
-                running = running * norm % p
-            running = pow(running, -1, p)
-            inverses = [0] * len(norms)
-            for slot in range(len(norms) - 1, -1, -1):
-                inverses[slot] = running * prefix[slot] % p
-                running = running * norms[slot] % p
+            inverses = batch_inverse(
+                [(v.a * v.a + v.b * v.b) % p for _, v in millers], p)
             for (index, value), inv in zip(millers, inverses):
                 # easy = conj(v) * v^-1 = conj(v)^2 / norm(v).
                 a, b = value.a, value.b

@@ -1,16 +1,21 @@
 """Short-Weierstrass curves and point arithmetic for ECDSA.
 
-Implements ``y^2 = x^3 + a*x + b`` over F_p with Jacobian-coordinate
-scalar multiplication.  Two SEC-2 curves are shipped: secp160r1 (the
-"ECDSA-160" of the paper) and secp256r1 for a modern comparison point.
+Implements ``y^2 = x^3 + a*x + b`` over F_p.  Scalar multiplication
+runs on the Jacobian arithmetic shared with the pairing curve
+(:mod:`repro.mathx.jacobian`): a lazily built fixed-base table for the
+generator, interleaved wNAF for everything else.  Two SEC-2 curves are
+shipped: secp160r1 (the "ECDSA-160" of the paper) and secp256r1 for a
+modern comparison point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from repro.errors import NotOnCurveError, ParameterError
+from repro.mathx import jacobian
 
 #: Affine point as (x, y); ``None`` is the point at infinity.
 AffinePoint = Optional[Tuple[int, int]]
@@ -78,79 +83,28 @@ class WeierstrassCurve:
             return None
         return (point[0], (-point[1]) % self.p)
 
-    # -- Jacobian scalar multiplication ------------------------------------
+    # -- scalar multiplication (shared Jacobian arithmetic) ---------------
 
     def scalar_mul(self, point: AffinePoint, k: int) -> AffinePoint:
-        """Return ``k * point`` using Jacobian double-and-add."""
-        if point is None or k % self.n == 0:
-            return None
-        k %= self.n
-        jx, jy, jz = point[0], point[1], 1
-        rx, ry, rz = 0, 1, 0  # Jacobian infinity
-        while k:
-            if k & 1:
-                rx, ry, rz = self._jadd(rx, ry, rz, jx, jy, jz)
-            jx, jy, jz = self._jdouble(jx, jy, jz)
-            k >>= 1
-        return self._to_affine(rx, ry, rz)
+        """Return ``k * point`` (the one-term :meth:`multi_mul`)."""
+        return self.multi_mul([(point, k)])
 
-    def scalar_mul_two(self, point_a: AffinePoint, k_a: int,
-                       point_b: AffinePoint, k_b: int) -> AffinePoint:
-        """Return ``k_a * A + k_b * B`` (Shamir's trick would speed this
-        up; ECDSA verification latency is not on the paper's critical
-        path so the simple composition suffices)."""
-        return self.affine_add_jacobianless(
-            self.scalar_mul(point_a, k_a), self.scalar_mul(point_b, k_b))
+    def multi_mul(self, pairs: "list[Tuple[AffinePoint, int]]"
+                  ) -> AffinePoint:
+        """Return ``sum(k_i * P_i)``, scalars reduced modulo ``n``, by
+        interleaved wNAF on one doubling chain -- two terms are
+        Shamir's trick for ECDSA's ``u1*G + u2*Q``."""
+        return jacobian.multi_mul([(point, k % self.n) for point, k in pairs],
+                                  self.a, self.p)
 
-    def affine_add_jacobianless(self, lhs: AffinePoint,
-                                rhs: AffinePoint) -> AffinePoint:
-        return self.affine_add(lhs, rhs)
+    def generator_mul(self, k: int) -> AffinePoint:
+        """Return ``k * G`` from the generator's fixed-base table."""
+        return self._generator_table.mul(k)
 
-    def _jdouble(self, x, y, z):
-        p = self.p
-        if z == 0 or y == 0:
-            return (0, 1, 0)
-        ysq = y * y % p
-        s = 4 * x * ysq % p
-        zsq = z * z % p
-        m = (3 * x * x + self.a * zsq * zsq) % p
-        nx = (m * m - 2 * s) % p
-        ny = (m * (s - nx) - 8 * ysq * ysq) % p
-        nz = 2 * y * z % p
-        return (nx, ny, nz)
-
-    def _jadd(self, x1, y1, z1, x2, y2, z2):
-        p = self.p
-        if z1 == 0:
-            return (x2, y2, z2)
-        if z2 == 0:
-            return (x1, y1, z1)
-        z1sq = z1 * z1 % p
-        z2sq = z2 * z2 % p
-        u1 = x1 * z2sq % p
-        u2 = x2 * z1sq % p
-        s1 = y1 * z2sq * z2 % p
-        s2 = y2 * z1sq * z1 % p
-        if u1 == u2:
-            if s1 != s2:
-                return (0, 1, 0)
-            return self._jdouble(x1, y1, z1)
-        h = (u2 - u1) % p
-        r = (s2 - s1) % p
-        hsq = h * h % p
-        hcu = hsq * h % p
-        nx = (r * r - hcu - 2 * u1 * hsq) % p
-        ny = (r * (u1 * hsq - nx) - s1 * hcu) % p
-        nz = h * z1 * z2 % p
-        return (nx, ny, nz)
-
-    def _to_affine(self, x, y, z) -> AffinePoint:
-        if z == 0:
-            return None
-        p = self.p
-        z_inv = pow(z, -1, p)
-        z_inv_sq = z_inv * z_inv % p
-        return (x * z_inv_sq % p, y * z_inv_sq * z_inv % p)
+    @cached_property
+    def _generator_table(self) -> jacobian.FixedBaseTable:
+        # cached_property writes the instance dict, which frozen allows.
+        return jacobian.FixedBaseTable(self.generator, self.n, self.a, self.p)
 
 
 SECP160R1 = WeierstrassCurve(

@@ -77,8 +77,8 @@ class EcdsaPublicKey:
         w = pow(s, -1, n)
         u1 = e * w % n
         u2 = r * w % n
-        point = self.curve.scalar_mul_two(self.curve.generator, u1,
-                                          self.point, u2)
+        point = self.curve.multi_mul([(self.curve.generator, u1),
+                                      (self.point, u2)])
         if point is None:
             return False
         return point[0] % n == r
@@ -123,7 +123,7 @@ class EcdsaKeyPair:
         e = _bits2int(digest, n) % n
         while True:
             k = _rfc6979_nonce(self.curve, self.private, digest)
-            point = self.curve.scalar_mul(self.curve.generator, k)
+            point = self.curve.generator_mul(k)
             assert point is not None
             r = point[0] % n
             if r == 0:
@@ -164,6 +164,6 @@ def ecdsa_generate(curve: WeierstrassCurve = SECP160R1,
         private = secrets.randbelow(curve.n - 1) + 1
     else:
         private = rng.randrange(1, curve.n)
-    point = curve.scalar_mul(curve.generator, private)
+    point = curve.generator_mul(private)
     assert point is not None
     return EcdsaKeyPair(curve, private, EcdsaPublicKey(curve, point))

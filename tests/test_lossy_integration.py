@@ -5,8 +5,7 @@ that lose a message time out and retry on a later beacon; sessions
 reject nothing incorrectly; no node crashes.
 """
 
-import pytest
-
+from repro.faults import FaultInjector, FaultPlan, RadioFault
 from repro.wmn.scenario import Scenario, ScenarioConfig
 from repro.wmn.topology import TopologyConfig
 
@@ -36,23 +35,33 @@ class TestLossResilience:
         for user in scenario.sim_users.values():
             user.connect_timeout = 10.0
         scenario.run(300.0)
-        # No correctness guarantee at 50% loss -- only liveness of the
-        # simulation and monotone retry behaviour.
+        # Loss drops frames but never alters them: whatever arrives
+        # verifies, so nothing is rejected, and retries still connect
+        # someone.
         metrics = scenario.user_metrics()
         assert metrics["connect_attempts"] >= metrics["connected"]
-        assert scenario.router_metrics()["handshakes_rejected"] >= 0
+        assert metrics["connected"] >= 1
+        for sim_router in scenario.sim_routers.values():
+            stats = sim_router.router.engine.stats
+            assert stats["rejected_signature"] == 0
+            assert stats["rejected_revoked"] == 0
+        assert scenario.router_metrics()["data_rejected"] == 0
 
     def test_lost_confirm_triggers_timeout_and_retry(self):
         scenario = lossy_scenario(loss=0.35, seed=78, users=2)
         for user in scenario.sim_users.values():
             user.connect_timeout = 10.0
+        # Every (M.3) of the first 30 s is lost, so the first handshakes
+        # must time out; later ones get through.
+        FaultInjector(FaultPlan(seed=78, radio=[RadioFault(
+            "drop", probability=1.0, frame_kinds=("M.3",), stop=30.0)])
+        ).arm_scenario(scenario)
         scenario.run(300.0)
         metrics = scenario.user_metrics()
-        if metrics.get("connect_timeouts", 0) == 0:
-            pytest.skip("randomness produced no lost handshakes")
+        assert metrics["connect_timeouts"] >= 1
         # Every timeout was followed by a fresh attempt.
-        assert (metrics["connect_attempts"]
-                > metrics.get("connect_timeouts", 0))
+        assert metrics["connect_attempts"] > metrics["connect_timeouts"]
+        assert scenario.connected_fraction() == 1.0
 
     def test_data_loss_does_not_poison_sessions(self):
         """Lost DAT frames must not desynchronize the MAC layer: later

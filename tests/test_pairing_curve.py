@@ -54,7 +54,7 @@ class TestGroupLaw:
     def test_subgroup_order(self):
         for p in POINTS:
             assert CURVE.mul(p, PARAMS.r - 1) == CURVE.neg(p)
-            assert CURVE._mul_raw(p, PARAMS.r).is_infinity()
+            assert CURVE.multi_mul_raw([(p, PARAMS.r)]).is_infinity()
 
     def test_require_on_curve_rejects(self):
         bogus = Point(1, 1, PARAMS.p)

@@ -1,13 +1,84 @@
-"""Tests for the ECDSA Weierstrass curve arithmetic."""
+"""Tests for the short-Weierstrass curve arithmetic.
+
+The ECDSA curves (secp160r1, secp256r1) and the pairing curve share one
+Jacobian implementation (:mod:`repro.mathx.jacobian`).  Its fixed-base,
+one-term and two-term multiplications are checked here against
+:func:`double_and_add`, a plain double-and-add over each curve's affine
+chord-and-tangent reference.  ``TestSmoke`` is the subset
+``scripts/tier1.sh smoke`` runs.
+"""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NotOnCurveError, ParameterError
+from repro.mathx import jacobian
+from repro.pairing.curve import Curve, Point
+from repro.pairing.params import get_params
+from repro.pairing.precompute import FixedBaseTable
 from repro.sig.curves import SECP160R1, SECP256R1, get_curve
 
 scalars160 = st.integers(min_value=1, max_value=SECP160R1.n - 1)
+
+PAIRING = Curve(get_params("TEST"))
+
+
+def double_and_add(add, point, k):
+    """``k * point`` for ``k >= 0`` by right-to-left double-and-add.
+
+    ``add`` is an affine group law on ``(x, y)`` tuples with ``None``
+    at infinity; the loop touches no Jacobian code, so it is an oracle
+    for everything in :mod:`repro.mathx.jacobian`.
+    """
+    result = None
+    while k:
+        if k & 1:
+            result = add(result, point)
+        point = add(point, point)
+        k >>= 1
+    return result
+
+
+class _Spec:
+    """One curve seen through the shared arithmetic's interface."""
+
+    def __init__(self, name, a, p, order, base, add):
+        self.name, self.a, self.p = name, a, p
+        self.order, self.base, self.add = order, base, add
+
+    def oracle(self, point, k):
+        return double_and_add(self.add, point, k)
+
+    def neg(self, point):
+        return None if point is None else (point[0], -point[1] % self.p)
+
+    def __repr__(self):
+        return self.name
+
+
+def _weierstrass_spec(curve):
+    return _Spec(curve.name, curve.a, curve.p, curve.n, curve.generator,
+                 curve.affine_add)
+
+
+def _pairing_spec():
+    def add(lhs, rhs):
+        return PAIRING.to_affine(PAIRING.add(PAIRING.from_affine(lhs),
+                                             PAIRING.from_affine(rhs)))
+
+    base = PAIRING.to_affine(PAIRING.random_point(random.Random(1601)))
+    return _Spec("TEST-pairing", PAIRING.a, PAIRING.p, PAIRING.r, base, add)
+
+
+SPECS = [_weierstrass_spec(SECP160R1), _weierstrass_spec(SECP256R1),
+         _pairing_spec()]
+
+
+def _edge_scalars(order):
+    return [0, 1, 2, order - 1, order, 2 * order]
 
 
 class TestDomainParameters:
@@ -48,6 +119,7 @@ class TestGroupLaw:
         for k in range(1, 12):
             acc = SECP160R1.affine_add(acc, g)
             assert SECP160R1.scalar_mul(g, k) == acc
+            assert SECP160R1.generator_mul(k) == acc
 
     def test_scalar_mul_zero(self):
         assert SECP160R1.scalar_mul(SECP160R1.generator, 0) is None
@@ -56,9 +128,12 @@ class TestGroupLaw:
         assert SECP160R1.scalar_mul(None, 12345) is None
 
     def test_scalar_mul_two(self):
+        # A two-term sum equals the sum of its one-term products.
         g = SECP160R1.generator
         h = SECP160R1.scalar_mul(g, 7)
-        combined = SECP160R1.scalar_mul_two(g, 3, h, 2)
+        combined = SECP160R1.multi_mul([(g, 3), (h, 2)])
+        assert combined == SECP160R1.affine_add(SECP160R1.scalar_mul(g, 3),
+                                                SECP160R1.scalar_mul(h, 2))
         assert combined == SECP160R1.scalar_mul(g, 3 + 14)
 
     @given(scalars160, scalars160)
@@ -73,3 +148,145 @@ class TestGroupLaw:
     def test_require_on_curve_rejects_forged_point(self):
         with pytest.raises(NotOnCurveError):
             SECP160R1.require_on_curve((1, 2))
+
+    def test_generator_table_is_built_once_per_curve(self):
+        table = SECP160R1._generator_table
+        assert SECP160R1._generator_table is table
+        assert SECP256R1._generator_table is not table
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+class TestSharedArithmetic:
+    def test_fixed_base_edge_scalars(self, spec):
+        table = jacobian.FixedBaseTable(spec.base, spec.order, spec.a, spec.p)
+        for k in _edge_scalars(spec.order):
+            assert table.mul(k) == spec.oracle(spec.base, k % spec.order), k
+
+    def test_one_term_edge_scalars(self, spec):
+        # Scalars are not reduced: n and 2n must still vanish.
+        for k in _edge_scalars(spec.order):
+            assert (jacobian.multi_mul([(spec.base, k)], spec.a, spec.p)
+                    == spec.oracle(spec.base, k)), k
+
+    def test_negative_scalar_negates(self, spec):
+        expected = spec.neg(spec.oracle(spec.base, 5))
+        assert jacobian.multi_mul([(spec.base, -5)], spec.a,
+                                  spec.p) == expected
+
+    def test_random_scalars(self, spec):
+        rng = random.Random(0x5EC)
+        table = jacobian.FixedBaseTable(spec.base, spec.order, spec.a, spec.p)
+        for _ in range(4):
+            k = rng.randrange(3 * spec.order)
+            expected = spec.oracle(spec.base, k % spec.order)
+            assert table.mul(k) == expected
+            assert jacobian.multi_mul([(spec.base, k)], spec.a,
+                                      spec.p) == expected
+
+    def test_two_term_matches_oracle(self, spec):
+        rng = random.Random(0x2AB)
+        other = spec.oracle(spec.base, rng.randrange(1, spec.order))
+        for _ in range(3):
+            u1 = rng.randrange(spec.order)
+            u2 = rng.randrange(spec.order)
+            expected = spec.add(spec.oracle(spec.base, u1),
+                                spec.oracle(other, u2))
+            assert jacobian.multi_mul([(spec.base, u1), (other, u2)],
+                                      spec.a, spec.p) == expected
+
+    def test_two_term_sum_at_infinity(self, spec):
+        # u1*G = -u2*Q: the accumulator meets the negation of itself.
+        rng = random.Random(0x1F)
+        q = rng.randrange(2, spec.order)
+        other = spec.oracle(spec.base, q)
+        u2 = rng.randrange(1, spec.order)
+        u1 = -u2 * q % spec.order
+        assert jacobian.multi_mul([(spec.base, u1), (other, u2)],
+                                  spec.a, spec.p) is None
+
+    def test_two_term_equal_points_take_the_doubling(self, spec):
+        # Q = G, u1 = u2: both terms add the same entry at the top digit,
+        # so jadd sees equal operands and must double.
+        u = random.Random(0xD0).randrange(1, spec.order)
+        assert (jacobian.multi_mul([(spec.base, u), (spec.base, u)],
+                                   spec.a, spec.p)
+                == spec.oracle(spec.base, 2 * u % spec.order))
+
+    def test_jadd_doubling_and_cancel_branches(self, spec):
+        x, y = spec.base
+        doubled = jacobian.jdouble(x, y, 1, spec.a, spec.p)
+        assert jacobian.jadd(x, y, 1, x, y, 1, spec.a, spec.p) == doubled
+        assert jacobian.jadd(x, y, 1, x, -y % spec.p, 1, spec.a,
+                             spec.p) == jacobian.INFINITY
+        assert (jacobian.to_affine(*doubled, spec.p)
+                == spec.add(spec.base, spec.base))
+
+
+class TestCurveFrontEnds:
+    """The curve classes route through the shared routines."""
+
+    @pytest.mark.parametrize("curve", [SECP160R1, SECP256R1])
+    def test_weierstrass_matches_oracle(self, curve):
+        rng = random.Random(curve.n)
+        g = curve.generator
+        for k in _edge_scalars(curve.n) + [rng.randrange(curve.n)]:
+            expected = double_and_add(curve.affine_add, g, k % curve.n)
+            assert curve.generator_mul(k) == expected, k
+            assert curve.scalar_mul(g, k) == expected, k
+
+    def test_pairing_curve_matches_oracle(self):
+        spec = SPECS[2]
+        base = PAIRING.from_affine(spec.base)
+        table = FixedBaseTable(PAIRING, base)
+        for k in _edge_scalars(PAIRING.r):
+            expected = PAIRING.from_affine(spec.oracle(spec.base,
+                                                       k % PAIRING.r))
+            assert PAIRING.mul(base, k) == expected, k
+            assert table.mul(k) == expected, k
+
+    def test_pairing_two_torsion_point(self):
+        # (0, 0) is on y^2 = x^3 + x and has order 2: r*P = P for odd r,
+        # so it is not in the order-r subgroup, and 2*P is infinity.
+        torsion = Point(0, 0, PAIRING.p)
+        assert PAIRING.is_on_curve(torsion)
+        assert not PAIRING.in_subgroup(torsion)
+        assert PAIRING.multi_mul_raw([(torsion, PAIRING.r)]) == torsion
+        assert PAIRING.multi_mul_raw([(torsion, 2)]).is_infinity()
+        assert PAIRING.clear_cofactor(torsion).is_infinity()
+
+    def test_pairing_cofactor_clearing_matches_oracle(self):
+        point = _first_curve_point()
+        expected = SPECS[2].oracle(PAIRING.to_affine(point), PAIRING.h)
+        assert PAIRING.clear_cofactor(point) == PAIRING.from_affine(expected)
+
+
+def _first_curve_point():
+    """The curve point with the smallest positive abscissa (generally
+    outside the order-r subgroup)."""
+    for x in range(1, 1000):
+        try:
+            return PAIRING.lift_x(x, 0)
+        except NotOnCurveError:
+            continue
+    raise AssertionError("no liftable abscissa below 1000")
+
+
+class TestSmoke:
+    """Quick differential of the shared curve arithmetic against the
+    double-and-add oracle (run by ``scripts/tier1.sh smoke``)."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_fixed_base_one_and_two_term_agree_with_oracle(self, spec):
+        rng = random.Random(42)
+        table = jacobian.FixedBaseTable(spec.base, spec.order, spec.a, spec.p)
+        other = spec.oracle(spec.base, rng.randrange(1, spec.order))
+        for k in (0, 1, spec.order - 1, rng.randrange(spec.order)):
+            expected = spec.oracle(spec.base, k)
+            assert table.mul(k) == expected
+            assert jacobian.multi_mul([(spec.base, k)], spec.a,
+                                      spec.p) == expected
+        u1, u2 = rng.randrange(spec.order), rng.randrange(spec.order)
+        assert (jacobian.multi_mul([(spec.base, u1), (other, u2)],
+                                   spec.a, spec.p)
+                == spec.add(spec.oracle(spec.base, u1),
+                            spec.oracle(other, u2)))

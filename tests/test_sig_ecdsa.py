@@ -106,3 +106,59 @@ class TestEncoding:
         blob = b"\x05" + keypair.public.encode()[1:]
         with pytest.raises(EncodingError):
             EcdsaPublicKey.decode(SECP160R1, blob)
+
+
+class _FixedRng:
+    """``randrange`` stub that hands ``ecdsa_generate`` a chosen key."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def randrange(self, _low, _high):
+        return self.value
+
+
+class TestVectors:
+    """Pinned signatures: RFC 6979 A.2.5 (P-256, SHA-256) and three
+    ECDSA-160 signatures over fixed keys and messages."""
+
+    RFC_KEY = 0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721
+    RFC_PUBLIC = (
+        0x60FED4BA255A9D31C961EB74C6356D68C049B8923B61FA6CE669622E60F29FB6,
+        0x7903FE1008B8BC99A41AE9E95628BC64F2F1B20C2D7E9F5177A3C294D4462299)
+
+    @pytest.fixture(scope="class")
+    def rfc_keypair(self):
+        return ecdsa_generate(SECP256R1, rng=_FixedRng(self.RFC_KEY))
+
+    def test_rfc6979_p256_public_point(self, rfc_keypair):
+        assert rfc_keypair.public.point == self.RFC_PUBLIC
+
+    @pytest.mark.parametrize("message, r, s", [
+        (b"sample",
+         0xEFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716,
+         0xF7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8),
+        (b"test",
+         0xF1ABB023518351CD71D881567B1EA663ED3EFCF6C5132B354F28D3B0B7D38367,
+         0x019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083),
+    ])
+    def test_rfc6979_p256_signature(self, rfc_keypair, message, r, s):
+        signature = rfc_keypair.sign(message)
+        assert decode_signature(SECP256R1, signature) == (r, s)
+        assert rfc_keypair.public.verify(message, signature)
+
+    @pytest.mark.parametrize("seed, message, signature", [
+        (101, b"beacon",
+         "00ce9f0409c18e01a4612de2145316857aa47f10a6"
+         "0033fa14911b740cf57262cc4aac9d97890961d62f"),
+        (202, b"certificate",
+         "00adf63010ef138cfdf138686321be74b74d15fa23"
+         "001738ef246e92fb9c44a0ca995a0e3cbcf4a165e2"),
+        (303, b"",
+         "001ab9eb9778f92a99a411021553125696098f7bcb"
+         "00a184510307f5c0553e3f4823fd2f8aec77741c5d"),
+    ])
+    def test_secp160r1_pinned_signature(self, seed, message, signature):
+        keypair = ecdsa_generate(SECP160R1, rng=random.Random(seed))
+        assert keypair.sign(message).hex() == signature
+        assert keypair.public.verify(message, bytes.fromhex(signature))
