@@ -16,8 +16,10 @@ push-pull anti-entropy (delta-first, full-list fallback) must converge
 the whole overlay within a bounded number of rounds under 15%
 per-exchange loss.
 
-The indexed side is timed as the mean of a loop of ``INDEXED_LOOP``
-checks per round (a lone ~0.5 ms check is too noisy to ratio against).
+Each of ``ROUNDS`` rounds times one linear scan and, right after it, a
+loop of ``INDEXED_LOOP`` indexed checks (a lone ~0.5 ms check is too
+noisy to ratio against); the recorded speedup is the median of the
+rounds' own ratios, so both sides of every ratio saw the same host.
 CI runs |URL| in {100, 1000} and a 24-router overlay; the nightly
 job sets ``BENCH_REVOCATION_LARGE=1`` to add |URL| = 10^4, a
 1000-router overlay, and a telemetry-rollup JSONL from a full gossip
@@ -27,6 +29,7 @@ linear scan at |URL| = 1000, identity booleans, and convergence.
 
 import os
 import random
+import statistics
 import time
 
 import pytest
@@ -54,6 +57,8 @@ CHAOS_SEEDS = (101, 202, 303)
 #: Checks per timed round on the indexed side: one check is ~0.5 ms,
 #: too short for a single sample to be steady on a shared host.
 INDEXED_LOOP = 200
+#: Timed rounds per |URL|, each yielding one paired ratio.
+ROUNDS = 5
 
 EPIDEMIC_ROUTERS = 24
 LARGE_EPIDEMIC_ROUTERS = 1000
@@ -63,25 +68,24 @@ EPIDEMIC_MAX_ROUNDS = 48
 LARGE = os.environ.get("BENCH_REVOCATION_LARGE") == "1"
 
 
-def _interleaved_best(fn_a, fn_b, rounds):
-    """Min-of-rounds for two callables with alternating measurement
-    (same estimator as bench_batch_core: host drift on a shared 1-core
-    box must not land on one side of the ratio only)."""
-    best_a = best_b = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
+def _paired_rounds(linear, state, message, signature):
+    """``ROUNDS`` pairs of (one linear scan s, one indexed check s).
 
-
-def _check_loop(state, message, signature):
-    """``INDEXED_LOOP`` back-to-back tag checks (one timed sample)."""
-    for _ in range(INDEXED_LOOP):
-        state.check(message, signature)
+    Each round times the scan and then ``INDEXED_LOOP`` back-to-back tag
+    checks, so a round's ratio never divides samples taken under two
+    different host states.
+    """
+    pairs = []
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        linear()
+        linear_s = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in range(INDEXED_LOOP):
+            state.check(message, signature)
+        indexed_s = (time.perf_counter() - start) / INDEXED_LOOP
+        pairs.append((linear_s, indexed_s))
+    return pairs
 
 
 def _check_outcome(state, message, signature):
@@ -178,13 +182,14 @@ def test_revocation_scale(reporter, scale_scheme):
             and serial_revoked.token_index == indexed_revoked.token_index
             == size - 1)
 
-        linear_s, indexed_loop_s = _interleaved_best(
+        pairs = _paired_rounds(
             lambda t=tokens: serial_scan_outcome(gpk, message, sig_clean,
                                                  t, period),
-            lambda s=state: _check_loop(s, message, sig_clean),
-            rounds=3)
-        indexed_s = indexed_loop_s / INDEXED_LOOP
-        speedups[size] = linear_s / indexed_s
+            state, message, sig_clean)
+        speedups[size] = statistics.median(
+            linear_s / indexed_s for linear_s, indexed_s in pairs)
+        linear_s = statistics.median(linear_s for linear_s, _ in pairs)
+        indexed_s = statistics.median(indexed_s for _, indexed_s in pairs)
         rows.append((str(size), f"{linear_s * 1000:.2f}",
                      f"{indexed_s * 1e6:.1f}",
                      f"{speedups[size]:.1f}x"))

@@ -10,9 +10,10 @@
 # The smoke subset runs the TestSmoke classes, which compare every
 # engine fast path (pairing tables, fixed-base tables, wNAF multi-exp,
 # batch verification, the multi-process verifier pool) against the
-# naive reference computation, and the table-driven AES and the shared
+# naive reference computation, the table-driven AES and the shared
 # Jacobian curve arithmetic against their byte-wise and double-and-add
-# oracles.
+# oracles, and a user's beacon check with its signature and URL decode
+# memos against the same check with neither.
 #
 # The chaos subset runs the seeded fault-injection suites (radio
 # drop/duplicate/corrupt/delay, verifier-pool worker kill/hang,
@@ -44,7 +45,8 @@ if [ "$mode" = "smoke" ]; then
         tests/test_groupsig_batch.py::TestSmoke \
         tests/test_verifier_pool.py::TestSmoke \
         tests/test_crypto_aes.py::TestSmoke \
-        tests/test_sig_curves.py::TestSmoke
+        tests/test_sig_curves.py::TestSmoke \
+        tests/test_protocol_user_router.py::TestSmoke
     # obs-report smoke: the seeded traced scenario must produce at
     # least one stitched handshake trace and render it.
     python -m repro obs-report --workload scenario --format traces \

@@ -12,12 +12,20 @@ Both lists carry an ``issued_at`` timestamp and an update period so
 relying parties can detect staleness -- the phishing-window experiment
 (E7) measures exactly how long a freshly revoked router can keep
 phishing before its inability to present a fresh CRL exposes it.
+
+A beacon carries the same certificate and lists until the next update
+period, so a relying party need not redo the fixed work on each one:
+:class:`SignatureMemo` remembers the NO signatures it has verified, and
+:meth:`UserRevocationList.decode` returns the last list it decoded for
+equal bytes.  Neither skips a time check.
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.core.groupsig import RevocationToken
 from repro.core.wire import Reader, Writer
@@ -34,6 +42,48 @@ from repro.sig.ecdsa import EcdsaPublicKey
 #: (say, from an operator with a skewed clock) stretch the phishing
 #: window E7 bounds.  Two minutes generously covers honest clock skew.
 MAX_CLOCK_SKEW = 120.0
+
+
+class SignatureMemo:
+    """NO signatures one relying party has already verified.
+
+    An entry is the triple ``(operator key, SHA-256 of the signed
+    payload, signature)``.  ECDSA verifies exactly that digest under
+    that key, so a hit vouches for what the skipped check would have.
+    Only successes are stored, at most :attr:`MAX_ENTRIES` of them,
+    least recently used out.  The memo covers the signature alone: the
+    ``validate`` methods still run every time check on every call.
+    """
+
+    MAX_ENTRIES = 16
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[tuple, None]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def verify(self, key: EcdsaPublicKey, payload: bytes,
+               signature: bytes) -> bool:
+        """``key.verify(payload, signature)``, skipped for a known triple."""
+        entry = (key, hashlib.sha256(payload).digest(), signature)
+        if entry in self._entries:
+            self._entries.move_to_end(entry)
+            return True
+        if not key.verify(payload, signature):
+            return False
+        self._entries[entry] = None
+        if len(self._entries) > self.MAX_ENTRIES:
+            self._entries.popitem(last=False)
+        return True
+
+
+def _signed_by_operator(operator_key: EcdsaPublicKey, payload: bytes,
+                        signature: bytes,
+                        memo: Optional[SignatureMemo]) -> bool:
+    if memo is None:
+        return operator_key.verify(payload, signature)
+    return memo.verify(operator_key, payload, signature)
 
 
 @dataclass(frozen=True)
@@ -69,12 +119,15 @@ class RouterCertificate:
         reader.expect_end()
         return cls(router_id, public_key, expires_at, signature)
 
-    def validate(self, operator_key: EcdsaPublicKey, now: float) -> None:
-        """Check NO's signature and the expiry; raise on failure."""
+    def validate(self, operator_key: EcdsaPublicKey, now: float,
+                 memo: Optional[SignatureMemo] = None) -> None:
+        """Check the expiry and NO's signature (through ``memo`` when
+        given); raise on failure."""
         if now > self.expires_at:
             raise CertificateError(
                 f"certificate for {self.router_id} expired")
-        if not operator_key.verify(self.signed_payload(), self.signature):
+        if not _signed_by_operator(operator_key, self.signed_payload(),
+                                   self.signature, memo):
             raise CertificateError(
                 f"certificate for {self.router_id} has a bad NO signature")
 
@@ -117,7 +170,8 @@ class CertificateRevocationList:
 
     def validate(self, operator_key: EcdsaPublicKey, now: float,
                  max_staleness: float = None,
-                 max_skew: float = MAX_CLOCK_SKEW) -> None:
+                 max_skew: float = MAX_CLOCK_SKEW,
+                 memo: Optional[SignatureMemo] = None) -> None:
         """Check NO's signature, freshness, and issue-time plausibility.
 
         ``max_staleness`` defaults to one update period: a list older
@@ -126,9 +180,10 @@ class CertificateRevocationList:
         ``max_skew`` bounds how far ``issued_at`` may sit *ahead* of
         ``now``; beyond it the list is future-dated and rejected (its
         staleness would be negative, passing every check until the
-        forged issue time).
+        forged issue time).  ``memo`` covers the signature check only.
         """
-        if not operator_key.verify(self.signed_payload(), self.signature):
+        if not _signed_by_operator(operator_key, self.signed_payload(),
+                                   self.signature, memo):
             raise CertificateError("CRL has a bad NO signature")
         if self.issued_at - now > max_skew:
             raise CertificateError(
@@ -169,6 +224,17 @@ class UserRevocationList:
     @classmethod
     def decode(cls, group: PairingGroup, data: bytes
                ) -> "UserRevocationList":
+        """Decode a URL blob, or return the list decoded last from equal
+        bytes.
+
+        Each token costs a square root to decompress, and a beacon
+        carries the same URL for a whole update period.  The memo is one
+        ``(blob, list)`` pair on ``group.url_memo``, replaced by a single
+        assignment; a blob that fails to decode is never stored.
+        """
+        memo = group.url_memo
+        if memo is not None and memo[0] == data:
+            return memo[1]
         reader = Reader(data)
         magic = reader.raw(3)
         if magic != b"URL":
@@ -181,12 +247,16 @@ class UserRevocationList:
                        for _ in range(count))
         signature = reader.var()
         reader.expect_end()
-        return cls(version, issued_at, update_period, tokens, signature)
+        url = cls(version, issued_at, update_period, tokens, signature)
+        group.url_memo = (bytes(data), url)
+        return url
 
     def validate(self, operator_key: EcdsaPublicKey, now: float,
                  max_staleness: float = None,
-                 max_skew: float = MAX_CLOCK_SKEW) -> None:
-        if not operator_key.verify(self.signed_payload(), self.signature):
+                 max_skew: float = MAX_CLOCK_SKEW,
+                 memo: Optional[SignatureMemo] = None) -> None:
+        if not _signed_by_operator(operator_key, self.signed_payload(),
+                                   self.signature, memo):
             raise CertificateError("URL has a bad NO signature")
         if self.issued_at - now > max_skew:
             raise CertificateError(

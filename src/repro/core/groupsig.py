@@ -393,13 +393,14 @@ class CryptoEngine:
         """NAF Miller steps for ``w`` (FE-identical to a plain table)."""
         return self._fixed_naf_steps("w")
 
-    def g1_exp(self, exponent: int) -> G1Element:
-        """``g1 ** exponent`` via the fixed-base table (one "exp")."""
+    def g1_exp(self, exponent: int, count: bool = True) -> G1Element:
+        """``g1 ** exponent`` via the fixed-base table (one "exp" unless
+        ``count=False``)."""
         with self._lock:
             if self._g1_fixed is None:
                 self._g1_fixed = self.group.make_fixed_base(self.gpk.g1)
             fixed = self._g1_fixed
-        return fixed.exp(exponent)
+        return fixed.exp(exponent, count)
 
     def pair_g2_w(self, left: G1Element, right: G1Element) -> Fp2:
         """``e(left, g2) * e(right, w)``: the two pairings of R2.

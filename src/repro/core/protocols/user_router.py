@@ -38,7 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro import obs
 from repro.core import groupsig
-from repro.core.certs import CertificateRevocationList, UserRevocationList
+from repro.core.certs import (
+    CertificateRevocationList,
+    SignatureMemo,
+    UserRevocationList,
+)
 from repro.core.clock import Clock, SystemClock
 from repro.core.groupsig import GroupPrivateKey, GroupPublicKey
 from repro.core.messages import AccessConfirm, AccessRequest, Beacon
@@ -270,8 +274,14 @@ class RouterAuthEngine:
         now = quantize_ts(self.clock.now())
         self._expire_outstanding(now)
         r_router = self.group.random_scalar(self.rng)
-        g = self.group.random_g1(self.rng)
-        g_r_router = g ** r_router
+        # g = g1^s for a fresh s is a uniformly random generator of the
+        # prime-order G1, and g^r_R = g1^(s r_R): both come off the gpk
+        # engine's fixed-base table.  As with any fresh g, only g^r_R is
+        # billed (one exp).
+        s = self.group.random_scalar(self.rng)
+        engine = self.gpk.engine
+        g = engine.g1_exp(s, count=False)
+        g_r_router = engine.g1_exp(s * r_router % self.group.order)
         puzzle = None
         if self.dos_policy is not None and self.dos_policy.under_attack(now):
             puzzle = self.dos_policy.fresh_puzzle()
@@ -554,7 +564,8 @@ class UserAuthEngine:
                  clock: Optional[Clock] = None,
                  rng: Optional[random.Random] = None,
                  ts_window: float = DEFAULT_TS_WINDOW,
-                 max_puzzle_difficulty: int = 24) -> None:
+                 max_puzzle_difficulty: int = 24,
+                 verified: Optional[SignatureMemo] = None) -> None:
         self.gpk = gpk
         self.group: PairingGroup = gpk.group
         self.operator_key = operator_key
@@ -563,12 +574,50 @@ class UserAuthEngine:
         self.rng = rng or random.SystemRandom()
         self.ts_window = ts_window
         self.max_puzzle_difficulty = max_puzzle_difficulty
+        #: NO signatures on certificates and lists this party has
+        #: verified.  :class:`~repro.core.user.NetworkUser` hands each
+        #: engine it builds its own memo, which outlives the engine.
+        self.verified = verified if verified is not None else SignatureMemo()
         #: Period label for period-mode signing; must equal the
         #: router's tag-index period (the Fiat-Shamir challenge binds
         #: the period-derived generators).  ``None`` = default mode.
         self.auth_period: Optional[bytes] = None
 
     # -- validate M.1, produce M.2 -------------------------------------------
+
+    def validate_beacon(self, beacon: Beacon,
+                        now: Optional[float] = None) -> None:
+        """Every check of (M.1), Section IV.B step 2; raises on failure.
+
+        NO's signatures on Cert_k, the CRL and the URL go through
+        :attr:`verified`, so bytes this party has verified before cost
+        no ECDSA verify.  The time checks (ts1 window, expiry,
+        staleness, future-dating), the router-id match and the CRL
+        lookup run on every beacon, as do the beacon's own signature
+        and the DH checks.
+        """
+        if now is None:
+            now = self.clock.now()
+        if abs(now - beacon.ts1) > self.ts_window:
+            raise ReplayError("beacon ts1 outside the acceptance window")
+        beacon.certificate.validate(self.operator_key, now,
+                                    memo=self.verified)
+        if beacon.certificate.router_id != beacon.router_id:
+            raise CertificateError("certificate/beacon router id mismatch")
+        beacon.crl.validate(self.operator_key, now, memo=self.verified)
+        if beacon.crl.is_revoked(beacon.router_id):
+            raise CertificateError(
+                f"router {beacon.router_id} is on the CRL")
+        beacon.url.validate(self.operator_key, now, memo=self.verified)
+        if not beacon.certificate.public_key.verify(
+                beacon.signed_payload(), beacon.signature):
+            raise AuthenticationError("beacon signature invalid")
+        if beacon.g.is_identity() or beacon.g_r_router.is_identity():
+            raise ProtocolError("degenerate DH values in beacon")
+        curve = self.group.curve
+        if not (curve.in_subgroup(beacon.g.point)
+                and curve.in_subgroup(beacon.g_r_router.point)):
+            raise ProtocolError("beacon DH values outside the subgroup")
 
     def process_beacon(self, beacon: Beacon
                        ) -> Tuple[AccessRequest, PendingUserSession]:
@@ -577,26 +626,7 @@ class UserAuthEngine:
         reg = obs.active()
         start = reg.clock() if reg is not None else 0.0
         with obs.span("user.beacon_validate"):
-            if abs(now - beacon.ts1) > self.ts_window:
-                raise ReplayError("beacon ts1 outside the acceptance window")
-            beacon.certificate.validate(self.operator_key, now)
-            if beacon.certificate.router_id != beacon.router_id:
-                raise CertificateError(
-                    "certificate/beacon router id mismatch")
-            beacon.crl.validate(self.operator_key, now)
-            if beacon.crl.is_revoked(beacon.router_id):
-                raise CertificateError(
-                    f"router {beacon.router_id} is on the CRL")
-            beacon.url.validate(self.operator_key, now)
-            if not beacon.certificate.public_key.verify(
-                    beacon.signed_payload(), beacon.signature):
-                raise AuthenticationError("beacon signature invalid")
-            if beacon.g.is_identity() or beacon.g_r_router.is_identity():
-                raise ProtocolError("degenerate DH values in beacon")
-            curve = self.group.curve
-            if not (curve.in_subgroup(beacon.g.point)
-                    and curve.in_subgroup(beacon.g_r_router.point)):
-                raise ProtocolError("beacon DH values outside the subgroup")
+            self.validate_beacon(beacon, now)
         if reg is not None:
             reg.observe("user.beacon_validate_seconds", reg.clock() - start)
 

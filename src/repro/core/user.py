@@ -15,6 +15,7 @@ import random
 from typing import Dict, Optional, Tuple
 
 from repro.core import groupsig
+from repro.core.certs import SignatureMemo
 from repro.core.clock import Clock, SystemClock
 from repro.core.group_manager import Enrollment, GroupManager
 from repro.core.groupsig import GroupPrivateKey, GroupPublicKey
@@ -55,6 +56,11 @@ class NetworkUser:
         #: when the deployment runs tag-index revocation (``None`` keeps
         #: default per-signature generators).
         self.auth_period: Optional[bytes] = None
+        #: NO signatures this user has verified on certificates and
+        #: lists, shared by every engine :meth:`auth_engine` builds (one
+        #: per connect).  Never shared with another user: each device
+        #: does its own checks.
+        self.verified = SignatureMemo()
 
     def adopt_gpk(self, gpk: GroupPublicKey) -> None:
         """Adopt a rotated group public key (membership renewal).
@@ -139,7 +145,8 @@ class NetworkUser:
         """User-router engine signing under the chosen role."""
         engine = UserAuthEngine(self.gpk, self.operator_public_key,
                                 self.credential_for(context),
-                                clock=self.clock, rng=self.rng)
+                                clock=self.clock, rng=self.rng,
+                                verified=self.verified)
         engine.auth_period = self.auth_period
         return engine
 

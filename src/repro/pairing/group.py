@@ -155,9 +155,11 @@ class FixedBaseExp:
         self.element = element
         self._table = table
 
-    def exp(self, exponent: int) -> _GroupElement:
-        """Compute ``base ** exponent``; counted as one exponentiation."""
-        instrument.note("exp")
+    def exp(self, exponent: int, count: bool = True) -> _GroupElement:
+        """Compute ``base ** exponent``; counted as one exponentiation
+        unless ``count=False``."""
+        if count:
+            instrument.note("exp")
         return type(self.element)(self._table.mul(exponent),
                                   self.element.group)
 
@@ -165,9 +167,11 @@ class FixedBaseExp:
 class PairingGroup:
     """Facade bundling parameters, generators, pairing, and hashing.
 
-    Instances are cheap to construct and stateless apart from the frozen
-    parameters; a single instance is typically shared by every entity of
-    a PEACE deployment (it is part of the public system parameters).
+    Instances are cheap to construct; a single instance is typically
+    shared by every entity of a PEACE deployment (it is part of the
+    public system parameters).  Besides the frozen parameters an
+    instance holds one decode memo, :attr:`url_memo`, which changes no
+    result and notes no operation.
     """
 
     def __init__(self, params: Union[str, PairingParams] = "SS512") -> None:
@@ -181,6 +185,11 @@ class PairingGroup:
             raise ParameterError("generator hashing produced infinity")
         self.g2 = G2Element(generator_point, self)
         self.g1 = self.psi(self.g2, count=False)
+        #: The last user revocation list decoded under this group, as
+        #: one ``(blob, list)`` pair (see
+        #: :meth:`repro.core.certs.UserRevocationList.decode`).  It is
+        #: replaced by a single assignment, so readers need no lock.
+        self.url_memo: Optional[tuple] = None
 
     # -- isomorphism ----------------------------------------------------
 
@@ -402,7 +411,12 @@ class PairingGroup:
         return GTElement(value, self)
 
     def random_g1(self, rng: Optional[random.Random] = None) -> G1Element:
-        """Random G1 generator (used for the per-beacon DH base ``g``)."""
+        """Random G1 generator: a random curve point, cofactor cleared.
+
+        Tests, benches and the adversary module draw points with it; a
+        router draws its beacons' DH base on the fixed-base ``g1`` table
+        instead (:meth:`repro.core.groupsig.CryptoEngine.g1_exp`).
+        """
         rng = rng or random.SystemRandom()
         return G1Element(self.curve.random_point(rng), self)
 

@@ -76,14 +76,7 @@ class RelayUser(SimUser):
 
     def deliver(self, frame: Frame) -> None:
         if frame.kind == "M.1" and frame.dst is None:
-            try:
-                beacon = Beacon.decode(self.user.group,
-                                       self.user.operator_public_key.curve,
-                                       frame.payload)
-                self.last_beacon_g = beacon.g
-                self._last_url = beacon.url
-            except ReproError:
-                pass
+            self._adopt_beacon(frame.payload)
             super().deliver(frame)
         elif frame.kind == "N.1" and frame.dst == self.node_id:
             self._on_peer_hello(frame)
@@ -95,6 +88,26 @@ class RelayUser(SimUser):
             self._on_relay(frame)
         else:
             super().deliver(frame)
+
+    def _adopt_beacon(self, payload: bytes) -> None:
+        """Take g and the URL from a beacon that passes every M.1 check.
+
+        The URL drives the Eq.3 scan of every peer handshake, so taking
+        it from an unchecked beacon would let a forged one unrevoke a
+        peer.  A URL never replaces one of a higher version (the
+        routers' gossip rule; rotation only raises versions).
+        """
+        try:
+            beacon = Beacon.decode(self.user.group,
+                                   self.user.operator_public_key.curve,
+                                   payload)
+            self.user.auth_engine(self.context).validate_beacon(beacon)
+        except ReproError:
+            return
+        self.last_beacon_g = beacon.g
+        if (self._last_url is None
+                or beacon.url.version >= self._last_url.version):
+            self._last_url = beacon.url
 
     # -- peer handshake (both roles) ---------------------------------------
 

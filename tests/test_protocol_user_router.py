@@ -1,15 +1,22 @@
 """The user-router AKA protocol (Section IV.B): happy path + attacks."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import instrument
+from repro.core.certs import SignatureMemo, UserRevocationList
 from repro.core.messages import AccessRequest, Beacon
+from repro.core.protocols.user_router import UserAuthEngine
 from repro.errors import (
     AuthenticationError,
     CertificateError,
+    EncodingError,
     InvalidSignature,
     ProtocolError,
     PuzzleError,
     ReplayError,
+    ReproError,
     RevokedKeyError,
 )
 
@@ -323,3 +330,210 @@ class TestPuzzlePath:
         beacon = deployment.routers["MR-1"].make_beacon()
         with pytest.raises(PuzzleError):
             deployment.users["alice"].connect_to_router(beacon)
+
+
+# ---------------------------------------------------------------------------
+# Beacons redo no fixed work: the list memos and the fixed-base DH base
+# ---------------------------------------------------------------------------
+
+
+def _outcome(check):
+    """``"accepted"``, or the class and message of what ``check`` raised."""
+    try:
+        check()
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+def _relisted(router, **lists):
+    """A fresh, validly signed beacon from ``router`` carrying other
+    lists or another certificate.  The beacon signature covers only
+    ``g, g^r_R, ts1``, so what rides beside it is the presenter's
+    choice; the router's degraded-mode refusal is bypassed on purpose."""
+    return replace(router.engine.make_beacon(), **lists)
+
+
+def _revoke_spare(deployment, user_name):
+    """Revoke one unassigned key of ``user_name``'s group and refresh
+    every router's lists."""
+    credentials = deployment.users[user_name].credentials
+    group_id = next(iter(credentials.values())).index[0]
+    taken = {cred.index for user in deployment.users.values()
+             for cred in user.credentials.values()}
+    deployment.operator.revoke_user_key(next(
+        (group_id, j) for j in range(4) if (group_id, j) not in taken))
+    for router in deployment.routers.values():
+        router.refresh_lists()
+
+
+class TestSmoke:
+    """The per-user memo of NO signatures and the URL decode memo
+    against a check with neither: every beacon of a scripted sequence
+    ends the same way on both paths, accepted or with the same error
+    class and message."""
+
+    def test_memo_matches_memoless_check(self, fresh_deployment):
+        deployment = fresh_deployment()
+        clock, operator = deployment.clock, deployment.operator
+        group, curve = deployment.group, operator.curve
+        router = deployment.routers["MR-1"]
+
+        def check(data, name="alice"):
+            user = deployment.users[name]
+
+            def memoised():
+                beacon = Beacon.decode(group, curve, data)
+                user.auth_engine().validate_beacon(beacon)
+
+            def memoless():
+                group.url_memo = None
+                beacon = Beacon.decode(group, curve, data)
+                UserAuthEngine(user.gpk, user.operator_public_key,
+                               user.credential_for(),
+                               clock=clock).validate_beacon(beacon)
+
+            got = _outcome(memoised)
+            assert got == _outcome(memoless)
+            return got
+
+        # Unchanged lists, then the lists after a refresh.
+        assert check(router.make_beacon().encode()) == "accepted"
+        assert check(router.make_beacon().encode()) == "accepted"
+        _revoke_spare(deployment, "alice")
+        assert check(router.make_beacon().encode()) == "accepted"
+        assert check(router.make_beacon().encode()) == "accepted"
+        verified_crl, verified_url = router.crl, router.url
+
+        # Verified bytes that arrive after their update period.
+        clock.advance(verified_url.update_period + 1.0)
+        router.refresh_lists()
+        assert check(_relisted(router, url=verified_url).encode()) == (
+            CertificateError, "URL stale")
+        kind, message = check(_relisted(router, crl=verified_crl).encode())
+        assert kind is CertificateError and message.startswith("CRL stale")
+
+        # A future-dated list fails on every beacon, memo or not, and
+        # passes once its issue time has come.
+        ahead = operator.issue_url(now=clock.now() + 1000.0)
+        for _ in range(2):
+            kind, message = check(_relisted(router, url=ahead).encode())
+            assert message.startswith("URL future-dated")
+        clock.advance(1000.0)
+        router.refresh_lists()
+        assert check(_relisted(router, url=ahead).encode()) == "accepted"
+
+        # A verified payload under a forged signature, twice: a failed
+        # check is never remembered.
+        assert check(router.make_beacon().encode()) == "accepted"
+        forged = replace(router.url, signature=router.crl.signature)
+        for _ in range(2):
+            assert check(_relisted(router, url=forged).encode()) == (
+                CertificateError, "URL has a bad NO signature")
+
+        # One flipped byte in a URL token.
+        data = router.make_beacon().encode()
+        token = router.url.tokens[0].encode()
+        at = data.index(token) + len(token) - 1
+        flipped = data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+        assert check(flipped) != "accepted"
+        assert check(router.make_beacon().encode()) == "accepted"
+
+        # A second user checks for themself.
+        assert check(router.make_beacon().encode(), "bob") == "accepted"
+
+        # A verified certificate past its expiry.
+        clock.set(router.certificate.expires_at + 1.0)
+        router.refresh_lists()
+        assert check(router.engine.make_beacon().encode()) == (
+            CertificateError, "certificate for MR-1 expired")
+
+
+class TestListMemos:
+    def test_ecdsa_verifies_per_beacon(self, fresh_deployment):
+        """Cert, CRL and URL are verified once per user; the beacon's own
+        signature on every beacon.  (The memo lives on the user, so a
+        count needs a user that has checked nothing yet.)"""
+        deployment = fresh_deployment()
+        router = deployment.routers["MR-1"]
+
+        def verifies(name):
+            beacon = router.make_beacon()
+            with instrument.count_operations() as ops:
+                deployment.users[name].auth_engine().validate_beacon(beacon)
+            return ops.total("ecdsa_verify")
+
+        assert verifies("alice") == 4
+        assert verifies("alice") == 1
+        assert verifies("bob") == 4
+
+    def test_user_memo_stays_bounded(self, fresh_deployment):
+        deployment = fresh_deployment()
+        router = deployment.routers["MR-1"]
+        alice = deployment.users["alice"]
+        bound = SignatureMemo.MAX_ENTRIES
+        for _ in range(2 * bound):
+            deployment.clock.advance(1.0)
+            url = deployment.operator.issue_url()
+            alice.auth_engine().validate_beacon(_relisted(router, url=url))
+        assert len(alice.verified) == bound
+        # Least recently used out: the certificate and CRL, checked on
+        # every beacon, are still known.
+        with instrument.count_operations() as ops:
+            alice.auth_engine().validate_beacon(_relisted(router, url=url))
+        assert ops.total("ecdsa_verify") == 1
+
+    def test_url_decode_hit_equals_fresh_decode(self, fresh_deployment):
+        deployment = fresh_deployment()
+        _revoke_spare(deployment, "alice")
+        group = deployment.group
+        blob = deployment.routers["MR-1"].url.encode()
+        first = UserRevocationList.decode(group, blob)
+        assert UserRevocationList.decode(group, blob) is first
+        group.url_memo = None
+        assert UserRevocationList.decode(group, blob) == first
+
+    def test_url_decode_memo_holds_one_list(self, fresh_deployment):
+        deployment = fresh_deployment()
+        group = deployment.group
+        router = deployment.routers["MR-1"]
+        _revoke_spare(deployment, "alice")
+        blob_a = router.url.encode()
+        _revoke_spare(deployment, "bob")
+        blob_b = router.url.encode()
+        url_a = UserRevocationList.decode(group, blob_a)
+        UserRevocationList.decode(group, blob_b)
+        again = UserRevocationList.decode(group, blob_a)
+        assert again == url_a and again is not url_a
+
+    def test_malformed_url_never_memoised(self, fresh_deployment):
+        deployment = fresh_deployment()
+        _revoke_spare(deployment, "alice")
+        group, curve = deployment.group, deployment.operator.curve
+        router = deployment.routers["MR-1"]
+        data = router.make_beacon().encode()
+        good = Beacon.decode(group, curve, data).url
+        at = data.index(router.url.tokens[0].encode())
+        bad = data[:at] + b"\x07" + data[at + 1:]     # no such point tag
+        for _ in range(2):
+            with pytest.raises(EncodingError):
+                Beacon.decode(group, curve, bad)
+        assert group.url_memo[1] is good
+
+
+class TestBeaconDhBase:
+    def test_fresh_generator_for_one_exp(self, fresh_deployment):
+        """g = g1^s off the fixed-base table: a fresh subgroup generator
+        per beacon, and only g^r_R is billed."""
+        deployment = fresh_deployment()
+        router = deployment.routers["MR-1"]
+        curve = deployment.group.curve
+        bases = set()
+        for _ in range(20):
+            with instrument.count_operations() as ops:
+                beacon = router.make_beacon()
+            assert ops.snapshot() == {"exp": 1, "ecdsa_sign": 1}
+            assert not beacon.g.is_identity()
+            assert curve.in_subgroup(beacon.g.point)
+            bases.add(beacon.g.encode())
+        assert len(bases) == 20

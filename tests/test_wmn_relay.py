@@ -1,7 +1,10 @@
 """Multi-hop relaying over authenticated peer sessions."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.wmn.radio import Frame
 from repro.wmn.scenario import Scenario, ScenarioConfig
 from repro.wmn.topology import TopologyConfig
 
@@ -123,3 +126,69 @@ class TestRelayedUplink:
         relay.deliver(Frame("RLY", bytes(blob), src=source.node_id,
                             dst=relay.node_id))
         assert relay.relay_metrics["relay_rejected"] >= 1
+
+
+class TestRelayUrlAdoption:
+    """A relay user's URL drives the Eq.3 scan of every peer handshake,
+    so it may come only from a beacon that passes every M.1 check, and
+    never roll back to a lower version."""
+
+    def _revoked_peer(self):
+        """A and B hear beacons; B is revoked and A holds the new URL.
+
+        Returns ``(scenario, router, a, b, old_url)``, ``old_url`` being
+        the router's empty URL from before the revocation.
+        """
+        scenario = relay_scenario()
+        deployment = scenario.deployment
+        router = next(iter(deployment.routers.values()))
+        old_url = router.url
+        a, b = list(scenario.sim_users.values())[:2]
+        credential = next(iter(b.user.credentials.values()))
+        deployment.operator.revoke_user_key(credential.index)
+        router.refresh_lists()
+        scenario.run(20.0)
+        assert len(a.current_url().tokens) == 1
+        return scenario, router, a, b, old_url
+
+    @staticmethod
+    def _peers(scenario, a, b):
+        """Whether A completes a peer handshake with B."""
+        a.initiate_peer(b.node_id)
+        scenario.run(5.0)
+        return b.node_id in a.peer_sessions
+
+    def test_forged_beacon_cannot_unrevoke_a_peer(self):
+        import random
+
+        from repro.core.certs import RouterCertificate, UserRevocationList
+        from repro.sig.ecdsa import ecdsa_generate
+
+        scenario, router, a, b, _old = self._revoked_peer()
+        honest = router.make_beacon()
+        rogue = ecdsa_generate(router.keypair.curve, rng=random.Random(5))
+        cert = RouterCertificate(honest.router_id, rogue.public,
+                                 honest.certificate.expires_at, b"")
+        cert = replace(cert, signature=rogue.sign(cert.signed_payload()))
+        unsigned_empty = UserRevocationList(
+            a.current_url().version + 1, honest.url.issued_at,
+            honest.url.update_period, (), b"")
+        forged = replace(honest, certificate=cert, url=unsigned_empty)
+        forged = replace(forged,
+                         signature=rogue.sign(forged.signed_payload()))
+        a.deliver(Frame("M.1", forged.encode(), src=honest.router_id))
+        assert len(a.current_url().tokens) == 1
+        assert not self._peers(scenario, a, b)
+        assert a.relay_metrics["relay_rejected"] == 1
+
+    def test_honest_beacon_cannot_roll_the_url_back(self):
+        scenario, router, a, b, old_url = self._revoked_peer()
+        current = a.current_url()
+        # The beacon signature does not cover the URL, so an honest
+        # router's fresh beacon may carry any NO-signed list: this one
+        # passes every M.1 check with the pre-revocation URL.
+        stale = replace(router.make_beacon(), url=old_url)
+        a.user.connect_to_router(stale, a.context)
+        a.deliver(Frame("M.1", stale.encode(), src=stale.router_id))
+        assert a.current_url() is current
+        assert not self._peers(scenario, a, b)
