@@ -330,9 +330,9 @@ def test_crash_recovery(reporter):
     target = MeshRouter("MR-TGT", operator, clock=clock,
                         rng=random.Random(7))
     decoy_rng = random.Random(8)
-    operator._revoked_tokens = [
-        RevocationToken(operator.group.random_g1(decoy_rng))
-        for _ in range(WARMUP_URL_SIZE)]
+    decoys = [RevocationToken(operator.group.random_g1(decoy_rng))
+              for _ in range(WARMUP_URL_SIZE)]
+    operator._revoked_tokens = {token.a: token for token in decoys}
     operator._url_version += 1
     operator._snapshot_url()
     source.refresh_lists()

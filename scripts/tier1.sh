@@ -8,12 +8,13 @@
 #   scripts/tier1.sh [mode] --junit X     # also write a JUnit XML report
 #
 # The smoke subset runs the TestSmoke classes, which compare every
-# engine fast path (pairing tables, fixed-base tables, wNAF multi-exp,
-# batch verification, the multi-process verifier pool) against the
-# naive reference computation, the table-driven AES and the shared
-# Jacobian curve arithmetic against their byte-wise and double-and-add
-# oracles, and a user's beacon check with its signature and URL decode
-# memos against the same check with neither.
+# engine fast path (pairing tables, batch verification, the
+# multi-process verifier pool) against the naive reference computation,
+# the table-driven AES against its byte-wise oracle, the one
+# scalar-multiplication kernel (fixed-base tables, wNAF on prebuilt or
+# one-off tables, cofactor clearing and H0) against the double-and-add
+# oracle and the naive hash loop, and a user's beacon check with its
+# signature and URL decode memos against the same check with neither.
 #
 # The chaos subset runs the seeded fault-injection suites (radio
 # drop/duplicate/corrupt/delay, verifier-pool worker kill/hang,

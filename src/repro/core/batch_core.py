@@ -11,7 +11,10 @@ wall-clock changes.  ``tests/test_batch_core.py`` pins all four across
 randomized chaos batches and ``tests/test_verify_differential.py`` on
 adversarial input.
 
-How the speed is found (all kernels in :mod:`repro.pairing.fastpath`):
+How the speed is found (pairing kernels in :mod:`repro.pairing.fastpath`;
+H0 and the SPK's multi-exps on the one scalar-multiplication kernel of
+:mod:`repro.mathx.jacobian`, the SPK building each base's odd-multiple
+table once for its two multi-exps):
 
 * **Fused Miller + subgroup pass.**  The reference path pays two
   scalar multiplications by ``r`` for the small-subgroup check and then
@@ -53,7 +56,7 @@ from typing import Optional
 
 from repro import instrument, obs
 from repro.errors import InvalidSignature, RevokedKeyError
-from repro.pairing import fastpath
+from repro.pairing import fastpath, hashing
 from repro.mathx import batch_inverse
 from repro.pairing.group import G1Element, GTElement, _join
 
@@ -92,7 +95,7 @@ def classify_fast(gpk, message: bytes, signature, url, period,
         # survives -- exactly the reference's note milestones.
         data = _join((gpk.encode(), message, group.encode_scalar(
             signature.r)))
-        u_pt, v_pt = fastpath.hash_h0_fast(curve, data)
+        u_pt, v_pt = hashing.hash_h0(curve, data)
         if fused:
             ok2, t2u_a, t2u_b = fastpath.fused_miller_subgroup(
                 curve, t2.point, u_pt)
@@ -126,18 +129,21 @@ def classify_fast(gpk, message: bytes, signature, url, period,
     with obs.span("groupsig.spk"):
         s_alpha, s_x, s_delta = (signature.s_alpha, signature.s_x,
                                  signature.s_delta)
-        # The four SPK multi-exps share two base pairs, so the affine
-        # odd-multiple tables are built once per pair (DualMultiExp);
-        # each evaluation is one multi-exponentiation of the abstract
-        # cost model, noted exactly like `group.multi_exp`.
-        dual_ut = fastpath.DualMultiExp(curve, u.point, t1.point)
-        dual_tv = fastpath.DualMultiExp(curve, t2.point, v.point)
+        # The four SPK multi-exps share two base pairs, {u, T1} and
+        # {T2, v}, so each base's affine odd-multiple table is built
+        # once; each evaluation is one multi-exponentiation of the
+        # abstract cost model, noted exactly like `group.multi_exp`.
+        u_odd, t1_odd, t2_odd, v_odd = (curve.odd_multiples(base.point)
+                                        for base in (u, t1, t2, v))
         instrument.note("exp")
-        r1 = G1Element(dual_ut.mul(s_alpha, -c % order), group)
+        r1 = G1Element(curve.multi_mul([(u_odd, s_alpha), (t1_odd, -c)]),
+                       group)
         instrument.note("exp")
-        left = G1Element(dual_tv.mul(s_x, -s_delta % order), group)
+        left = G1Element(curve.multi_mul([(t2_odd, s_x),
+                                          (v_odd, -s_delta)]), group)
         instrument.note("exp")
-        right = G1Element(dual_tv.mul(c, -s_alpha % order), group)
+        right = G1Element(curve.multi_mul([(t2_odd, c),
+                                           (v_odd, -s_alpha)]), group)
         # R2 = e(left, g2) * e(right, w) * e(g1, g2)^-c: the two NAF
         # table evaluations share one Miller chain and one final
         # exponentiation, and the last factor goes through the
@@ -147,7 +153,8 @@ def classify_fast(gpk, message: bytes, signature, url, period,
         r2 = GTElement(engine.pair_g2_w(left, right)
                        * engine.gt_table.pow(-c % order), group)
         instrument.note("exp")
-        r3 = G1Element(dual_ut.mul(-s_delta % order, s_x), group)
+        r3 = G1Element(curve.multi_mul([(u_odd, -s_delta), (t1_odd, s_x)]),
+                       group)
         expected = gpk.challenge(message, signature.r, t1, t2, r1, r2, r3)
     if reg is not None:
         reg.observe("groupsig.spk_seconds", reg.clock() - start)

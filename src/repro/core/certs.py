@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import FrozenSet, Optional, Tuple
 
 from repro.core.groupsig import RevocationToken
@@ -202,21 +202,37 @@ class CertificateRevocationList:
 
 @dataclass(frozen=True)
 class UserRevocationList:
-    """URL: revocation tokens of revoked group private keys."""
+    """URL: revocation tokens of revoked group private keys.
+
+    The signed bytes live on the instance: a decoded list keeps the
+    slice it was parsed from, a constructed one encodes its tokens on
+    first use, so a repeat ``validate`` or ``encode`` re-encodes no
+    token.
+    """
 
     version: int
     issued_at: float
     update_period: float
     tokens: Tuple[RevocationToken, ...]
     signature: bytes
+    _payload: Optional[bytes] = field(default=None, init=False,
+                                      repr=False, compare=False)
 
     def signed_payload(self) -> bytes:
-        writer = (Writer().raw(b"URL").u64(self.version)
-                  .f64(self.issued_at).f64(self.update_period)
-                  .u32(len(self.tokens)))
-        for token in self.tokens:
-            writer.var(token.encode())
-        return writer.done()
+        if self._payload is None:
+            writer = (Writer().raw(b"URL").u64(self.version)
+                      .f64(self.issued_at).f64(self.update_period)
+                      .u32(len(self.tokens)))
+            for token in self.tokens:
+                writer.var(token.encode())
+            object.__setattr__(self, "_payload", writer.done())
+        return self._payload
+
+    def signed(self, signature: bytes) -> "UserRevocationList":
+        """This list under ``signature``, sharing its signed bytes."""
+        url = replace(self, signature=signature)
+        object.__setattr__(url, "_payload", self.signed_payload())
+        return url
 
     def encode(self) -> bytes:
         return Writer().raw(self.signed_payload()).var(self.signature).done()
@@ -248,6 +264,9 @@ class UserRevocationList:
         signature = reader.var()
         reader.expect_end()
         url = cls(version, issued_at, update_period, tokens, signature)
+        # The signed bytes are the blob up to the signature field.
+        object.__setattr__(url, "_payload",
+                           bytes(data[:len(data) - 4 - len(signature)]))
         group.url_memo = (bytes(data), url)
         return url
 

@@ -573,23 +573,33 @@ def sign(gpk: GroupPublicKey, gsk: GroupPrivateKey, message: bytes,
     with obs.span("groupsig.sign"):
         r = group.random_scalar(rng)
         _u_hat, _v_hat, u, v = derive_generators(gpk, message, r, period)
+        # u and v each recur in three of the six multiples below, so
+        # their odd-multiple tables are built once; each multiple is one
+        # exponentiation of the abstract cost model, noted like `**`.
+        curve = group.curve
+        u_odd = curve.odd_multiples(u.point)
+        v_odd = curve.odd_multiples(v.point)
+
+        def exp(*terms) -> G1Element:
+            instrument.note("exp")
+            return G1Element(curve.multi_mul(list(terms)), group)
 
         alpha = group.random_scalar(rng)
-        t1 = u ** alpha
-        t2 = gsk.a * (v ** alpha)
+        t1 = exp((u_odd, alpha))
+        t2 = gsk.a * exp((v_odd, alpha))
         delta = gsk.exponent_sum * alpha % order
 
         r_alpha = group.random_scalar(rng)
         r_x = group.random_scalar(rng)
         r_delta = group.random_scalar(rng)
 
-        r1 = u ** r_alpha
+        r1 = exp((u_odd, r_alpha))
         # R2 = e(T2, g2)^r_x * e(v, w)^-r_alpha * e(v, g2)^-r_delta, folded
         # into two pairings: e(T2^r_x * v^-r_delta, g2) * e(v^-r_alpha, w).
-        left = group.multi_exp([(t2, r_x), (v, -r_delta)])
-        right = v ** (-r_alpha % order)
+        left = exp((t2.point, r_x), (v_odd, -r_delta))
+        right = exp((v_odd, -r_alpha))
         r2 = GTElement(gpk.engine.pair_g2_w(left, right), group)
-        r3 = group.multi_exp([(t1, r_x), (u, -r_delta)])
+        r3 = exp((t1.point, r_x), (u_odd, -r_delta))
 
         c = gpk.challenge(message, r, t1, t2, r1, r2, r3)
         s_alpha = (r_alpha + c * alpha) % order

@@ -31,7 +31,7 @@ from repro.core.groupsig import (
 )
 from repro.core.wire import Writer
 from repro.errors import AuditError, ParameterError
-from repro.pairing.group import PairingGroup
+from repro.pairing.group import G1Element, PairingGroup
 from repro.sig.curves import SECP160R1, WeierstrassCurve
 from repro.sig.ecdsa import EcdsaKeyPair, EcdsaPublicKey, ecdsa_generate
 
@@ -146,7 +146,10 @@ class NetworkOperator:
         self._router_keys: Dict[str, EcdsaKeyPair] = {}
         self._router_certs: Dict[str, RouterCertificate] = {}
         self._revoked_routers: set = set()
-        self._revoked_tokens: List[RevocationToken] = []
+        # The URL in order, keyed by each token's A: revoking and
+        # reinstating a key are dictionary operations, and iteration
+        # keeps the append-and-remove order the URL is published in.
+        self._revoked_tokens: Dict[G1Element, RevocationToken] = {}
         self._crl_version = 0
         self._url_version = 0
         self.epoch = 0
@@ -270,7 +273,8 @@ class NetworkOperator:
             del self._crl_snapshots[min(self._crl_snapshots)]
 
     def _snapshot_url(self) -> None:
-        self._url_snapshots[self._url_version] = tuple(self._revoked_tokens)
+        self._url_snapshots[self._url_version] = tuple(
+            self._revoked_tokens.values())
         while len(self._url_snapshots) > self.max_list_snapshots:
             del self._url_snapshots[min(self._url_snapshots)]
 
@@ -287,8 +291,8 @@ class NetworkOperator:
         token = self._token_by_index.get(index)
         if token is None:
             raise ParameterError(f"unknown key index {index}")
-        if all(existing.a != token.a for existing in self._revoked_tokens):
-            self._revoked_tokens.append(token)
+        if token.a not in self._revoked_tokens:
+            self._revoked_tokens[token.a] = token
             self._url_version += 1
             self._snapshot_url()
         return token
@@ -304,10 +308,7 @@ class NetworkOperator:
         token = self._token_by_index.get(index)
         if token is None:
             raise ParameterError(f"unknown key index {index}")
-        before = len(self._revoked_tokens)
-        self._revoked_tokens = [existing for existing in self._revoked_tokens
-                                if existing.a != token.a]
-        if len(self._revoked_tokens) != before:
+        if self._revoked_tokens.pop(token.a, None) is not None:
             self._url_version += 1
             self._snapshot_url()
         return token
@@ -332,10 +333,8 @@ class NetworkOperator:
         url = UserRevocationList(
             version=self._url_version, issued_at=now,
             update_period=self.url_update_period,
-            tokens=tuple(self._revoked_tokens), signature=b"")
-        return UserRevocationList(
-            url.version, url.issued_at, url.update_period, url.tokens,
-            self.signing_key.sign(url.signed_payload()))
+            tokens=tuple(self._revoked_tokens.values()), signature=b"")
+        return url.signed(self.signing_key.sign(url.signed_payload()))
 
     def list_versions(self) -> Tuple[int, int]:
         """Current authoritative ``(crl_version, url_version)``.
@@ -386,7 +385,7 @@ class NetworkOperator:
         if base is None or from_version >= self._url_version:
             return None
         now = self.clock.now() if now is None else now
-        current = tuple(self._revoked_tokens)
+        current = tuple(self._revoked_tokens.values())
         current_encodings = {token.encode() for token in current}
         base_encodings = {token.encode() for token in base}
         target = UserRevocationList(

@@ -1,4 +1,4 @@
-"""Jacobian-coordinate arithmetic on short-Weierstrass curves.
+"""Scalar multiplication on short-Weierstrass curves: the one kernel.
 
 One implementation serves the ECDSA curves of :mod:`repro.sig.curves`
 (``y^2 = x^3 + a*x + b``) and the pairing curve of
@@ -7,23 +7,44 @@ Points enter and leave as affine ``(x, y)`` tuples (``None`` is the
 point at infinity) and are Jacobian ``(X, Y, Z) = (X/Z^2, Y/Z^3)`` in
 between, ``Z = 0`` at infinity.  Affine coordinates are canonical, so
 each routine returns exactly the point the affine chord-and-tangent
-references give.  :func:`multi_mul` is interleaved wNAF (one term is
-plain scalar multiplication, two are Shamir's trick);
-:class:`FixedBaseTable` is the signed-window table for a fixed base.
+references give.
+
+Every multiple runs one loop, :func:`_chain`: runs of inline doublings
+separated by *mixed* additions, which add an affine table point to the
+Jacobian accumulator (11 field multiplications and 10 reductions
+against 16 and 11 for two Jacobian points).  :func:`multi_mul` feeds it
+interleaved wNAF digits over affine odd-multiple tables
+(:class:`OddMultiples`, one batched inversion per term, or built ahead
+of time for a base that recurs); :class:`FixedBaseTable` feeds it one
+affine entry per signed window and no doublings, alone or after a
+:func:`multi_mul` chain's last doubling.  :func:`jdouble` and
+:func:`jadd` are the general Jacobian steps the tables are built with.
+
+A reduction modulo a 512-bit ``p`` costs about twice a multiplication
+in CPython, so the doubling is the form with the fewest (7); carrying
+``W = a*Z^4`` saves a multiplication but adds a reduction.  Squarings
+are spelled so the multiplication receives the *same object* twice
+(``X * X``), which takes CPython's squaring fast path.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ParameterError
-from repro.mathx.modular import signed_window_digits, wnaf_digits
+from repro.mathx.modular import batch_inverse, signed_window_digits
 
 #: Affine point ``(x, y)``; ``None`` is the point at infinity.
 Affine = Optional[Tuple[int, int]]
 Jacobian = Tuple[int, int, int]
 
 INFINITY: Jacobian = (0, 1, 0)
+
+#: :func:`multi_mul`'s wNAF width: digits are odd and below ``2^3``, so
+#: a full table holds ``P, 3P, 5P, 7P``.
+WNAF_WIDTH = 4
+#: :class:`FixedBaseTable`'s signed window: ``ceil(bits / 6)`` mixed
+#: additions a multiple, 32 entries a window.
+FIXED_WINDOW = 6
 
 
 def jdouble(x: int, y: int, z: int, a: int, p: int) -> Jacobian:
@@ -74,95 +95,207 @@ def to_affine(x: int, y: int, z: int, p: int) -> Affine:
     return (x * z_inv_sq % p, y * z_inv_sq * z_inv % p)
 
 
-def odd_multiples(x: int, y: int, count: int, a: int,
-                  p: int) -> List[Jacobian]:
-    """Jacobian ``[1P, 3P, ..., (2*count-1)P]`` for affine ``P = (x, y)``."""
+def _normalise(points: Sequence[Jacobian], p: int) -> List[Affine]:
+    """Many Jacobian triples to affine with one batched inversion."""
+    inverses = iter(batch_inverse([z for _x, _y, z in points if z], p))
+    out: List[Affine] = []
+    for x, y, z in points:
+        if z:
+            z_inv = next(inverses)
+            z_inv_sq = z_inv * z_inv % p
+            out.append((x * z_inv_sq % p, y * z_inv_sq % p * z_inv % p))
+        else:
+            out.append(None)
+    return out
+
+
+class OddMultiples(tuple):
+    """Affine ``(P, 3P, 5P, ...)`` of one point, ``None`` where a
+    multiple is infinity: the table a :func:`multi_mul` term runs on.
+    Built ahead by :func:`odd_multiples` for a base that recurs."""
+
+    __slots__ = ()
+
+
+def odd_multiples(point: Affine, a: int, p: int,
+                  count: int = 1 << (WNAF_WIDTH - 2)
+                  ) -> Optional[OddMultiples]:
+    """``(P, 3P, ..., (2*count-1)P)`` for affine ``P``, one batched
+    inversion; ``None`` for the point at infinity."""
+    if point is None:
+        return None
+    x, y = point
     table = [(x, y, 1)]
     if count > 1:
         twice = jdouble(x, y, 1, a, p)
         for _ in range(count - 1):
             table.append(jadd(*table[-1], *twice, a, p))
-    return table
+    return OddMultiples(_normalise(table, p))
 
 
-def multi_mul(terms: Sequence[Tuple[Affine, int]], a: int, p: int,
-              width: int = 4) -> Affine:
-    """Interleaved-wNAF ``sum(k_i * P_i)`` over affine ``(P_i, k_i)``.
-
-    Scalars are never reduced (subgroup checks and cofactor clearing
-    pass multiples of the order); a negative one negates its point.
-    All terms share one doubling chain.
-    """
-    entries = []
-    longest = 0
-    for point, scalar in terms:
-        if point is None or scalar == 0:
+def _chain(steps: List[Tuple[int, Optional[int], Optional[int]]],
+           a: int, p: int) -> Affine:
+    """The kernel: from infinity, for each ``(run, x, y)`` double the
+    accumulator ``run`` times, then add the affine point ``(x, y)``
+    (``x`` is ``None`` on a closing run of doublings alone)."""
+    if a > p >> 1:
+        a -= p  # secp's a = -3: a small factor multiplies cheaply
+    X, Y, Z = INFINITY
+    for run, ax, ay in steps:
+        if run and Z:
+            for _ in range(run):
+                # Z = 0 or Y = 0 doubles to Z = 0 with no branch.
+                ysq = Y * Y % p
+                zsq = Z * Z % p
+                s = 4 * X * ysq % p
+                m = (3 * (X * X) + a * (zsq * zsq)) % p
+                Z = 2 * Y * Z % p
+                X = (m * m - 2 * s) % p
+                Y = (m * (s - X) - 8 * (ysq * ysq)) % p
+        if ax is None:
+            break
+        if Z == 0:
+            X, Y, Z = ax, ay, 1
             continue
-        x, y = point
-        if scalar < 0:
-            y, scalar = -y % p, -scalar
-        digits = wnaf_digits(scalar, width)
-        # Odd multiples up to the largest digit used (a sparse scalar,
-        # e.g. a cofactor, needs P alone).
-        count = (max(map(abs, digits)) + 1) >> 1
-        entries.append((digits, odd_multiples(x, y, count, a, p)))
-        longest = max(longest, len(digits))
-    rx, ry, rz = INFINITY
-    for i in range(longest - 1, -1, -1):
-        rx, ry, rz = jdouble(rx, ry, rz, a, p)
-        for digits, table in entries:
-            digit = digits[i] if i < len(digits) else 0
-            if digit:
-                tx, ty, tz = table[(abs(digit) - 1) >> 1]
-                rx, ry, rz = jadd(rx, ry, rz, tx, ty if digit > 0 else -ty % p,
-                                  tz, a, p)
-    return to_affine(rx, ry, rz, p)
+        zsq = Z * Z % p
+        hh = (ax * zsq - X) % p
+        rr = (ay * zsq % p * Z - Y) % p
+        if hh == 0:
+            # The accumulator is the entry (double it) or its negation.
+            X, Y, Z = jdouble(ax, ay, 1, a, p) if rr == 0 else INFINITY
+            continue
+        hsq = hh * hh % p
+        hcu = hsq * hh % p
+        v = X * hsq % p
+        X = (rr * rr - hcu - 2 * v) % p
+        Y = (rr * (v - X) - Y * hcu) % p
+        Z = hh * Z % p
+    return to_affine(X, Y, Z, p)
+
+
+def multi_mul(terms: Sequence[Tuple[Union[Affine, OddMultiples,
+                                          "FixedBaseTable"], int]],
+              a: int, p: int) -> Affine:
+    """Interleaved-wNAF ``sum(k_i * P_i)`` over ``(P_i, k_i)`` terms.
+
+    A base is an affine point, its prebuilt :class:`OddMultiples`, or a
+    :class:`FixedBaseTable`, whose entries join the chain after its last
+    doubling.  Scalars are never reduced (subgroup checks and cofactor
+    clearing pass multiples of the order; a fixed-base term reduces
+    modulo its table's order); a negative one negates its digits.  All
+    terms share one doubling chain.
+    """
+    adds = []
+    fixed = []
+    for base, scalar in terms:
+        if base is None or scalar == 0:
+            continue
+        if isinstance(base, FixedBaseTable):
+            fixed += base._steps(scalar)
+            continue
+        digits = _wnaf(scalar)
+        if not isinstance(base, OddMultiples):
+            # Odd multiples up to the largest digit used (a sparse
+            # scalar, e.g. a cofactor, needs P alone).
+            base = odd_multiples(
+                base, a, p, (max(abs(d) for _i, d in digits) + 1) >> 1)
+        for i, digit in digits:
+            entry = base[abs(digit) >> 1]
+            if entry is not None:
+                x, y = entry
+                adds.append((i, x, y if digit > 0 else -y % p))
+    steps = []
+    last = 0
+    if adds:
+        adds.sort(reverse=True)
+        last = adds[0][0]
+        for i, x, y in adds:
+            steps.append((last - i, x, y))
+            last = i
+    if fixed:
+        # The closing doublings run before the fixed-base entries.
+        steps.append((last, *fixed[0][1:]))
+        steps += fixed[1:]
+    elif adds:
+        steps.append((last, None, None))
+    return _chain(steps, a, p)
+
+
+def _wnaf(scalar: int) -> List[Tuple[int, int]]:
+    """The non-zero width-4 wNAF digits of ``scalar`` as ``(position,
+    digit)`` pairs (:func:`repro.mathx.modular.wnaf_digits` without its
+    zeros); a negative scalar gives the negated digits of its absolute
+    value."""
+    modulus = 1 << WNAF_WIDTH
+    sign = 1 if scalar > 0 else -1
+    scalar *= sign
+    out = []
+    i = 0
+    while scalar:
+        zeros = (scalar & -scalar).bit_length() - 1
+        scalar >>= zeros
+        i += zeros
+        digit = scalar & (modulus - 1)
+        if digit > modulus >> 1:
+            digit -= modulus
+        out.append((i, sign * digit))
+        # scalar - digit is a multiple of 2^width: the digits up to the
+        # next position are zero.
+        scalar = (scalar - digit) >> WNAF_WIDTH
+        i += WNAF_WIDTH
+    return out
 
 
 class FixedBaseTable:
     """Signed-window precomputation for ``k * P`` with ``P`` fixed.
 
-    Stores ``d * 2^(width*j) * P`` for every window ``j`` and digit
-    ``d`` in ``1 .. 2^(width-1)`` (negative digits negate on the fly);
-    a multiplication is then ~``ceil(bits/width)`` additions and no
-    doublings.
+    Stores affine ``d * 2^(6*j) * P`` for every window ``j`` and digit
+    ``d`` in ``1 .. 32`` (negative digits negate on the fly); a
+    multiplication is then one mixed addition per non-zero window
+    (~27 for a 160-bit order) and no doublings.
     """
 
-    __slots__ = ("a", "p", "order", "width", "_blocks")
+    __slots__ = ("a", "p", "order", "_blocks")
 
-    def __init__(self, point: Affine, order: int, a: int, p: int,
-                 width: int = 4) -> None:
-        if width < 2:
-            raise ParameterError("fixed-base window width must be >= 2")
+    def __init__(self, point: Affine, order: int, a: int, p: int) -> None:
         self.a = a
         self.p = p
         self.order = order
-        self.width = width
-        self._blocks: List[List[Jacobian]] = []
+        self._blocks: List[List[Affine]] = []
         if point is None:
             return
         # Signed recoding of a scalar < order can carry one window more.
-        blocks = (order.bit_length() + width - 1) // width + 1
-        half = 1 << (width - 1)
+        blocks = (order.bit_length() + FIXED_WINDOW - 1) // FIXED_WINDOW + 1
+        half = 1 << (FIXED_WINDOW - 1)
         base = (point[0], point[1], 1)
+        entries: List[Jacobian] = []
         for _ in range(blocks):
-            row = [base]
+            entry = base
+            entries.append(entry)
             for _ in range(half - 1):
-                row.append(jadd(*row[-1], *base, a, p))
-            self._blocks.append(row)
-            for _ in range(width):
+                entry = jadd(*entry, *base, a, p)
+                entries.append(entry)
+            for _ in range(FIXED_WINDOW):
                 base = jdouble(*base, a, p)
+        flat = _normalise(entries, p)
+        self._blocks = [flat[i:i + half] for i in range(0, len(flat), half)]
 
     def mul(self, scalar: int) -> Affine:
         """Return ``(scalar mod order) * P``."""
-        scalar %= self.order
-        if scalar == 0 or not self._blocks:
-            return None
-        a, p = self.a, self.p
-        rx, ry, rz = INFINITY
-        for j, digit in enumerate(signed_window_digits(scalar, self.width)):
+        return _chain(self._steps(scalar), self.a, self.p)
+
+    def _steps(self, scalar: int) -> List[Tuple[int, int, int]]:
+        """``(scalar mod order) * P`` as :func:`_chain` steps: one
+        ``(0, x, y)`` addition per non-zero window, no doublings."""
+        if not self._blocks:  # P is the point at infinity
+            return []
+        p = self.p
+        steps = []
+        for j, digit in enumerate(signed_window_digits(scalar % self.order,
+                                                       FIXED_WINDOW)):
             if digit:
-                tx, ty, tz = self._blocks[j][abs(digit) - 1]
-                rx, ry, rz = jadd(rx, ry, rz, tx, ty if digit > 0 else -ty % p,
-                                  tz, a, p)
-        return to_affine(rx, ry, rz, p)
+                entry = self._blocks[j][abs(digit) - 1]
+                if entry is not None:
+                    x, y = entry
+                    steps.append((0, x, y if digit > 0 else -y % p))
+        return steps

@@ -12,10 +12,16 @@ Points are immutable; the point at infinity is the singleton produced by
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Tuple, Union
 
 from repro.errors import EncodingError, NotOnCurveError, ParameterError
-from repro.mathx import bytes_to_int, int_to_bytes, jacobian, sqrt_mod_p34
+from repro.mathx import (
+    bytes_to_int,
+    int_to_bytes,
+    jacobi_symbol,
+    jacobian,
+    sqrt_mod_p34,
+)
 from repro.pairing.params import PairingParams
 
 
@@ -56,6 +62,10 @@ class Point:
         if self.inf:
             return "Point(infinity)"
         return f"Point({self.x:#x}, {self.y:#x})"
+
+
+#: A multiplication base: a point or its prebuilt odd multiples.
+Base = Union[Point, jacobian.OddMultiples]
 
 
 class Curve:
@@ -132,29 +142,36 @@ class Curve:
         (subgroup checks and cofactor clearing use :meth:`multi_mul_raw`)."""
         return self.multi_mul_raw([(point, scalar % self.r)])
 
-    def multi_mul(self, pairs: "list[Tuple[Point, int]]") -> Point:
+    def multi_mul(self, pairs: "list[Tuple[Base, int]]") -> Point:
         """Return ``sum(k_i * P_i)`` via interleaved width-4 wNAF.
 
         Scalars are reduced modulo ``r``.  All terms share one Jacobian
         doubling chain (the dominant cost), with per-point tables of odd
-        multiples; still counted as ONE multi-exponentiation by the
+        multiples (a base may be its prebuilt :meth:`odd_multiples`
+        table); still counted as ONE multi-exponentiation by the
         instrumentation layer (the counting happens in
         :meth:`repro.pairing.group.PairingGroup.multi_exp`).
         """
-        return self.multi_mul_raw([(point, scalar % self.r)
-                                   for point, scalar in pairs])
+        return self.multi_mul_raw([(base, scalar % self.r)
+                                   for base, scalar in pairs])
 
-    def multi_mul_raw(self, pairs: "list[Tuple[Point, int]]",
-                      width: int = 4) -> Point:
+    def multi_mul_raw(self, pairs: "list[Tuple[Base, int]]") -> Point:
         """Interleaved-wNAF ``sum(k_i * P_i)`` without scalar reduction
         (:func:`repro.mathx.jacobian.multi_mul`).
 
-        Batched subgroup screening needs scalars ``delta_i * r`` that
-        must NOT be reduced modulo ``r`` (they would vanish).
+        A base is a point or its :meth:`odd_multiples` table.  Batched
+        subgroup screening needs scalars ``delta_i * r`` that must NOT
+        be reduced modulo ``r`` (they would vanish).
         """
         return self.from_affine(jacobian.multi_mul(
-            [(self.to_affine(point), scalar) for point, scalar in pairs],
-            self.a, self.p, width))
+            [(base if isinstance(base, jacobian.OddMultiples)
+              else self.to_affine(base), scalar) for base, scalar in pairs],
+            self.a, self.p))
+
+    def odd_multiples(self, point: Point) -> "jacobian.OddMultiples | None":
+        """The affine odd-multiple table of ``point``: a :meth:`multi_mul`
+        base built once for a point that recurs across calls."""
+        return jacobian.odd_multiples(self.to_affine(point), self.a, self.p)
 
     def to_affine(self, point: Point) -> "Tuple[int, int] | None":
         """The shared arithmetic's form: ``(x, y)``, ``None`` at infinity."""
@@ -228,15 +245,18 @@ class Curve:
         """
         counter = 0
         size = self.params.field_bytes
+        p = self.p
         while True:
             digest = stream(counter)
-            x = bytes_to_int(digest[:size]) % self.p
+            x = bytes_to_int(digest[:size]) % p
             counter += 1
-            try:
-                point = self.lift_x(x, y_parity=digest[-1] & 1)
-            except NotOnCurveError:
+            # Jacobi prescreen: a non-residue x^3 + x is exactly the
+            # abscissa ``lift_x`` rejects, and the symbol costs a
+            # fraction of the square root that would find out.
+            if jacobi_symbol((x * x % p * x + x) % p, p) < 0:
                 continue
-            cleared = self.clear_cofactor(point)
+            cleared = self.clear_cofactor(
+                self.lift_x(x, y_parity=digest[-1] & 1))
             if not cleared.is_infinity():
                 return cleared
 

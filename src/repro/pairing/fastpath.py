@@ -1,13 +1,16 @@
-"""Engine-only fast kernels for the batch verification core.
+"""Engine-only pairing kernels for the batch verification core.
 
 Everything in this module is a wall-clock optimisation of an existing
-naive computation in :mod:`repro.pairing.curve` / ``tate`` /
-``precompute``: outputs are either bit-identical to the reference
-(points, table steps) or identical after the final exponentiation
-(Miller values scaled by an F_p* factor, which the ``(p - 1)`` part of
-the final exponent annihilates).  The reference implementations stay
-untouched so A/B benchmarks keep an honest baseline; only the crypto
-engine and the batch core call into this module.
+naive computation in :mod:`repro.pairing.tate` / ``precompute``:
+outputs are either bit-identical to the reference (table steps) or
+identical after the final exponentiation (Miller values scaled by an
+F_p* factor, which the ``(p - 1)`` part of the final exponent
+annihilates).  The reference implementations stay untouched so A/B
+benchmarks keep an honest baseline; only the crypto engine and the
+batch core call into this module.  Scalar multiplication is not here:
+every curve multiple -- the SPK's multi-exps on shared odd-multiple
+tables and H0's cofactor clearing included -- runs on the one kernel
+of :mod:`repro.mathx.jacobian`.
 
 Nothing here reports to :mod:`repro.instrument` -- callers note the
 abstract operations at the same milestones the naive path would, which
@@ -30,7 +33,7 @@ The kernels:
     coefficients built with two batched inversions instead of one
     inversion per Miller step (Montgomery's trick).
 
-``miller_eval`` / ``unitary_pow_h`` / ``tag_matches``
+``miller_eval`` / ``unitary_pow_h`` / ``unitary_tag_is_one``
     Raw-integer helpers for evaluating stored lines and testing
     revocation tags on the unit circle of F_p2 (where the cofactor
     ``h = (p + 1) / r`` has Hamming weight 6, so ``z^h`` is almost all
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.mathx import batch_inverse, jacobian
+from repro.mathx import batch_inverse
 from repro.pairing.curve import Curve, Point
 from repro.pairing.fields import Fp2
 
@@ -385,94 +388,6 @@ def naf_steps(curve: Curve, point: Point) -> List[List[Tuple[int, int]]]:
     return steps
 
 
-# ---------------------------------------------------------------------------
-# Cofactor clearing and hash-to-subgroup (bit-identical to the reference)
-# ---------------------------------------------------------------------------
-
-
-def clear_cofactor_fast(curve: Curve, point: Point) -> Point:
-    """``h * P`` bit-identical to ``Curve.clear_cofactor``.
-
-    The cofactor ``h = (p + 1) / r`` is 353 bits with Hamming weight 6,
-    so the chain is essentially 352 Jacobian doublings; running them
-    inline (no per-step function calls or tuple traffic) is measurably
-    faster than the shared :func:`repro.mathx.jacobian.multi_mul` while
-    producing the identical affine point -- affine coordinates are
-    canonical.
-    """
-    if point.is_infinity():
-        return point
-    p = curve.p
-    xp_, yp_ = point.x, point.y
-    # Modified Jacobian: carry W = Z^4 so the doubling needs 8 field
-    # multiplications instead of 9 (W' = 16*Y^4*W reuses the Y^4 the
-    # y-update needs anyway).  The 5 add steps re-derive W from Z.
-    X, Y, Z, W = xp_, yp_, 1, 1
-    for bit in _bits_after_msb(curve.h):
-        if Z == 0:
-            break
-        if Y == 0:
-            X, Y, Z = 0, 1, 0
-            break
-        ysq = Y * Y % p
-        xsq = X * X % p
-        y4 = ysq * ysq % p
-        xy = X + ysq
-        # 4*X*Y^2 as 2*((X + Y^2)^2 - X^2 - Y^4): a squaring replaces
-        # a general product (exact integer identity before the mod).
-        s = 2 * (xy * xy - xsq - y4) % p
-        m = (3 * xsq + W) % p
-        nx = (m * m - 2 * s) % p
-        nz = 2 * Y * Z % p
-        Y = (m * (s - nx) - 8 * y4) % p
-        W = 16 * y4 * W % p
-        X, Z = nx, nz
-        if bit == "1":
-            X, Y, Z = jacobian.jadd(X, Y, Z, xp_, yp_, 1, curve.a, p)
-            zsq = Z * Z % p
-            W = zsq * zsq % p
-    return curve.from_affine(jacobian.to_affine(X, Y, Z, p))
-
-
-def hash_h0_fast(curve: Curve, data: bytes) -> Tuple[Point, Point]:
-    """Drop-in for ``hashing.hash_h0``: identical points, faster clear.
-
-    Replays the exact try-and-increment loop of
-    ``Curve.point_from_digest_stream`` (same digest stream, same lift,
-    same candidate order) with :func:`clear_cofactor_fast` in place of
-    the naive cofactor multiplication, so the returned generator pair
-    is byte-for-byte the one the serial path derives.
-    """
-    from repro.errors import NotOnCurveError
-    from repro.mathx.modular import jacobi_symbol
-    from repro.pairing import hashing
-
-    size = curve.params.field_bytes
-    p = curve.p
-    out = []
-    for domain in (hashing.DOMAIN_H0_U, hashing.DOMAIN_H0_V):
-        stream = hashing._digest_stream(domain, data, size)
-        counter = 0
-        while True:
-            digest = stream(counter)
-            x = int.from_bytes(digest[:size], "big") % curve.p
-            counter += 1
-            # Jacobi prescreen: a non-residue x^3 + x is exactly the
-            # candidate ``lift_x`` rejects, but the symbol costs ~1/6th
-            # of the sqrt exponentiation the rejection would waste.
-            if jacobi_symbol((x * x % p * x + x) % p, p) < 0:
-                continue
-            try:
-                lifted = curve.lift_x(x, y_parity=digest[-1] & 1)
-            except NotOnCurveError:  # pragma: no cover - prescreened
-                continue
-            cleared = clear_cofactor_fast(curve, lifted)
-            if not cleared.is_infinity():
-                out.append(cleared)
-                break
-    return out[0], out[1]
-
-
 def miller_eval(steps: Sequence[Sequence[Tuple[int, int]]],
                 point_q: Point, p: int) -> Tuple[int, int]:
     """Evaluate stored lines at ``phi(Q)``; raw ``(a, b)`` Miller value.
@@ -657,29 +572,6 @@ def unitary_tag_is_one(z_a: int, z_b: int, curve: Curve) -> bool:
     return c == a_re
 
 
-def tag_matches(m_a: int, m_b: int, t_a: int, t_b: int,
-                norm_inv: int, curve: Curve) -> bool:
-    """Does ``FE(m) == FE(t)`` for raw Miller values ``m`` and ``t``?
-
-    Write ``w = m * conj(t)``; then ``FE(m) / FE(t) = (w^(p-1))^h``
-    (the norm of ``t`` is in F_p and dies under ``p - 1``), so the two
-    pairings agree iff ``z^h == 1`` for ``z = w^(p-1) = conj(w)^2 /
-    norm(w)``.  ``norm_inv`` is the caller-supplied inverse of
-    ``norm(w)`` -- batched across tokens via :func:`batch_inverse`.
-    Exact: scale factors in F_p* on either input cancel the same way.
-    """
-    p = curve.p
-    # w = m * conj(t)
-    w_a = (m_a * t_a + m_b * t_b) % p
-    w_b = (m_b * t_a - m_a * t_b) % p
-    # z = conj(w)^2 * norm(w)^-1  (norm-1 by construction)
-    c_a = (w_a * w_a - w_b * w_b) % p
-    c_b = (-2 * w_a * w_b) % p
-    z_a = c_a * norm_inv % p
-    z_b = c_b * norm_inv % p
-    return unitary_tag_is_one(z_a, z_b, curve)
-
-
 def fp2_norm(a: int, b: int, p: int) -> int:
     """The field norm ``a^2 + b^2 mod p`` of a raw pair."""
     return (a * a + b * b) % p
@@ -744,126 +636,3 @@ class GTFixedBase:
                 gb = -gb % p
             ra, rb = ((ra * ga - rb * gb) % p, (ra * gb + rb * ga) % p)
         return Fp2(ra, rb, p)
-
-
-# ---------------------------------------------------------------------------
-# Repeated 2-term multi-exponentiation over a fixed base pair
-# ---------------------------------------------------------------------------
-
-
-class DualMultiExp:
-    """Interleaved wNAF ``k1*P1 + k2*P2`` with shared affine tables.
-
-    The SPK verification performs four 2-term multi-exps over just two
-    base pairs (``{u, T1}`` for R1 and R3, ``{T2, v}`` for the two
-    pairing arguments of R2), so the odd-multiple tables are built once
-    per pair -- in affine coordinates via one batched inversion -- and
-    each evaluation uses *mixed* additions (affine table entry into the
-    Jacobian accumulator, ~11 field multiplications against ~16 for the
-    general addition).  Output points are identical to
-    ``Curve.multi_mul([(p1, k1), (p2, k2)])`` (affine coordinates are
-    canonical, and every edge case -- zero scalars, infinity bases,
-    accumulator collisions -- follows the same group law).
-    """
-
-    __slots__ = ("curve", "_odds1", "_odds2", "width")
-
-    def __init__(self, curve: Curve, point1: Point, point2: Point,
-                 width: int = 4) -> None:
-        self.curve = curve
-        self.width = width
-        count = 1 << (width - 2)
-        self._odds1 = _affine_odd_multiples(curve, point1, count)
-        self._odds2 = _affine_odd_multiples(curve, point2, count)
-
-    def mul(self, k1: int, k2: int) -> Point:
-        """Return ``(k1 mod r) * P1 + (k2 mod r) * P2`` (affine)."""
-        from repro.mathx import wnaf_digits
-
-        curve = self.curve
-        p = curve.p
-        width = self.width
-        entries = []
-        longest = 0
-        for odds, k in ((self._odds1, k1), (self._odds2, k2)):
-            k %= curve.r
-            if k == 0 or odds is None:
-                continue
-            digits = wnaf_digits(k, width)
-            entries.append((digits, odds))
-            longest = max(longest, len(digits))
-        if not entries:
-            return Point.infinity(p)
-        X, Y, Z = 0, 1, 0
-        for i in range(longest - 1, -1, -1):
-            # Inline Jacobian doubling of the accumulator.
-            if Z != 0:
-                if Y == 0:
-                    X, Y, Z = 0, 1, 0
-                else:
-                    ysq = Y * Y % p
-                    s = 4 * X * ysq % p
-                    zsq = Z * Z % p
-                    m = (3 * (X * X) + zsq * zsq) % p
-                    nx = (m * m - 2 * s) % p
-                    nz = 2 * Y * Z % p
-                    Y = (m * (s - nx) - 8 * (ysq * ysq)) % p
-                    X, Z = nx, nz
-            for digits, odds in entries:
-                if i >= len(digits):
-                    continue
-                digit = digits[i]
-                if digit == 0:
-                    continue
-                if digit > 0:
-                    ax, ay = odds[(digit - 1) >> 1]
-                else:
-                    ax, ay = odds[(-digit - 1) >> 1]
-                    ay = -ay % p
-                # Mixed addition: affine (ax, ay) into Jacobian (X:Y:Z).
-                if Z == 0:
-                    X, Y, Z = ax, ay, 1
-                    continue
-                zsq = Z * Z % p
-                u2 = ax * zsq % p
-                s2 = ay * zsq % p * Z % p
-                if X == u2:
-                    if Y != s2:
-                        X, Y, Z = 0, 1, 0
-                        continue
-                    if Y == 0:          # doubling a 2-torsion point
-                        X, Y, Z = 0, 1, 0
-                        continue
-                    ysq = Y * Y % p
-                    s = 4 * X * ysq % p
-                    m = (3 * (X * X) + zsq * zsq) % p
-                    nx = (m * m - 2 * s) % p
-                    nz = 2 * Y * Z % p
-                    Y = (m * (s - nx) - 8 * (ysq * ysq)) % p
-                    X, Z = nx, nz
-                    continue
-                hh = (u2 - X) % p
-                rr = (s2 - Y) % p
-                hsq = hh * hh % p
-                hcu = hsq * hh % p
-                nx = (rr * rr - hcu - 2 * X * hsq) % p
-                nz = hh * Z % p
-                Y = (rr * (X * hsq - nx) - Y * hcu) % p
-                X, Z = nx, nz
-        return curve.from_affine(jacobian.to_affine(X, Y, Z, p))
-
-
-def _affine_odd_multiples(curve: Curve, point: Point, count: int
-                          ) -> Optional[List[Tuple[int, int]]]:
-    """Affine ``[1P, 3P, ..., (2*count-1)P]`` via one batched inversion."""
-    if point.is_infinity():
-        return None
-    p = curve.p
-    multiples = jacobian.odd_multiples(point.x, point.y, count,
-                                       curve.a, p)
-    zinvs = batch_inverse([z for _x, _y, z in multiples], p)
-    odds: List[Tuple[int, int]] = []
-    for (jx, jy, jz), zi in zip(multiples, zinvs):
-        zi2 = zi * zi % p
-        odds.append((jx * zi2 % p, jy * zi2 % p * zi % p))
-    return odds

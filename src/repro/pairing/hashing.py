@@ -50,7 +50,12 @@ def hash_to_point(curve: Curve, domain: bytes, data: bytes) -> Point:
 
 
 def hash_h0(curve: Curve, data: bytes) -> Tuple[Point, Point]:
-    """The paper's ``H0``: map ``data`` to a pair of G2 points."""
+    """The paper's ``H0``: map ``data`` to a pair of G2 points.
+
+    The one H0 routine: signing reaches it through
+    :meth:`~repro.pairing.group.PairingGroup.hash_h0`, the batch core
+    calls it directly and notes the two hashes itself.
+    """
     return (hash_to_point(curve, DOMAIN_H0_U, data),
             hash_to_point(curve, DOMAIN_H0_V, data))
 

@@ -13,7 +13,8 @@ This module provides the two corresponding tables:
 
 :class:`FixedBaseTable`
     The shared signed-window table of :mod:`repro.mathx.jacobian` on
-    the pairing curve: ~``r.bit_length() / w`` additions, no doublings.
+    the pairing curve: ~``r.bit_length() / 6`` mixed additions, no
+    doublings.
 
 :class:`PairingTable`
     The Miller loop of ``e(P, .)`` depends on ``P`` through the
@@ -50,9 +51,8 @@ class FixedBaseTable(jacobian.FixedBaseTable):
 
     __slots__ = ("curve", "point")
 
-    def __init__(self, curve: Curve, point: Point, width: int = 4) -> None:
-        super().__init__(curve.to_affine(point), curve.r, curve.a, curve.p,
-                         width)
+    def __init__(self, curve: Curve, point: Point) -> None:
+        super().__init__(curve.to_affine(point), curve.r, curve.a, curve.p)
         self.curve = curve
         self.point = point
 

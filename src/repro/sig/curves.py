@@ -1,7 +1,7 @@
 """Short-Weierstrass curves and point arithmetic for ECDSA.
 
 Implements ``y^2 = x^3 + a*x + b`` over F_p.  Scalar multiplication
-runs on the Jacobian arithmetic shared with the pairing curve
+runs on the kernel shared with the pairing curve
 (:mod:`repro.mathx.jacobian`): a lazily built fixed-base table for the
 generator, interleaved wNAF for everything else.  Two SEC-2 curves are
 shipped: secp160r1 (the "ECDSA-160" of the paper) and secp256r1 for a
@@ -92,10 +92,13 @@ class WeierstrassCurve:
     def multi_mul(self, pairs: "list[Tuple[AffinePoint, int]]"
                   ) -> AffinePoint:
         """Return ``sum(k_i * P_i)``, scalars reduced modulo ``n``, by
-        interleaved wNAF on one doubling chain -- two terms are
-        Shamir's trick for ECDSA's ``u1*G + u2*Q``."""
-        return jacobian.multi_mul([(point, k % self.n) for point, k in pairs],
-                                  self.a, self.p)
+        interleaved wNAF on one doubling chain.  A term on the generator
+        adds from its fixed-base table after the doublings, so ECDSA's
+        ``u1*G + u2*Q`` doubles for ``Q`` alone."""
+        generator = self.generator
+        return jacobian.multi_mul(
+            [(self._generator_table if point == generator else point,
+              k % self.n) for point, k in pairs], self.a, self.p)
 
     def generator_mul(self, k: int) -> AffinePoint:
         """Return ``k * G`` from the generator's fixed-base table."""

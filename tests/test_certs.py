@@ -1,6 +1,7 @@
 """Tests for router certificates, CRL, and URL."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,10 +10,12 @@ from repro.core.certs import (
     MAX_CLOCK_SKEW,
     CertificateRevocationList,
     RouterCertificate,
+    SignatureMemo,
     UserRevocationList,
 )
 from repro.core.clock import ManualClock
 from repro.errors import CertificateError
+from repro.pairing.group import G1Element, PairingGroup
 from repro.sig.curves import SECP160R1
 from repro.sig.ecdsa import ecdsa_generate
 
@@ -202,3 +205,64 @@ class TestUrl:
             url.signature)
         with pytest.raises(CertificateError):
             framed.validate(operator_key.public, now=1100.0)
+
+
+class TestUrlSignedBytes:
+    """A list keeps its signed bytes: a decoded one the slice it was
+    parsed from, a constructed one its first encoding."""
+
+    def _ss512_url(self, operator_key, count):
+        group = PairingGroup("SS512")
+        curve, g = group.curve, group.g1.point
+        tokens, point = [], g
+        for _ in range(count):
+            tokens.append(groupsig.RevocationToken(G1Element(point, group)))
+            point = curve.add(point, g)
+        url = UserRevocationList(4, 1000.0, 600.0, tuple(tokens), b"")
+        return group, url.signed(operator_key.sign(url.signed_payload()))
+
+    def _count_token_encodes(self, monkeypatch):
+        calls = []
+        encode = groupsig.RevocationToken.encode
+
+        def counting(token):
+            calls.append(token)
+            return encode(token)
+
+        monkeypatch.setattr(groupsig.RevocationToken, "encode", counting)
+        return calls
+
+    def test_memo_hit_validate_encodes_no_token(self, operator_key,
+                                                monkeypatch):
+        group, url = self._ss512_url(operator_key, 1000)
+        decoded = UserRevocationList.decode(group, url.encode())
+        memo = SignatureMemo()
+        decoded.validate(operator_key.public, now=1100.0, memo=memo)
+        calls = self._count_token_encodes(monkeypatch)
+        decoded.validate(operator_key.public, now=1100.0, memo=memo)
+        assert calls == []
+        fresh = UserRevocationList(decoded.version, decoded.issued_at,
+                                   decoded.update_period, decoded.tokens,
+                                   decoded.signature)
+        assert decoded.signed_payload() == fresh.signed_payload()
+        assert len(calls) == 1000  # the fresh list encoded once
+
+    def test_constructed_list_encodes_once(self, operator_key,
+                                           monkeypatch):
+        _group, url = self._ss512_url(operator_key, 3)
+        calls = self._count_token_encodes(monkeypatch)
+        blob = url.encode()
+        url.validate(operator_key.public, now=1100.0)
+        assert url.encode() == blob
+        assert calls == []  # `signed` carried the unsigned list's bytes
+        unsigned = UserRevocationList(4, 1000.0, 600.0, url.tokens, b"")
+        unsigned.signed_payload()
+        unsigned.encode()
+        assert len(calls) == 3
+
+    def test_replace_recomputes_the_signed_bytes(self, operator_key):
+        _group, url = self._ss512_url(operator_key, 3)
+        shorter = replace(url, tokens=url.tokens[:1])
+        assert shorter.signed_payload() != url.signed_payload()
+        with pytest.raises(CertificateError):
+            shorter.validate(operator_key.public, now=1100.0)

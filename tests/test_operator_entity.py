@@ -1,5 +1,7 @@
 """Focused unit tests for the NetworkOperator entity."""
 
+import random
+
 import pytest
 
 from repro.core import groupsig
@@ -98,6 +100,87 @@ class TestListIssuance:
         token_b = deployment.operator.revoke_user_key(index_b)
         url = deployment.operator.issue_url()
         assert [t.a for t in url.tokens] == [token_a.a, token_b.a]
+
+
+class TestRevocationIndex:
+    """Revoking and reinstating a key are index lookups that keep the
+    URL's order, version bumps and snapshots as an ordered list would."""
+
+    def _indices(self, deployment):
+        return [(credential.index[0], j)
+                for credential in (
+                    deployment.users["alice"].credentials["Company X"],
+                    deployment.users["bob"].credentials["University Z"])
+                for j in range(4)]
+
+    def test_repeat_revoke_keeps_version(self, fresh_deployment):
+        deployment = fresh_deployment()
+        operator = deployment.operator
+        index = self._indices(deployment)[0]
+        operator.revoke_user_key(index)
+        version = operator.list_versions()[1]
+        operator.revoke_user_key(index)
+        assert operator.list_versions()[1] == version
+        assert len(operator.issue_url().tokens) == 1
+
+    def test_unrevoking_an_absent_key_keeps_version(self, fresh_deployment):
+        deployment = fresh_deployment()
+        operator = deployment.operator
+        first, second = self._indices(deployment)[:2]
+        version = operator.list_versions()[1]
+        operator.unrevoke_user_key(first)
+        assert operator.list_versions()[1] == version
+        operator.revoke_user_key(second)
+        operator.unrevoke_user_key(first)
+        assert operator.list_versions()[1] == version + 1
+
+    def test_interleaved_order_matches_an_ordered_list(self,
+                                                      fresh_deployment):
+        # The reference is the URL as a plain list: a revoke appends a
+        # token not yet present, an unrevoke removes it from anywhere,
+        # and only a change bumps the version.
+        deployment = fresh_deployment()
+        operator = deployment.operator
+        indices = self._indices(deployment)
+        rng = random.Random(2024)
+        base = operator.issue_url()
+        expected = []
+        version = operator.list_versions()[1]
+        for _ in range(80):
+            index = rng.choice(indices)
+            if rng.random() < 0.6:
+                token = operator.revoke_user_key(index)
+                if all(t.a != token.a for t in expected):
+                    expected.append(token)
+                    version += 1
+            else:
+                token = operator.unrevoke_user_key(index)
+                if any(t.a == token.a for t in expected):
+                    expected = [t for t in expected if t.a != token.a]
+                    version += 1
+            assert operator.list_versions()[1] == version
+        url = operator.issue_url()
+        assert [t.a for t in url.tokens] == [t.a for t in expected]
+        delta = operator.issue_url_delta(base.version)
+        if delta is not None:
+            assert [t.a for t in delta.apply(base).tokens] == \
+                [t.a for t in expected]
+
+    def test_rotation_clears_the_index(self, fresh_deployment):
+        deployment = fresh_deployment()
+        operator = deployment.operator
+        index = self._indices(deployment)[0]
+        operator.revoke_user_key(index)
+        version = operator.list_versions()[1]
+        operator.rotate_system_keys()
+        assert operator.list_versions()[1] == version + 1
+        assert operator.issue_url().tokens == ()
+        # The index's fresh-epoch token is a new revocation; the retired
+        # epoch's token does not come back with it.
+        token = operator.revoke_user_key(index)
+        assert [t.a for t in operator.issue_url().tokens] == [token.a]
+        operator.unrevoke_user_key(index)
+        assert operator.issue_url().tokens == ()
 
 
 class TestAuditEdgeCases:

@@ -1,10 +1,13 @@
 """Tests for the short-Weierstrass curve arithmetic.
 
-The ECDSA curves (secp160r1, secp256r1) and the pairing curve share one
-Jacobian implementation (:mod:`repro.mathx.jacobian`).  Its fixed-base,
-one-term and two-term multiplications are checked here against
-:func:`double_and_add`, a plain double-and-add over each curve's affine
-chord-and-tangent reference.  ``TestSmoke`` is the subset
+The ECDSA curves (secp160r1, secp256r1) and the pairing curves (TEST,
+SS512) share one scalar-multiplication kernel
+(:mod:`repro.mathx.jacobian`).  Its fixed-base, one-term, two-term and
+prebuilt-table multiplications, the pairing curve's cofactor clearing
+and the H0 hash are checked here against :func:`double_and_add`, a
+plain double-and-add over each curve's affine chord-and-tangent
+reference, and :func:`naive_hash_to_point`, the try-and-increment loop
+without the Jacobi prescreen.  ``TestSmoke`` is the subset
 ``scripts/tier1.sh smoke`` runs.
 """
 
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.errors import NotOnCurveError, ParameterError
 from repro.mathx import jacobian
+from repro.pairing import hashing
 from repro.pairing.curve import Curve, Point
 from repro.pairing.params import get_params
 from repro.pairing.precompute import FixedBaseTable
@@ -24,6 +28,7 @@ from repro.sig.curves import SECP160R1, SECP256R1, get_curve
 scalars160 = st.integers(min_value=1, max_value=SECP160R1.n - 1)
 
 PAIRING = Curve(get_params("TEST"))
+SS512 = Curve(get_params("SS512"))
 
 
 def double_and_add(add, point, k):
@@ -64,17 +69,57 @@ def _weierstrass_spec(curve):
                  curve.affine_add)
 
 
-def _pairing_spec():
+def _affine_law(curve):
+    """The pairing curve's chord-and-tangent law on affine tuples."""
     def add(lhs, rhs):
-        return PAIRING.to_affine(PAIRING.add(PAIRING.from_affine(lhs),
-                                             PAIRING.from_affine(rhs)))
+        return curve.to_affine(curve.add(curve.from_affine(lhs),
+                                         curve.from_affine(rhs)))
+    return add
 
-    base = PAIRING.to_affine(PAIRING.random_point(random.Random(1601)))
-    return _Spec("TEST-pairing", PAIRING.a, PAIRING.p, PAIRING.r, base, add)
+
+def _pairing_spec(curve, name):
+    base = curve.to_affine(curve.random_point(random.Random(1601)))
+    return _Spec(name, curve.a, curve.p, curve.r, base, _affine_law(curve))
 
 
 SPECS = [_weierstrass_spec(SECP160R1), _weierstrass_spec(SECP256R1),
-         _pairing_spec()]
+         _pairing_spec(PAIRING, "TEST-pairing"),
+         _pairing_spec(SS512, "SS512-pairing")]
+PAIRING_CURVES = [PAIRING, SS512]
+
+
+def naive_hash_to_point(curve, stream):
+    """``Curve.point_from_digest_stream`` as the paper's try-and-increment:
+    every candidate goes to the square root (no Jacobi prescreen), and
+    :func:`double_and_add` clears the cofactor."""
+    size = curve.params.field_bytes
+    counter = 0
+    while True:
+        digest = stream(counter)
+        counter += 1
+        x = int.from_bytes(digest[:size], "big") % curve.p
+        try:
+            point = curve.lift_x(x, y_parity=digest[-1] & 1)
+        except NotOnCurveError:
+            continue
+        cleared = double_and_add(_affine_law(curve), curve.to_affine(point),
+                                 curve.h)
+        if cleared is not None:
+            return curve.from_affine(cleared)
+
+
+def _point_of_order(curve, order):
+    """A point of the given small prime order dividing ``h``."""
+    rng = random.Random(order)
+    while True:
+        try:
+            point = curve.lift_x(rng.randrange(curve.p), 0)
+        except NotOnCurveError:
+            continue
+        small = double_and_add(_affine_law(curve), curve.to_affine(point),
+                               (curve.p + 1) // order)
+        if small is not None:
+            return small
 
 
 def _edge_scalars(order):
@@ -272,8 +317,9 @@ def _first_curve_point():
 
 
 class TestSmoke:
-    """Quick differential of the shared curve arithmetic against the
-    double-and-add oracle (run by ``scripts/tier1.sh smoke``)."""
+    """Quick differential of the scalar-multiplication kernel against the
+    double-and-add oracle and of H0 against the naive hash loop (run by
+    ``scripts/tier1.sh smoke``)."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_fixed_base_one_and_two_term_agree_with_oracle(self, spec):
@@ -290,3 +336,116 @@ class TestSmoke:
                                    spec.a, spec.p)
                 == spec.add(spec.oracle(spec.base, u1),
                             spec.oracle(other, u2)))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_prebuilt_tables_reused_across_calls(self, spec):
+        # A table built once serves every call, interchangeably with its
+        # point (the SPK runs four multi-exps on two base pairs).
+        rng = random.Random(7)
+        other = spec.oracle(spec.base, rng.randrange(1, spec.order))
+        tables = [jacobian.odd_multiples(point, spec.a, spec.p)
+                  for point in (spec.base, other)]
+        for _ in range(2):
+            u1, u2 = rng.randrange(spec.order), rng.randrange(spec.order)
+            expected = spec.add(spec.oracle(spec.base, u1),
+                                spec.oracle(other, u2))
+            assert jacobian.multi_mul([(tables[0], u1), (tables[1], u2)],
+                                      spec.a, spec.p) == expected
+            assert jacobian.multi_mul([(tables[0], u1), (other, u2)],
+                                      spec.a, spec.p) == expected
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_fixed_base_term_joins_the_chain(self, spec):
+        # A fixed-base term adds its entries after the last doubling
+        # (ECDSA's u1*G + u2*Q); alone, or beside terms that vanish.
+        rng = random.Random(11)
+        n = spec.order
+        table = jacobian.FixedBaseTable(spec.base, n, spec.a, spec.p)
+        other = spec.oracle(spec.base, rng.randrange(1, n))
+        for u1, u2 in ((rng.randrange(n), rng.randrange(n)), (n + 5, 1),
+                       (0, rng.randrange(n)), (rng.randrange(n), 0),
+                       (n, n), (-3, 2)):
+            expected = spec.add(spec.oracle(spec.base, u1 % n),
+                                spec.oracle(other, u2 % n))
+            assert jacobian.multi_mul([(table, u1), (other, u2)], spec.a,
+                                      spec.p) == expected, (u1, u2)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_mixed_add_collisions(self, spec):
+        # The accumulator meets the entry it adds (the add doubles) or
+        # its negation (the sum is infinity): first as the entry it was
+        # set to, then as a Jacobian point after four doublings.
+        g = spec.base
+        g16 = spec.oracle(g, 16)
+        table = jacobian.odd_multiples(g, spec.a, spec.p)
+        cases = [([(g, 1), (g, 1)], 2), ([(g, 1), (g, -1)], 0),
+                 ([(g, 16), (g16, 1)], 32), ([(g, 16), (g16, -1)], 0),
+                 ([(g, 16), (g16, -1), (g, 1)], 1),
+                 ([(table, 7), (table, 7)], 14), ([(table, 7), (table, -7)], 0)]
+        for terms, k in cases:
+            assert (jacobian.multi_mul(terms, spec.a, spec.p)
+                    == spec.oracle(g, k)), (terms, k)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_edge_scalars_on_points_and_tables(self, spec):
+        # Zero, negative, at or past the order, multiples of it: never
+        # reduced by the kernel, so each is the oracle's k mod order.
+        n = spec.order
+        table = jacobian.odd_multiples(spec.base, spec.a, spec.p)
+        for k in (0, -1, -5, n - 1, n, n + 3, 2 * n, 7 * n, -n, -(n + 2)):
+            expected = spec.oracle(spec.base, k % n)
+            for base in (spec.base, table):
+                assert jacobian.multi_mul([(base, k)], spec.a,
+                                          spec.p) == expected, k
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_fixed_base_window_boundaries(self, spec):
+        n = spec.order
+        table = jacobian.FixedBaseTable(spec.base, n, spec.a, spec.p)
+        top = n.bit_length() // jacobian.FIXED_WINDOW
+        for j in (1, 2, top):
+            edge = 1 << (jacobian.FIXED_WINDOW * j)
+            for k in (edge - 1, edge, edge + 1, 31 * edge, 32 * edge,
+                      33 * edge, n - edge):
+                assert table.mul(k) == spec.oracle(spec.base, k % n), k
+
+    @pytest.mark.parametrize("curve", PAIRING_CURVES, ids=["TEST", "SS512"])
+    def test_small_order_points(self, curve):
+        # (0, 0) has order 2: every odd multiple is itself.  On SS512,
+        # 7 | h: a point of order 7 has 7P = infinity in its table.
+        torsion = (0, 0)
+        table = jacobian.odd_multiples(torsion, curve.a, curve.p)
+        assert table == (torsion,) * 4
+        cases = [(torsion, k, None if k % 2 == 0 else torsion)
+                 for k in (1, 2, 3, -1, curve.r, curve.h)]
+        if curve is SS512:
+            seven = _point_of_order(curve, 7)
+            cases += [(seven, k, double_and_add(_affine_law(curve), seven,
+                                                k % 7))
+                      for k in (7, 9, 14, 15, curve.r)]
+        for point, k, expected in cases:
+            for base in (point, jacobian.odd_multiples(point, curve.a,
+                                                       curve.p)):
+                assert jacobian.multi_mul([(base, k)], curve.a,
+                                          curve.p) == expected, k
+
+    @pytest.mark.parametrize("curve", PAIRING_CURVES, ids=["TEST", "SS512"])
+    def test_clear_cofactor_and_h0_match_naive_loop(self, curve):
+        size = curve.params.field_bytes
+        for index in range(2):
+            data = b"h0 kernel identity %d" % index
+            expected = tuple(
+                naive_hash_to_point(curve,
+                                    hashing._digest_stream(domain, data,
+                                                           size))
+                for domain in (hashing.DOMAIN_H0_U, hashing.DOMAIN_H0_V))
+            assert hashing.hash_h0(curve, data) == expected
+        rng = random.Random(9090)
+        for _ in range(2):
+            try:
+                point = curve.lift_x(rng.randrange(curve.p), 1)
+            except NotOnCurveError:
+                continue
+            expected = double_and_add(_affine_law(curve),
+                                      curve.to_affine(point), curve.h)
+            assert curve.clear_cofactor(point) == curve.from_affine(expected)
