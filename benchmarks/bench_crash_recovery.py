@@ -40,7 +40,6 @@ from repro.core import groupsig
 from repro.core.clock import ManualClock
 from repro.core.deployment import Deployment
 from repro.core.durable import DurableRouterStore, MemoryStorage
-from repro.core.groupsig import RevocationToken
 from repro.core.operator_entity import NetworkOperator
 from repro.core.revocation import RevocationTagCache
 from repro.core.router import MeshRouter
@@ -329,12 +328,12 @@ def test_crash_recovery(reporter):
                         rng=random.Random(6))
     target = MeshRouter("MR-TGT", operator, clock=clock,
                         rng=random.Random(7))
-    decoy_rng = random.Random(8)
-    decoys = [RevocationToken(operator.group.random_g1(decoy_rng))
-              for _ in range(WARMUP_URL_SIZE)]
-    operator._revoked_tokens = {token.a: token for token in decoys}
-    operator._url_version += 1
-    operator._snapshot_url()
+    # The decoys are issued member keys, revoked through the operator's
+    # public calls like any other key.
+    decoys, _shares = operator.register_user_group("Decoys",
+                                                   WARMUP_URL_SIZE)
+    for index, _x in decoys.entries:
+        operator.revoke_user_key(index)
     source.refresh_lists()
     target.refresh_lists()
     source.enable_sharded_revocation(cache=RevocationTagCache())

@@ -14,7 +14,9 @@ adversarial input.
 How the speed is found (pairing kernels in :mod:`repro.pairing.fastpath`;
 H0 and the SPK's multi-exps on the one scalar-multiplication kernel of
 :mod:`repro.mathx.jacobian`, the SPK building each base's odd-multiple
-table once for its two multi-exps):
+table once for its two multi-exps -- in period mode a ladder, which
+also serves T1's and T2's subgroup checks, each multiple then doubling
+a quarter as often):
 
 * **Fused Miller + subgroup pass.**  The reference path pays two
   scalar multiplications by ``r`` for the small-subgroup check and then
@@ -79,13 +81,21 @@ def classify_fast(gpk, message: bytes, signature, url, period,
     # Milestone 1: structural + subgroup rejection, zero notes (the
     # reference rejects these before deriving any generators).  When a
     # per-signature scan lies ahead, the subgroup check rides the fused
-    # Miller pass below; otherwise the plain exact check is cheaper.
+    # Miller pass below; otherwise the plain exact check is cheaper.  In
+    # period mode T1 and T2 each have three multiples (the check and two
+    # SPK multiples), so each gets a ladder that serves all three.
     t1, t2 = signature.t1, signature.t2
     if t1.is_identity() or t2.is_identity():
         return InvalidSignature("degenerate T1/T2")
     fused = scan and period is None
-    check = curve.is_on_curve if fused else curve.in_subgroup
-    if not (check(t1.point) and check(t2.point)):
+    if period is None:
+        check = curve.is_on_curve if fused else curve.in_subgroup
+        in_subgroup = check(t1.point) and check(t2.point)
+    else:
+        t1_base, t2_base = curve.ladder(t1.point), curve.ladder(t2.point)
+        in_subgroup = (curve.ladder_in_subgroup(t1.point, t1_base)
+                       and curve.ladder_in_subgroup(t2.point, t2_base))
+    if not in_subgroup:
         return InvalidSignature("T1/T2 outside the prime-order subgroup")
 
     if period is None:
@@ -110,11 +120,13 @@ def classify_fast(gpk, message: bytes, signature, url, period,
         v = G1Element(v_pt, group)
     else:
         # Period mode: generators are item-independent and already
-        # tabulated by the engine's LRU (which notes the derivation /
-        # replays it on a hit), so two table evaluations (only when a
-        # scan needs them) give the revocation-tag legs.
+        # tabulated (pairing tables and ladders) by the engine's LRU
+        # (which notes the derivation / replays it on a hit), so two
+        # table evaluations (only when a scan needs them) give the
+        # revocation-tag legs.
         context = engine.generators(period)
         u, v = context.u, context.v
+        u_base, v_base = context.u_ladder, context.v_ladder
         if scan:
             leg = context.u_table.miller(t2.point)
             t2u_a, t2u_b = leg.a, leg.b
@@ -130,20 +142,23 @@ def classify_fast(gpk, message: bytes, signature, url, period,
         s_alpha, s_x, s_delta = (signature.s_alpha, signature.s_x,
                                  signature.s_delta)
         # The four SPK multi-exps share two base pairs, {u, T1} and
-        # {T2, v}, so each base's affine odd-multiple table is built
-        # once; each evaluation is one multi-exponentiation of the
-        # abstract cost model, noted exactly like `group.multi_exp`.
-        u_odd, t1_odd, t2_odd, v_odd = (curve.odd_multiples(base.point)
-                                        for base in (u, t1, t2, v))
+        # {T2, v}, so each base's table is built once: the ladders of
+        # period mode, or (flat mode, where each pair already shares
+        # one chain) one-rung odd-multiple tables.  Each evaluation is
+        # one multi-exponentiation of the abstract cost model, noted
+        # exactly like `group.multi_exp`.
+        if period is None:
+            u_base, t1_base, t2_base, v_base = (
+                curve.odd_multiples(base.point) for base in (u, t1, t2, v))
         instrument.note("exp")
-        r1 = G1Element(curve.multi_mul([(u_odd, s_alpha), (t1_odd, -c)]),
-                       group)
+        r1 = G1Element(curve.multi_mul([(u_base, s_alpha),
+                                        (t1_base, -c)]), group)
         instrument.note("exp")
-        left = G1Element(curve.multi_mul([(t2_odd, s_x),
-                                          (v_odd, -s_delta)]), group)
+        left = G1Element(curve.multi_mul([(t2_base, s_x),
+                                          (v_base, -s_delta)]), group)
         instrument.note("exp")
-        right = G1Element(curve.multi_mul([(t2_odd, c),
-                                           (v_odd, -s_alpha)]), group)
+        right = G1Element(curve.multi_mul([(t2_base, c),
+                                           (v_base, -s_alpha)]), group)
         # R2 = e(left, g2) * e(right, w) * e(g1, g2)^-c: the two NAF
         # table evaluations share one Miller chain and one final
         # exponentiation, and the last factor goes through the
@@ -153,8 +168,8 @@ def classify_fast(gpk, message: bytes, signature, url, period,
         r2 = GTElement(engine.pair_g2_w(left, right)
                        * engine.gt_table.pow(-c % order), group)
         instrument.note("exp")
-        r3 = G1Element(curve.multi_mul([(u_odd, -s_delta), (t1_odd, s_x)]),
-                       group)
+        r3 = G1Element(curve.multi_mul([(u_base, -s_delta),
+                                        (t1_base, s_x)]), group)
         expected = gpk.challenge(message, signature.r, t1, t2, r1, r2, r3)
     if reg is not None:
         reg.observe("groupsig.spk_seconds", reg.clock() - start)

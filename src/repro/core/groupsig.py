@@ -46,6 +46,7 @@ are the reference's.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 from collections import OrderedDict
@@ -60,6 +61,7 @@ from repro.errors import (
     RevokedKeyError,
 )
 from repro.core import batch_core
+from repro.mathx.jacobian import Ladder
 from repro.pairing import fastpath
 from repro.pairing.fields import Fp2
 from repro.pairing.group import (
@@ -154,6 +156,12 @@ class GroupPrivateKey:
     def exponent_sum(self) -> int:
         """The effective BS04 member exponent ``grp_i + x_j``."""
         return self.grp + self.x
+
+    @functools.cached_property
+    def a_ladder(self) -> Optional[Ladder]:
+        """The ladder of ``A`` (:meth:`repro.pairing.curve.Curve.ladder`),
+        built at the first signature and kept for every later one."""
+        return self.a.group.curve.ladder(self.a.point)
 
 
 @dataclass(frozen=True)
@@ -311,6 +319,10 @@ class GeneratorContext:
     v: G1Element
     u_table: PairingTable
     v_table: PairingTable
+    #: Ladders of ``u`` and ``v`` (:meth:`repro.pairing.curve.Curve.ladder`),
+    #: shared by every period-mode SPK of the period.
+    u_ladder: Ladder
+    v_ladder: Ladder
     #: gpk epoch the memoized ``u_table`` was built under.  The scan
     #: refuses a memo whose epoch disagrees with the verifying gpk's, so
     #: a context replayed across a key rotation rebuilds instead of
@@ -414,17 +426,8 @@ class CryptoEngine:
         instrument.note("pairing", 2)
         curve = self.group.curve
         p = curve.p
-        if left.point.is_infinity():
-            if right.point.is_infinity():
-                raw = (1, 0)
-            else:
-                raw = fastpath.miller_eval(self.w_naf_steps, right.point, p)
-        elif right.point.is_infinity():
-            raw = fastpath.miller_eval(self.g2_naf_steps, left.point, p)
-        else:
-            raw = fastpath.miller_eval_pair(self.g2_naf_steps, left.point,
-                                            self.w_naf_steps, right.point,
-                                            p)
+        raw = fastpath.miller_eval_pair(self.g2_naf_steps, left.point,
+                                        self.w_naf_steps, right.point, p)
         return final_exponentiation(curve, Fp2(raw[0], raw[1], p))
 
     def base_pairing(self) -> GTElement:
@@ -538,6 +541,8 @@ class CryptoEngine:
             u_hat, v_hat, u, v,
             u_table=self._build_table(u_hat),
             v_table=self._build_table(v_hat),
+            u_ladder=self.group.curve.ladder(u.point),
+            v_ladder=self.group.curve.ladder(v.point),
             u_table_epoch=self.gpk.epoch)
         with self._lock:
             self._periods[key] = context
@@ -562,7 +567,10 @@ def sign(gpk: GroupPublicKey, gsk: GroupPrivateKey, message: bytes,
     2 pairings -- matching Section V.C.  The two pairings evaluate
     through the gpk engine's ``g2``/``w`` NAF step tables
     (:meth:`CryptoEngine.pair_g2_w`), the same kernel verification
-    uses; the signature is bit-identical to generic pairings.
+    uses; the signature is bit-identical to generic pairings.  The six
+    multiples run on ladders of ``u``, ``v`` and ``A`` (the last kept on
+    ``gsk``), with ``T1`` and ``T2`` expanded out of R2's left factor
+    and R3 so that no multiple needs a fresh table.
     """
     group = gpk.group
     rng = rng or random.SystemRandom()
@@ -573,33 +581,36 @@ def sign(gpk: GroupPublicKey, gsk: GroupPrivateKey, message: bytes,
     with obs.span("groupsig.sign"):
         r = group.random_scalar(rng)
         _u_hat, _v_hat, u, v = derive_generators(gpk, message, r, period)
-        # u and v each recur in three of the six multiples below, so
-        # their odd-multiple tables are built once; each multiple is one
+        # u and v each recur in three of the six multiples below, each
+        # in its own chain, so each gets a ladder; each multiple is one
         # exponentiation of the abstract cost model, noted like `**`.
         curve = group.curve
-        u_odd = curve.odd_multiples(u.point)
-        v_odd = curve.odd_multiples(v.point)
+        u_ladder = curve.ladder(u.point)
+        v_ladder = curve.ladder(v.point)
 
         def exp(*terms) -> G1Element:
             instrument.note("exp")
             return G1Element(curve.multi_mul(list(terms)), group)
 
         alpha = group.random_scalar(rng)
-        t1 = exp((u_odd, alpha))
-        t2 = gsk.a * exp((v_odd, alpha))
+        t1 = exp((u_ladder, alpha))
+        t2 = gsk.a * exp((v_ladder, alpha))
         delta = gsk.exponent_sum * alpha % order
 
         r_alpha = group.random_scalar(rng)
         r_x = group.random_scalar(rng)
         r_delta = group.random_scalar(rng)
 
-        r1 = exp((u_odd, r_alpha))
+        r1 = exp((u_ladder, r_alpha))
         # R2 = e(T2, g2)^r_x * e(v, w)^-r_alpha * e(v, g2)^-r_delta, folded
         # into two pairings: e(T2^r_x * v^-r_delta, g2) * e(v^-r_alpha, w).
-        left = exp((t2.point, r_x), (v_odd, -r_delta))
-        right = exp((v_odd, -r_alpha))
+        # With T1 = u^alpha and T2 = A * v^alpha, T2^r_x * v^-r_delta is
+        # A^r_x * v^mixed and R3 = T1^r_x * u^-r_delta is u^mixed.
+        mixed = (alpha * r_x - r_delta) % order
+        left = exp((gsk.a_ladder, r_x), (v_ladder, mixed))
+        right = exp((v_ladder, -r_alpha))
         r2 = GTElement(gpk.engine.pair_g2_w(left, right), group)
-        r3 = exp((t1.point, r_x), (u_odd, -r_delta))
+        r3 = exp((u_ladder, mixed))
 
         c = gpk.challenge(message, r, t1, t2, r1, r2, r3)
         s_alpha = (r_alpha + c * alpha) % order

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.verifier_pool import VerifierPool
 
-from repro import obs
+from repro import instrument, obs
 from repro.core import groupsig
 from repro.core.certs import (
     CertificateRevocationList,
@@ -57,11 +57,19 @@ from repro.errors import (
     PuzzleError,
     ReplayError,
 )
+from repro.mathx.jacobian import Ladder
 from repro.pairing.group import G1Element, PairingGroup
 from repro.sig.ecdsa import EcdsaKeyPair, EcdsaPublicKey
 
 #: Default acceptance window for timestamp freshness, seconds.
 DEFAULT_TS_WINDOW = 30.0
+
+
+def _power(group: PairingGroup, ladder: Ladder, exponent: int) -> G1Element:
+    """``P ** exponent`` on the ladder of ``P`` its subgroup check ran
+    on: the same element, and the same one noted "exp", as ``**``."""
+    instrument.note("exp")
+    return G1Element(group.curve.multi_mul([(ladder, exponent)]), group)
 
 
 @dataclass(frozen=True)
@@ -345,8 +353,11 @@ class RouterAuthEngine:
         self._bump("duplicate_requests")
         return confirm, session
 
-    def _precheck(self, request: AccessRequest, now: float) -> int:
-        """Every pre-pairing check of (M.2); returns the beacon's r_R.
+    def _precheck(self, request: AccessRequest, now: float
+                  ) -> Tuple[int, Ladder]:
+        """Every pre-pairing check of (M.2); returns the beacon's r_R and
+        the ladder of g^r_j the subgroup check ran on (:meth:`_accept`
+        raises it to r_R).
 
         Raises (and tallies) the cheap rejections -- replay, timestamp,
         puzzle, degenerate DH share -- so the expensive group-signature
@@ -377,18 +388,20 @@ class RouterAuthEngine:
                 self._bump("rejected_puzzle")
                 raise PuzzleError("missing or wrong puzzle solution")
 
-        if (request.g_r_user.is_identity()
-                or not self.group.curve.in_subgroup(
-                    request.g_r_user.point)):
+        curve = self.group.curve
+        share = request.g_r_user.point
+        ladder = curve.ladder(share)  # None for the identity
+        if ladder is None or not curve.ladder_in_subgroup(share, ladder):
             self._bump("rejected_signature")
             raise AuthenticationError(
                 "g^r_j degenerate or outside the subgroup")
-        return r_router
+        return r_router, ladder
 
-    def _accept(self, request: AccessRequest, r_router: int, now: float
+    def _accept(self, request: AccessRequest, r_router: int,
+                ladder: Ladder, now: float
                 ) -> Tuple[AccessConfirm, SecureSession]:
         """Post-verification tail of (M.2): key, session, (M.3), log."""
-        shared = request.g_r_user ** r_router      # K = (g^r_j)^r_R
+        shared = _power(self.group, ladder, r_router)  # K = (g^r_j)^r_R
         session_id = session_id_from(request.g_r_router, request.g_r_user)
         session = SecureSession(session_id, shared, initiator=False,
                                 peer_label="anonymous-user")
@@ -425,7 +438,7 @@ class RouterAuthEngine:
         start = reg.clock() if reg is not None else 0.0
         with obs.timer("router.precheck_seconds"), \
                 obs.span("router.precheck"):
-            r_router = self._precheck(request, now)
+            r_router, ladder = self._precheck(request, now)
 
         url = self.url_provider()
         state = self.revocation_state
@@ -456,7 +469,7 @@ class RouterAuthEngine:
             raise
 
         with obs.timer("router.accept_seconds"), obs.span("router.accept"):
-            outcome = self._accept(request, r_router, now)
+            outcome = self._accept(request, r_router, ladder, now)
         if reg is not None:
             reg.observe("router.handshake_seconds", reg.clock() - start)
         return outcome
@@ -496,7 +509,7 @@ class RouterAuthEngine:
         reg = obs.active()
         start = reg.clock() if reg is not None else 0.0
         outcomes: "list[object]" = [None] * len(requests)
-        r_routers: Dict[int, int] = {}
+        prechecked: Dict[int, Tuple[int, Ladder]] = {}
         batch = []
         positions = []
         for index, request in enumerate(requests):
@@ -506,7 +519,7 @@ class RouterAuthEngine:
                 outcomes[index] = duplicate
                 continue
             try:
-                r_routers[index] = self._precheck(request, now)
+                prechecked[index] = self._precheck(request, now)
             except (ReplayError, PuzzleError, AuthenticationError) as exc:
                 outcomes[index] = exc
                 continue
@@ -543,7 +556,7 @@ class RouterAuthEngine:
             for position, error in zip(positions, errors):
                 if error is None:
                     outcomes[position] = self._accept(
-                        requests[position], r_routers[position], now)
+                        requests[position], *prechecked[position], now)
                 elif isinstance(error, groupsig.RevokedKeyError):
                     self._bump("rejected_revoked")
                     outcomes[position] = error
@@ -586,8 +599,12 @@ class UserAuthEngine:
     # -- validate M.1, produce M.2 -------------------------------------------
 
     def validate_beacon(self, beacon: Beacon,
-                        now: Optional[float] = None) -> None:
+                        now: Optional[float] = None
+                        ) -> Tuple[Ladder, Ladder]:
         """Every check of (M.1), Section IV.B step 2; raises on failure.
+
+        Returns the ladders of g and g^r_R the subgroup checks ran on,
+        which :meth:`process_beacon` raises to r_j.
 
         NO's signatures on Cert_k, the CRL and the URL go through
         :attr:`verified`, so bytes this party has verified before cost
@@ -615,9 +632,12 @@ class UserAuthEngine:
         if beacon.g.is_identity() or beacon.g_r_router.is_identity():
             raise ProtocolError("degenerate DH values in beacon")
         curve = self.group.curve
-        if not (curve.in_subgroup(beacon.g.point)
-                and curve.in_subgroup(beacon.g_r_router.point)):
+        g, g_r_router = beacon.g.point, beacon.g_r_router.point
+        ladders = curve.ladder(g), curve.ladder(g_r_router)
+        if not (curve.ladder_in_subgroup(g, ladders[0])
+                and curve.ladder_in_subgroup(g_r_router, ladders[1])):
             raise ProtocolError("beacon DH values outside the subgroup")
+        return ladders
 
     def process_beacon(self, beacon: Beacon
                        ) -> Tuple[AccessRequest, PendingUserSession]:
@@ -626,12 +646,12 @@ class UserAuthEngine:
         reg = obs.active()
         start = reg.clock() if reg is not None else 0.0
         with obs.span("user.beacon_validate"):
-            self.validate_beacon(beacon, now)
+            g_ladder, g_r_router_ladder = self.validate_beacon(beacon, now)
         if reg is not None:
             reg.observe("user.beacon_validate_seconds", reg.clock() - start)
 
         r_user = self.group.random_scalar(self.rng)
-        g_r_user = beacon.g ** r_user
+        g_r_user = _power(self.group, g_ladder, r_user)
         ts2 = quantize_ts(now)   # match what the wire will carry
         request = AccessRequest(g_r_user=g_r_user,
                                 g_r_router=beacon.g_r_router, ts2=ts2,
@@ -648,7 +668,8 @@ class UserAuthEngine:
         request = AccessRequest(g_r_user, beacon.g_r_router, ts2,
                                 signature, solution)
 
-        shared = beacon.g_r_router ** r_user       # K = (g^r_R)^r_j
+        shared = _power(self.group, g_r_router_ladder,
+                        r_user)                     # K = (g^r_R)^r_j
         session_id = session_id_from(beacon.g_r_router, g_r_user)
         session = SecureSession(session_id, shared, initiator=True,
                                 peer_label=beacon.router_id)

@@ -54,7 +54,11 @@ from repro.core.groupsig import (
 )
 from repro.core.wire import Reader, Writer
 from repro.errors import EncodingError, ParameterError, RevokedKeyError
+from repro.pairing import fastpath
+from repro.pairing.curve import Point
+from repro.pairing.fields import Fp2
 from repro.pairing.group import GTElement
+from repro.pairing.tate import final_exponentiation
 
 
 def epoch_period(epoch: int) -> bytes:
@@ -150,6 +154,14 @@ class RevocationState:
     dict lookup -- independent of ``|URL|`` -- and raises the
     *identical* :class:`~repro.errors.RevokedKeyError` (message and
     ``token_index``) the serial Eq.3 scan produces.
+
+    Both run on the NAF Miller steps of ``u_hat`` and ``v_hat``
+    (:func:`repro.pairing.fastpath.naf_steps`): a check evaluates
+    ``e(T2, u_hat) * e(-T1, v_hat)`` as one shared Miller chain and one
+    final exponentiation, and :meth:`update` the new tokens' ``e(A,
+    u_hat)`` with one batched easy part.  NAF and binary Miller values
+    differ only by F_p* factors, which the final exponentiation removes,
+    so every tag is byte-identical to generic pairings.
     """
 
     def __init__(self, gpk: GroupPublicKey,
@@ -168,10 +180,11 @@ class RevocationState:
         self.epoch = gpk.epoch
         self.period = epoch_period(self.epoch)
         # Derived once per epoch; every check and tag build reuses the
-        # tables (the amortization behind "6 exp + 5 pairings").
+        # steps (the amortization behind "6 exp + 5 pairings").
         context = gpk.engine.generators(self.period)
-        self._u_table = context.u_table
-        self._v_table = context.v_table
+        curve = gpk.group.curve
+        self._u_steps = fastpath.naf_steps(curve, context.u_hat.point)
+        self._v_steps = fastpath.naf_steps(curve, context.v_hat.point)
 
     def rotate(self, gpk: GroupPublicKey,
                url: Optional[Sequence[RevocationToken]] = None,
@@ -206,9 +219,9 @@ class RevocationState:
         removed = ({encoding for encoding, _ in self._entries}
                    - set(encodings))
         # Bulk tag derivation: cache hits are pairing-free; the misses
-        # share the u_hat line table per Miller loop and one batched
-        # final-exponentiation easy part (PairingTable.pairing_each),
-        # still billed one abstract pairing per derived tag.
+        # share the u_hat steps per Miller loop and one batched
+        # final-exponentiation easy part, still billed one abstract
+        # pairing per derived tag.
         tags: list = []
         miss_slots: list = []
         for encoding in encodings:
@@ -217,11 +230,18 @@ class RevocationState:
             if tag is None:
                 miss_slots.append(len(tags) - 1)
         if miss_slots:
-            values = self._u_table.pairing_each(
-                [tokens[slot].a.point for slot in miss_slots])
-            for slot, value in zip(miss_slots, values):
+            group = self.gpk.group
+            p = group.curve.p
+            points = [tokens[slot].a.point for slot in miss_slots]
+            finite = [point for point in points if not point.is_infinity()]
+            values = iter(fastpath.final_exponentiation_each(
+                [fastpath.miller_eval(self._u_steps, point, p)
+                 for point in finite], group.curve))
+            for slot, point in zip(miss_slots, points):
                 instrument.note("pairing")
-                tag = GTElement(value, self.gpk.group).encode()
+                # e(O, u_hat) = 1
+                value = Fp2.one(p) if point.is_infinity() else next(values)
+                tag = GTElement(value, group).encode()
                 tags[slot] = tag
                 self.cache.put(self.epoch, encodings[slot], tag)
         # Duplicate tokens share a tag; the serial scan stops at the
@@ -246,8 +266,10 @@ class RevocationState:
     def check(self, message: bytes, signature: GroupSignature) -> None:
         """Eq.3 as one tag lookup; |URL|-independent.
 
-        Computes the signature's period tag (2 counted pairings), looks
-        it up, and raises :meth:`RevokedKeyError.for_token` on a match
+        Computes the signature's period tag ``e(T2, u_hat) * e(-T1,
+        v_hat)`` (2 counted pairings on one Miller chain and one final
+        exponentiation), looks it up, and raises
+        :meth:`RevokedKeyError.for_token` on a match
         -- the same exception object shape, message text, and
         ``token_index`` as the serial scan, enforced by
         ``tests/test_revocation.py``.  ``message`` is unused in period
@@ -257,15 +279,22 @@ class RevocationState:
         del message
         with obs.span("revocation.tag_check"):
             instrument.note("pairing", 2)
-            tag_value = (self._u_table.pairing(signature.t2.point)
-                         * self._v_table.pairing(signature.t1.point)
-                         .inverse())
-            tag = GTElement(tag_value, self.gpk.group).encode()
-            hit = self._first_by_tag.get(tag)
+            hit = self._first_by_tag.get(
+                self._tag(signature.t1.point, signature.t2.point))
         obs.counter("revocation.checks_total")
         if hit is not None:
             obs.counter("revocation.check_revoked_total")
             raise RevokedKeyError.for_token(hit)
+
+    def _tag(self, t1: Point, t2: Point) -> bytes:
+        """The period tag ``e(T2, u_hat) * e(-T1, v_hat)`` as GT bytes:
+        both Miller loops on one shared chain, one final exponentiation."""
+        group = self.gpk.group
+        curve = group.curve
+        raw = fastpath.miller_eval_pair(self._u_steps, t2, self._v_steps,
+                                        curve.neg(t1), curve.p)
+        return GTElement(final_exponentiation(
+            curve, Fp2(raw[0], raw[1], curve.p)), group).encode()
 
 
 @dataclass(frozen=True)

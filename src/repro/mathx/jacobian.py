@@ -13,12 +13,30 @@ Every multiple runs one loop, :func:`_chain`: runs of inline doublings
 separated by *mixed* additions, which add an affine table point to the
 Jacobian accumulator (11 field multiplications and 10 reductions
 against 16 and 11 for two Jacobian points).  :func:`multi_mul` feeds it
-interleaved wNAF digits over affine odd-multiple tables
-(:class:`OddMultiples`, one batched inversion per term, or built ahead
-of time for a base that recurs); :class:`FixedBaseTable` feeds it one
-affine entry per signed window and no doublings, alone or after a
-:func:`multi_mul` chain's last doubling.  :func:`jdouble` and
+interleaved wNAF digits over affine odd-multiple tables (built per call
+for a point, or a prebuilt :class:`Ladder`'s); :class:`FixedBaseTable`
+feeds it one affine entry per signed window and no doublings, alone or
+after a :func:`multi_mul` chain's last doubling.  :func:`jdouble` and
 :func:`jadd` are the general Jacobian steps the tables are built with.
+
+A chain doubles as often as its widest scalar has bits, so a point
+whose multiples run in separate chains pays for the same doublings in
+each.  A *ladder* (:func:`ladder`) holds the odd-multiple tables of
+``P``, ``2^d*P``, ``2^2d*P`` and ``2^3d*P``, ``d`` a quarter of the
+order's bits, built with ``3d`` doublings and one batched inversion.  A
+laddered term splits its scalar exactly into ``d``-bit chunks, one per
+rung, so the chain runs ``d`` doublings instead of ``4d``; the split
+never reduces the scalar, so subgroup checks (``r*P``) and cofactors
+run on a ladder too, the top rung taking whatever exceeds ``4d`` bits.
+A chain is only as short as its widest term, so a ladder gains beside
+ladders and fixed-base terms alone.  Callers build one for a point with
+two or more multiples in separate chains: period-mode T1 and T2 (a
+subgroup check and two SPK multiples each) and the period's u and v; a
+signer's u, v and A; a DH share that is subgroup-checked and then
+raised.  :func:`odd_multiples` gives the one-rung ladder, the plain
+table flat-mode verification keeps for its per-signature u, v, T1 and
+T2: each of those already shares its chain with a partner, so a
+ladder's ``3d`` doublings would cost more than its shorter chains save.
 
 A reduction modulo a 512-bit ``p`` costs about twice a multiplication
 in CPython, so the doubling is the form with the fewest (7); carrying
@@ -42,6 +60,8 @@ INFINITY: Jacobian = (0, 1, 0)
 #: :func:`multi_mul`'s wNAF width: digits are odd and below ``2^3``, so
 #: a full table holds ``P, 3P, 5P, 7P``.
 WNAF_WIDTH = 4
+#: Rungs of a full :class:`Ladder`: ``P, 2^d*P, 2^2d*P, 2^3d*P``.
+LADDER_RUNGS = 4
 #: :class:`FixedBaseTable`'s signed window: ``ceil(bits / 6)`` mixed
 #: additions a multiple, 32 entries a window.
 FIXED_WINDOW = 6
@@ -109,28 +129,53 @@ def _normalise(points: Sequence[Jacobian], p: int) -> List[Affine]:
     return out
 
 
-class OddMultiples(tuple):
-    """Affine ``(P, 3P, 5P, ...)`` of one point, ``None`` where a
-    multiple is infinity: the table a :func:`multi_mul` term runs on.
-    Built ahead by :func:`odd_multiples` for a base that recurs."""
+class Ladder:
+    """Affine odd-multiple tables of ``P, 2^d*P, 2^2d*P, ...``, one per
+    rung: a :func:`multi_mul` base whose scalar splits into ``d``-bit
+    chunks (``spacing`` is ``d``; a one-rung ladder never splits).
+    ``None`` marks an entry at infinity (a point of small order)."""
 
-    __slots__ = ()
+    __slots__ = ("spacing", "rungs")
+
+    def __init__(self, spacing: int,
+                 rungs: Tuple[Tuple[Affine, ...], ...]) -> None:
+        self.spacing = spacing
+        self.rungs = rungs
+
+
+def ladder(point: Affine, a: int, p: int, bits: int,
+           count: int = 1 << (WNAF_WIDTH - 2)) -> Optional[Ladder]:
+    """The :data:`LADDER_RUNGS`-rung ladder of affine ``P`` for scalars of
+    ``bits`` bits (rungs ``ceil(bits / LADDER_RUNGS)`` doublings apart),
+    or the one-rung ladder when ``bits`` is 0: ``(2*count-1)P`` and the
+    odd multiples below it on each rung, one batched inversion in all;
+    ``None`` for the point at infinity."""
+    if point is None:
+        return None
+    spacing = -(-bits // LADDER_RUNGS)
+    entries: List[Jacobian] = []
+    x, y, z = point[0], point[1], 1
+    for rung in range(LADDER_RUNGS if spacing else 1):
+        if rung:
+            for _ in range(spacing):
+                x, y, z = jdouble(x, y, z, a, p)
+        entry = (x, y, z)
+        entries.append(entry)
+        if count > 1:
+            twice = jdouble(x, y, z, a, p)
+            for _ in range(count - 1):
+                entry = jadd(*entry, *twice, a, p)
+                entries.append(entry)
+    flat = _normalise(entries, p)
+    return Ladder(spacing, tuple(tuple(flat[i:i + count])
+                                 for i in range(0, len(flat), count)))
 
 
 def odd_multiples(point: Affine, a: int, p: int,
-                  count: int = 1 << (WNAF_WIDTH - 2)
-                  ) -> Optional[OddMultiples]:
-    """``(P, 3P, ..., (2*count-1)P)`` for affine ``P``, one batched
-    inversion; ``None`` for the point at infinity."""
-    if point is None:
-        return None
-    x, y = point
-    table = [(x, y, 1)]
-    if count > 1:
-        twice = jdouble(x, y, 1, a, p)
-        for _ in range(count - 1):
-            table.append(jadd(*table[-1], *twice, a, p))
-    return OddMultiples(_normalise(table, p))
+                  count: int = 1 << (WNAF_WIDTH - 2)) -> Optional[Ladder]:
+    """The one-rung :class:`Ladder` ``(P, 3P, ..., (2*count-1)P)``;
+    ``None`` for the point at infinity."""
+    return ladder(point, a, p, 0, count)
 
 
 def _chain(steps: List[Tuple[int, Optional[int], Optional[int]]],
@@ -173,37 +218,43 @@ def _chain(steps: List[Tuple[int, Optional[int], Optional[int]]],
     return to_affine(X, Y, Z, p)
 
 
-def multi_mul(terms: Sequence[Tuple[Union[Affine, OddMultiples,
+def multi_mul(terms: Sequence[Tuple[Union[Affine, Ladder,
                                           "FixedBaseTable"], int]],
               a: int, p: int) -> Affine:
     """Interleaved-wNAF ``sum(k_i * P_i)`` over ``(P_i, k_i)`` terms.
 
-    A base is an affine point, its prebuilt :class:`OddMultiples`, or a
+    A base is an affine point, its prebuilt :class:`Ladder`, or a
     :class:`FixedBaseTable`, whose entries join the chain after its last
     doubling.  Scalars are never reduced (subgroup checks and cofactor
-    clearing pass multiples of the order; a fixed-base term reduces
-    modulo its table's order); a negative one negates its digits.  All
-    terms share one doubling chain.
+    clearing pass multiples of the order; a ladder splits its scalar
+    exactly across its rungs; a fixed-base term reduces modulo its
+    table's order); a negative one negates its digits.  All terms share
+    one doubling chain.
     """
-    adds = []
+    adds: List[Tuple[int, int, int]] = []
     fixed = []
     for base, scalar in terms:
         if base is None or scalar == 0:
             continue
         if isinstance(base, FixedBaseTable):
             fixed += base._steps(scalar)
-            continue
-        digits = _wnaf(scalar)
-        if not isinstance(base, OddMultiples):
+        elif isinstance(base, Ladder):
+            sign = -1 if scalar < 0 else 1
+            scalar *= sign
+            mask = (1 << base.spacing) - 1
+            top = len(base.rungs) - 1
+            for rung, table in enumerate(base.rungs):
+                chunk = scalar if rung == top else scalar & mask
+                scalar >>= base.spacing
+                if chunk:
+                    _add_digits(adds, table, _wnaf(sign * chunk), p)
+        else:
+            digits = _wnaf(scalar)
             # Odd multiples up to the largest digit used (a sparse
             # scalar, e.g. a cofactor, needs P alone).
-            base = odd_multiples(
+            table = odd_multiples(
                 base, a, p, (max(abs(d) for _i, d in digits) + 1) >> 1)
-        for i, digit in digits:
-            entry = base[abs(digit) >> 1]
-            if entry is not None:
-                x, y = entry
-                adds.append((i, x, y if digit > 0 else -y % p))
+            _add_digits(adds, table.rungs[0], digits, p)
     steps = []
     last = 0
     if adds:
@@ -219,6 +270,18 @@ def multi_mul(terms: Sequence[Tuple[Union[Affine, OddMultiples,
     elif adds:
         steps.append((last, None, None))
     return _chain(steps, a, p)
+
+
+def _add_digits(adds: List[Tuple[int, int, int]],
+                table: Tuple[Affine, ...], digits: List[Tuple[int, int]],
+                p: int) -> None:
+    """Append ``(position, x, y)`` for each wNAF digit's table entry
+    (negated for a negative digit; an entry at infinity adds nothing)."""
+    for i, digit in digits:
+        entry = table[abs(digit) >> 1]
+        if entry is not None:
+            x, y = entry
+            adds.append((i, x, y if digit > 0 else -y % p))
 
 
 def _wnaf(scalar: int) -> List[Tuple[int, int]]:

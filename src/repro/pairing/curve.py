@@ -64,8 +64,8 @@ class Point:
         return f"Point({self.x:#x}, {self.y:#x})"
 
 
-#: A multiplication base: a point or its prebuilt odd multiples.
-Base = Union[Point, jacobian.OddMultiples]
+#: A multiplication base: a point or its prebuilt ladder.
+Base = Union[Point, jacobian.Ladder]
 
 
 class Curve:
@@ -148,9 +148,9 @@ class Curve:
         Scalars are reduced modulo ``r``.  All terms share one Jacobian
         doubling chain (the dominant cost), with per-point tables of odd
         multiples (a base may be its prebuilt :meth:`odd_multiples`
-        table); still counted as ONE multi-exponentiation by the
-        instrumentation layer (the counting happens in
-        :meth:`repro.pairing.group.PairingGroup.multi_exp`).
+        table or :meth:`ladder`); still counted as ONE
+        multi-exponentiation by the instrumentation layer (the counting
+        happens in :meth:`repro.pairing.group.PairingGroup.multi_exp`).
         """
         return self.multi_mul_raw([(base, scalar % self.r)
                                    for base, scalar in pairs])
@@ -159,19 +159,34 @@ class Curve:
         """Interleaved-wNAF ``sum(k_i * P_i)`` without scalar reduction
         (:func:`repro.mathx.jacobian.multi_mul`).
 
-        A base is a point or its :meth:`odd_multiples` table.  Batched
-        subgroup screening needs scalars ``delta_i * r`` that must NOT
-        be reduced modulo ``r`` (they would vanish).
+        A base is a point or its :meth:`odd_multiples` table or
+        :meth:`ladder`.  Batched subgroup screening needs scalars
+        ``delta_i * r`` that must NOT be reduced modulo ``r`` (they
+        would vanish).
         """
         return self.from_affine(jacobian.multi_mul(
-            [(base if isinstance(base, jacobian.OddMultiples)
-              else self.to_affine(base), scalar) for base, scalar in pairs],
+            [(self.to_affine(base) if isinstance(base, Point) else base,
+              scalar) for base, scalar in pairs],
             self.a, self.p))
 
-    def odd_multiples(self, point: Point) -> "jacobian.OddMultiples | None":
-        """The affine odd-multiple table of ``point``: a :meth:`multi_mul`
-        base built once for a point that recurs across calls."""
+    def odd_multiples(self, point: Point) -> "jacobian.Ladder | None":
+        """The affine odd-multiple table of ``point`` (its one-rung
+        ladder): a :meth:`multi_mul` base built once for a point whose
+        multiples share one chain."""
         return jacobian.odd_multiples(self.to_affine(point), self.a, self.p)
+
+    def ladder(self, point: Point) -> "jacobian.Ladder | None":
+        """The four-rung ladder of ``point`` (rungs a quarter of ``r``'s
+        bits apart): a :meth:`multi_mul` base for a point whose
+        multiples run in separate chains, each then a quarter as long."""
+        return jacobian.ladder(self.to_affine(point), self.a, self.p,
+                               self.r.bit_length())
+
+    def ladder_in_subgroup(self, point: Point,
+                           ladder: "jacobian.Ladder") -> bool:
+        """:meth:`in_subgroup` on the prebuilt :meth:`ladder` of ``point``."""
+        return (self.is_on_curve(point)
+                and self.multi_mul_raw([(ladder, self.r)]).is_infinity())
 
     def to_affine(self, point: Point) -> "Tuple[int, int] | None":
         """The shared arithmetic's form: ``(x, y)``, ``None`` at infinity."""

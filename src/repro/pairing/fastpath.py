@@ -6,11 +6,11 @@ outputs are either bit-identical to the reference (table steps) or
 identical after the final exponentiation (Miller values scaled by an
 F_p* factor, which the ``(p - 1)`` part of the final exponent
 annihilates).  The reference implementations stay untouched so A/B
-benchmarks keep an honest baseline; only the crypto engine and the
-batch core call into this module.  Scalar multiplication is not here:
-every curve multiple -- the SPK's multi-exps on shared odd-multiple
-tables and H0's cofactor clearing included -- runs on the one kernel
-of :mod:`repro.mathx.jacobian`.
+benchmarks keep an honest baseline; only the crypto engine, the
+batch core and the revocation tag index call into this module.  Scalar
+multiplication is not here: every curve multiple -- the SPK's
+multi-exps on shared tables and ladders and H0's cofactor clearing
+included -- runs on the one kernel of :mod:`repro.mathx.jacobian`.
 
 Nothing here reports to :mod:`repro.instrument` -- callers note the
 abstract operations at the same milestones the naive path would, which
@@ -33,11 +33,15 @@ The kernels:
     coefficients built with two batched inversions instead of one
     inversion per Miller step (Montgomery's trick).
 
-``miller_eval`` / ``unitary_pow_h`` / ``unitary_tag_is_one``
-    Raw-integer helpers for evaluating stored lines and testing
-    revocation tags on the unit circle of F_p2 (where the cofactor
-    ``h = (p + 1) / r`` has Hamming weight 6, so ``z^h`` is almost all
-    cheap unitary squarings).
+``miller_eval`` / ``miller_eval_pair`` / ``final_exponentiation_each``
+    Raw-integer helpers for evaluating stored lines -- one table, or
+    two on one shared accumulator -- and final-exponentiating many raw
+    values with one batched inversion.
+
+``unitary_pow_h`` / ``unitary_tag_is_one``
+    Testing revocation tags on the unit circle of F_p2 (where the
+    cofactor ``h = (p + 1) / r`` has Hamming weight 6, so ``z^h`` is
+    almost all cheap unitary squarings).
 
 ``GTFixedBase``
     Signed-window fixed-base exponentiation in GT for the cached base
@@ -59,6 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.mathx import batch_inverse
 from repro.pairing.curve import Curve, Point
 from repro.pairing.fields import Fp2
+from repro.pairing.tate import _unitary_pow
 
 #: Cached MSB-first bit strings keyed by the integer itself -- ``r``
 #: and ``h`` for each curve in use (two entries per parameter preset).
@@ -437,11 +442,16 @@ def miller_eval_pair(steps1: Sequence[Sequence[Tuple[int, int]]],
     Computes ``miller_eval(steps1, q1) * miller_eval(steps2, q2)`` --
     the exact same F_p2 residue, by commutativity -- but the two Miller
     accumulators ride one shared square-and-multiply chain, so each
-    iteration pays one F_p2 squaring instead of two.  Requires aligned
-    step structure: both tables built over the same scalar with no
-    early degeneration (true for every order-``r`` table point); the
-    caller falls back to two plain evaluations otherwise.
+    iteration pays one F_p2 squaring instead of two.  A point at
+    infinity contributes 1 (``e(P, O) = 1``).  Tables of unequal length
+    (a table point of small order degenerates early) are evaluated
+    apart.
     """
+    if point_q1.is_infinity():
+        return (1, 0) if point_q2.is_infinity() else miller_eval(
+            steps2, point_q2, p)
+    if point_q2.is_infinity():
+        return miller_eval(steps1, point_q1, p)
     if len(steps1) != len(steps2):
         f1 = miller_eval(steps1, point_q1, p)
         f2 = miller_eval(steps2, point_q2, p)
@@ -481,6 +491,26 @@ def miller_eval_pair(steps1: Sequence[Sequence[Tuple[int, int]]],
             f_a, f_b = ((t1 - t2) % p,
                         ((f_a + f_b) * (l_a + y2) - t1 - t2) % p)
     return f_a, f_b
+
+
+def final_exponentiation_each(raws: Sequence[Tuple[int, int]],
+                              curve: Curve) -> List[Fp2]:
+    """``final_exponentiation`` of each raw Miller value, bit-identical,
+    with one batched easy part.
+
+    The easy part ``v^(p-1) = conj(v) / v = conj(v)^2 / norm(v)`` needs
+    one field inversion per value, of the norm alone, so a Montgomery
+    batch inversion shares a single ``pow(_, -1, p)`` across all of
+    them (field inverses are unique, so each result is exactly the
+    single-value one).
+    """
+    p = curve.p
+    inverses = batch_inverse([fp2_norm(a, b, p) for a, b in raws], p)
+    out = []
+    for (a, b), inverse in zip(raws, inverses):
+        out.append(_unitary_pow((a * a - b * b) * inverse % p,
+                                (-2 * a * b) * inverse % p, curve.h, p))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,10 @@ against the naive reference implementations by
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import ParameterError
-from repro.mathx import batch_inverse, jacobian
+from repro.mathx import jacobian
 from repro.pairing.curve import Curve, Point
 from repro.pairing.fields import Fp2
 from repro.pairing.tate import final_exponentiation
@@ -161,40 +161,3 @@ class PairingTable:
                 raise ParameterError("point from a different field")
             return Fp2.one(self.curve.p)
         return final_exponentiation(self.curve, self.miller(point_q))
-
-    def pairing_each(self, points: "List[Point]") -> List[Fp2]:
-        """``[e(P, Q) for Q in points]`` with one batched easy part.
-
-        Per point the Miller loop is unavoidable, but the final
-        exponentiation's easy part ``v^(p-1) = conj(v) / v`` needs one
-        field inversion each -- and ``inverse = conj / norm`` makes the
-        norm the only inverted scalar, so a Montgomery batch inversion
-        shares a single ``pow(_, -1, p)`` across the whole batch.  Each
-        result is bit-identical to :meth:`pairing` (field inverses are
-        unique); bulk revocation-tag builds use this to amortize the
-        per-token cost.
-        """
-        from repro.pairing.tate import _unitary_pow
-
-        curve = self.curve
-        p = curve.p
-        results: List[Optional[Fp2]] = [None] * len(points)
-        millers: List[Tuple[int, Fp2]] = []
-        for index, point_q in enumerate(points):
-            if point_q.p != p:
-                raise ParameterError("point from a different field")
-            if self.point.is_infinity() or point_q.is_infinity():
-                results[index] = Fp2.one(p)
-            else:
-                millers.append((index, self.miller(point_q)))
-        if millers:
-            # Montgomery batch inversion of the norms a^2 + b^2.
-            inverses = batch_inverse(
-                [(v.a * v.a + v.b * v.b) % p for _, v in millers], p)
-            for (index, value), inv in zip(millers, inverses):
-                # easy = conj(v) * v^-1 = conj(v)^2 / norm(v).
-                a, b = value.a, value.b
-                easy_a = (a * a - b * b) * inv % p
-                easy_b = (-2 * a * b) * inv % p
-                results[index] = _unitary_pow(easy_a, easy_b, curve.h, p)
-        return results

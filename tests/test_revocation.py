@@ -22,6 +22,7 @@ from repro.core.revocation import (
     serial_scan_outcome,
 )
 from repro.errors import CertificateError, ParameterError, RevokedKeyError
+from repro.pairing.group import G1Element, GTElement
 
 CHAOS_SEEDS = (101, 202, 303)
 
@@ -262,20 +263,65 @@ class TestScanMemoEpochGuard:
         assert context.u_table_epoch == 3
 
 
-class TestPairingEach:
-    def test_matches_single_pairing_bit_for_bit(self, group, rng):
-        base = group.random_g1(rng)
-        table = group.make_pairing_table(base)
-        points = [group.random_g1(rng).point for _ in range(5)]
-        points.append(points[0])                       # duplicate
-        infinity = (group.g1 ** group.order).point     # identity edge
-        points.append(infinity)
-        batched = table.pairing_each(points)
-        assert batched == [table.pairing(point) for point in points]
+class TestTagKernel:
+    """The tag kernel (NAF steps of u_hat and v_hat, one shared Miller
+    chain per check, one batched easy part per update) against generic
+    binary-chain pairing tables, byte for byte."""
 
-    def test_empty_input(self, group, rng):
-        table = group.make_pairing_table(group.random_g1(rng))
-        assert table.pairing_each([]) == []
+    @staticmethod
+    def _tables(state):
+        context = state.gpk.engine.generators(state.period)
+        group = state.gpk.group
+        return (group.make_pairing_table(context.u_hat),
+                group.make_pairing_table(context.v_hat))
+
+    @staticmethod
+    def _inputs(group, rng):
+        points = [group.random_g1(rng).point for _ in range(4)]
+        infinity = (group.g1 ** group.order).point
+        return points + [points[0], infinity]      # duplicate, identity
+
+    def _assert_pinned(self, state, group, rng):
+        u_table, v_table = self._tables(state)
+        points = self._inputs(group, rng)
+        for t1 in points:
+            for t2 in (points[1], points[0], points[-1]):
+                expected = (u_table.pairing(t2)
+                            * v_table.pairing(t1).inverse())
+                assert state._tag(t1, t2) == GTElement(
+                    expected, group).encode()
+        tokens = [RevocationToken(G1Element(point, group))
+                  for point in points]
+        state.update(tokens, url_version=state.url_version + 1)
+        assert [tag for _, tag in state.entries()] == [
+            GTElement(u_table.pairing(point), group).encode()
+            for point in points]
+
+    def test_check_and_update_match_generic_pairings(self, group, gpk,
+                                                     rng):
+        self._assert_pinned(RevocationState(gpk), group, rng)
+
+    def test_pinned_across_rotate(self, group, gpk, rng):
+        state = RevocationState(gpk)
+        self._assert_pinned(state, group, rng)
+        state.rotate(GroupPublicKey(group, gpk.w, epoch=gpk.epoch + 1))
+        self._assert_pinned(state, group, rng)
+
+    def test_check_uses_the_pinned_tag(self, gpk, member_keys, rng):
+        state = RevocationState(gpk)
+        signature = groupsig.sign(gpk, member_keys["a1"], b"m", rng=rng,
+                                  period=state.period)
+        state._first_by_tag = {
+            state._tag(signature.t1.point, signature.t2.point): 3}
+        with instrument.count_operations() as ops:
+            revoked = _outcome(lambda: state.check(b"m", signature))
+        assert revoked.token_index == 3
+        assert ops.snapshot() == {"pairing": 2}
+
+    def test_update_with_no_tokens(self, gpk):
+        state = RevocationState(gpk)
+        state.update([], url_version=1)
+        assert state.entries() == ()
 
 
 class TestRouterIntegration:

@@ -7,7 +7,9 @@ prebuilt-table multiplications, the pairing curve's cofactor clearing
 and the H0 hash are checked here against :func:`double_and_add`, a
 plain double-and-add over each curve's affine chord-and-tangent
 reference, and :func:`naive_hash_to_point`, the try-and-increment loop
-without the Jacobi prescreen.  ``TestSmoke`` is the subset
+without the Jacobi prescreen; so are ladders (four-rung bases whose
+scalars split across the rungs), on every edge scalar, small-order
+point and mix of base kinds.  ``TestSmoke`` is the subset
 ``scripts/tier1.sh smoke`` runs.
 """
 
@@ -50,9 +52,10 @@ def double_and_add(add, point, k):
 class _Spec:
     """One curve seen through the shared arithmetic's interface."""
 
-    def __init__(self, name, a, p, order, base, add):
+    def __init__(self, name, a, p, order, base, add, cofactor=1):
         self.name, self.a, self.p = name, a, p
         self.order, self.base, self.add = order, base, add
+        self.cofactor = cofactor
 
     def oracle(self, point, k):
         return double_and_add(self.add, point, k)
@@ -79,13 +82,17 @@ def _affine_law(curve):
 
 def _pairing_spec(curve, name):
     base = curve.to_affine(curve.random_point(random.Random(1601)))
-    return _Spec(name, curve.a, curve.p, curve.r, base, _affine_law(curve))
+    return _Spec(name, curve.a, curve.p, curve.r, base, _affine_law(curve),
+                 curve.h)
 
 
 SPECS = [_weierstrass_spec(SECP160R1), _weierstrass_spec(SECP256R1),
          _pairing_spec(PAIRING, "TEST-pairing"),
          _pairing_spec(SS512, "SS512-pairing")]
 PAIRING_CURVES = [PAIRING, SS512]
+#: The curves the ladder tests run on: an ECDSA curve and both pairing
+#: presets the protocols use.
+LADDER_SPECS = [SPECS[0], SPECS[2], SPECS[3]]
 
 
 def naive_hash_to_point(curve, stream):
@@ -415,7 +422,7 @@ class TestSmoke:
         # 7 | h: a point of order 7 has 7P = infinity in its table.
         torsion = (0, 0)
         table = jacobian.odd_multiples(torsion, curve.a, curve.p)
-        assert table == (torsion,) * 4
+        assert table.rungs == ((torsion,) * 4,)
         cases = [(torsion, k, None if k % 2 == 0 else torsion)
                  for k in (1, 2, 3, -1, curve.r, curve.h)]
         if curve is SS512:
@@ -449,3 +456,93 @@ class TestSmoke:
             expected = double_and_add(_affine_law(curve),
                                       curve.to_affine(point), curve.h)
             assert curve.clear_cofactor(point) == curve.from_affine(expected)
+
+    # -- ladders: P, 2^d P, 2^2d P, 2^3d P with d a quarter of the
+    # order's bits; each scalar splits exactly across the rungs.
+
+    @pytest.mark.parametrize("spec", LADDER_SPECS, ids=repr)
+    def test_ladder_edge_scalars(self, spec):
+        n = spec.order
+        ladder = jacobian.ladder(spec.base, spec.a, spec.p, n.bit_length())
+        d = ladder.spacing
+        assert d == -(-n.bit_length() // 4)
+        assert len(ladder.rungs) == jacobian.LADDER_RUNGS
+        # The cofactor (wider than 4d on the pairing curves) and a square
+        # of the order leave their excess on the top rung.
+        wide = [n * n + 3, -(n * n) - 5]
+        if spec.cofactor > 1:
+            wide.append(spec.cofactor)
+            assert spec.cofactor.bit_length() > 4 * d
+        rng = random.Random(19)
+        for k in ([0, 1, -1, n - 1, n, 2 * n, (1 << d) - 1, 1 << d,
+                   (1 << 3 * d) + 1, rng.randrange(n), -rng.randrange(n)]
+                  + wide):
+            expected = spec.oracle(spec.base, k % n)
+            assert jacobian.multi_mul([(ladder, k)], spec.a,
+                                      spec.p) == expected, k
+
+    @pytest.mark.parametrize("curve", PAIRING_CURVES, ids=["TEST", "SS512"])
+    def test_ladder_small_order_points(self, curve):
+        # The 2-torsion point vanishes from the first rung up; an odd
+        # small order (SS512's 7) survives every rung, with infinity
+        # among each rung's entries.
+        bits = curve.r.bit_length()
+        torsion = (0, 0)
+        ladder = jacobian.ladder(torsion, curve.a, curve.p, bits)
+        assert ladder.rungs == ((torsion,) * 4,) + ((None,) * 4,) * 3
+        cases = [(torsion, k, None if k % 2 == 0 else torsion)
+                 for k in (1, 2, 3, -1, curve.r, 2 * curve.r, curve.h)]
+        if curve is SS512:
+            seven = _point_of_order(curve, 7)
+            ladder = jacobian.ladder(seven, curve.a, curve.p, bits)
+            assert all(None in rung and rung != (None,) * 4
+                       for rung in ladder.rungs)
+            cases += [(seven, k, double_and_add(_affine_law(curve), seven,
+                                                k % 7))
+                      for k in (1, -1, 7, 9, 14, 15, curve.r, curve.h,
+                                1 << ladder.spacing)]
+        for point, k, expected in cases:
+            ladder = jacobian.ladder(point, curve.a, curve.p, bits)
+            assert jacobian.multi_mul([(ladder, k)], curve.a,
+                                      curve.p) == expected, k
+            point = curve.from_affine(point)
+            assert not curve.ladder_in_subgroup(point, curve.ladder(point))
+        point = curve.random_point(random.Random(5))
+        assert curve.ladder_in_subgroup(point, curve.ladder(point))
+
+    @pytest.mark.parametrize("spec", LADDER_SPECS, ids=repr)
+    def test_ladder_terms_mix_with_other_bases(self, spec):
+        # Ladder terms share one chain with point, one-rung and
+        # fixed-base terms; the chain runs as long as its widest term.
+        n = spec.order
+        rng = random.Random(23)
+        points = [spec.oracle(spec.base, rng.randrange(1, n))
+                  for _ in range(3)]
+        ladders = [jacobian.ladder(point, spec.a, spec.p, n.bit_length())
+                   for point in points[:2]]
+        one_rung = jacobian.odd_multiples(points[2], spec.a, spec.p)
+        fixed = jacobian.FixedBaseTable(spec.base, n, spec.a, spec.p)
+        for ks in ([rng.randrange(n) for _ in range(5)],
+                   [n, -1, n - 1, 2 * n, 0], [-3, n * n, 1, -(n + 1), 7]):
+            terms = [(ladders[0], ks[0]), (ladders[1], ks[1]),
+                     (points[2], ks[2]), (one_rung, ks[3]), (fixed, ks[4])]
+            expected = None
+            for (_base, k), point in zip(terms, points + points[2:] +
+                                         [spec.base]):
+                expected = spec.add(expected, spec.oracle(point, k % n))
+            assert jacobian.multi_mul(terms, spec.a, spec.p) == expected, ks
+            assert jacobian.multi_mul(terms[:2], spec.a, spec.p) == spec.add(
+                spec.oracle(points[0], ks[0] % n),
+                spec.oracle(points[1], ks[1] % n)), ks
+
+    @pytest.mark.parametrize("spec", LADDER_SPECS, ids=repr)
+    def test_ladder_reused_across_calls(self, spec):
+        n = spec.order
+        ladder = jacobian.ladder(spec.base, spec.a, spec.p, n.bit_length())
+        rungs = ladder.rungs
+        rng = random.Random(29)
+        for k in [rng.randrange(n) for _ in range(4)] + [n, 1]:
+            assert jacobian.multi_mul([(ladder, k)], spec.a,
+                                      spec.p) == spec.oracle(spec.base,
+                                                             k % n)
+        assert ladder.rungs is rungs

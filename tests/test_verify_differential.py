@@ -13,7 +13,9 @@ index's period on outcome class, message and ``token_index`` (its op
 count is |URL|-independent by design):
 
 * degenerate T1/T2 (the identity);
-* off-subgroup T1/T2 (the 2-torsion point ``(0, 0)`` added);
+* off-subgroup T1/T2: the 2-torsion point ``(0, 0)`` added, and a
+  point of order 37 added -- an odd-order component that survives every
+  rung of the ladders period mode checks T1 and T2 on;
 * ``c`` and ``s_*`` at or beyond the group order, built directly in
   :class:`GroupSignature` (the wire decoder would reduce them);
 * the signer's token duplicated in the URL (the first index must win);
@@ -26,6 +28,10 @@ count is |URL|-independent by design):
 It also pins that ``verify`` on degenerate or off-subgroup input bills
 zero operations: the structural and subgroup checks come before the
 generator derivation (2 hash_to_group + 2 psi) on every entry point.
+The DH shares the handshake checks on ladders get the same order-37
+component: the router refuses such a g^r_j alike from
+``process_request`` and ``process_request_batch``, and a user refuses a
+beacon whose g or g^r_R carries it.
 """
 
 import random
@@ -46,7 +52,13 @@ from repro.core.revocation import (
 )
 from repro.core.router import MeshRouter
 from repro.core.verifier_pool import VerifierPool
-from repro.errors import InvalidSignature, RevokedKeyError
+from repro.errors import (
+    AuthenticationError,
+    InvalidSignature,
+    NotOnCurveError,
+    ProtocolError,
+    RevokedKeyError,
+)
 from repro.pairing.curve import Point
 from repro.pairing.group import G1Element
 
@@ -58,12 +70,31 @@ PERIODS = (None, PERIOD, INDEX_PERIOD)
 
 #: Mutations applied to an honest signature before classification.
 MUTATIONS = ("none", "degenerate_t1", "degenerate_t2", "torsion_t1",
-             "torsion_t2", "c_plus_r", "s_alpha_plus_r", "s_x_plus_r",
-             "s_delta_plus_r", "c_plus_one")
+             "torsion_t2", "order37_t1", "order37_t2", "c_plus_r",
+             "s_alpha_plus_r", "s_x_plus_r", "s_delta_plus_r", "c_plus_one")
 
 #: Mutations the classifier must reject before any counted operation.
 FREE_REJECTS = ("degenerate_t1", "degenerate_t2", "torsion_t1",
-                "torsion_t2")
+                "torsion_t2", "order37_t1", "order37_t2")
+
+
+def _order37(group):
+    """A TEST-curve point of order 37, an odd factor of the cofactor
+    ``h = 2^3 * 37 * 197 * ...``.  Added to a subgroup point it puts the
+    sum off the order-``r`` subgroup; unlike the 2-torsion point
+    ``(0, 0)``, which a ladder's first ``d`` doublings clear, it
+    survives every rung."""
+    curve = group.curve
+    x = 0
+    while True:
+        x += 1
+        try:
+            point = curve.lift_x(x, 0)
+        except NotOnCurveError:
+            continue
+        torsion = curve.multi_mul_raw([(point, (curve.p + 1) // 37)])
+        if not torsion.is_infinity():
+            return torsion
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +121,7 @@ def _mutate(gpk, signature, kind):
     order = group.order
     identity = G1Element(Point.infinity(group.curve.p), group)
     torsion = G1Element(Point(0, 0, group.curve.p), group)
+    order37 = G1Element(_order37(group), group)
     if kind == "degenerate_t1":
         return replace(signature, t1=identity)
     if kind == "degenerate_t2":
@@ -98,6 +130,10 @@ def _mutate(gpk, signature, kind):
         return replace(signature, t1=signature.t1 * torsion)
     if kind == "torsion_t2":
         return replace(signature, t2=signature.t2 * torsion)
+    if kind == "order37_t1":
+        return replace(signature, t1=signature.t1 * order37)
+    if kind == "order37_t2":
+        return replace(signature, t2=signature.t2 * order37)
     if kind == "c_plus_one":
         return replace(signature, c=(signature.c + 1) % order)
     if kind == "none":
@@ -310,7 +346,7 @@ class TestTagIndexDifferential:
                 rng=rng, period=period)))
         message, honest = items[0]
         items += [(message, _mutate(gpk, honest, kind))
-                  for kind in ("torsion_t1", "c_plus_one")]
+                  for kind in ("torsion_t1", "order37_t2", "c_plus_one")]
         return items
 
     def _check_router(self, router, items):
@@ -318,7 +354,8 @@ class TestTagIndexDifferential:
                                          router.url.tokens)
         assert [view and (view[0], view[2]) for view in views] == [
             None, (RevokedKeyError, 1), (RevokedKeyError, 0),
-            (InvalidSignature, None), (InvalidSignature, None)]
+            (InvalidSignature, None), (InvalidSignature, None),
+            (InvalidSignature, None)]
 
     def test_router_restored_from_journal(self, fresh_deployment):
         deployment = self._deployment(fresh_deployment)
@@ -366,3 +403,64 @@ class TestZeroCostRejects:
             with pytest.raises(InvalidSignature):
                 groupsig.verify(gpk, message, bad, url=url)
         assert ops.snapshot() == {}
+
+
+class TestOddTorsion:
+    """An order-37 component (it survives every ladder rung, unlike
+    (0, 0)) on T1, T2 and each DH share."""
+
+    @pytest.mark.parametrize("period", PERIODS)
+    @pytest.mark.parametrize("kind", ("order37_t1", "order37_t2"))
+    def test_signature_component_matches_reference(self, diff_scheme,
+                                                   period, kind):
+        gpk, keys, signatures = diff_scheme
+        message, honest = signatures[0, period]
+        url = [groupsig.RevocationToken(keys[i].a) for i in (3, 0)]
+        views, ops = _check_every_entry_point(
+            gpk, (message, _mutate(gpk, honest, kind)),
+            signatures[1, period], url, period)
+        assert views == [(InvalidSignature,
+                          "T1/T2 outside the prime-order subgroup", None)]
+        assert ops == {}
+
+    @pytest.mark.parametrize("component", ("order37", "two_torsion"))
+    def test_router_refuses_share_on_both_paths(self, fresh_deployment,
+                                                component):
+        deployment = fresh_deployment()
+        group = deployment.group
+        router = deployment.routers["MR-1"]
+        request, _pending = deployment.users["alice"].connect_to_router(
+            router.make_beacon())
+        extra = (_order37(group) if component == "order37"
+                 else Point(0, 0, group.curve.p))
+        bad = replace(request,
+                      g_r_user=request.g_r_user * G1Element(extra, group))
+        with instrument.count_operations() as ops:
+            with pytest.raises(AuthenticationError) as single:
+                router.process_request(bad)
+            [batched] = router.process_request_batch([bad])
+        assert type(batched) is AuthenticationError
+        assert str(batched) == str(single.value) \
+            == "g^r_j degenerate or outside the subgroup"
+        assert ops.snapshot() == {}
+        assert router.stats["rejected_signature"] == 2
+        assert router.stats["accepted"] == 0
+
+    @pytest.mark.parametrize("field", ("g", "g_r_router"))
+    @pytest.mark.parametrize("component", ("order37", "two_torsion"))
+    def test_user_refuses_beacon_share(self, fresh_deployment, field,
+                                       component):
+        deployment = fresh_deployment()
+        group = deployment.group
+        engine = deployment.routers["MR-1"].engine
+        beacon = engine.make_beacon()
+        extra = (_order37(group) if component == "order37"
+                 else Point(0, 0, group.curve.p))
+        bad = replace(beacon, **{
+            field: getattr(beacon, field) * G1Element(extra, group)})
+        # A certified router may sign whatever DH values it likes.
+        bad = replace(bad, signature=engine.keypair.sign(
+            bad.signed_payload()))
+        with pytest.raises(ProtocolError,
+                           match="beacon DH values outside the subgroup"):
+            deployment.users["alice"].connect_to_router(bad)
