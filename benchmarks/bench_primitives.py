@@ -3,7 +3,9 @@
 The paper prices everything in 'exponentiations' and 'bilinear map
 computations'; this bench measures both on every shipped parameter set,
 plus the conventional primitives (ECDSA-160, RSA-1024) PEACE composes
-with, and what a ladder buys two multiples of one SS512 point.
+with, what a ladder buys two multiples of one SS512 point, and what
+period-mode verification saves on R2 by pairing T2 with X = g2^s_x *
+w^c on the chain that also checks T2's subgroup.
 
 Each primitive is timed as a loop of calls.  One round times every
 primitive's loop once, all in one process, in an order that reverses
@@ -17,7 +19,12 @@ import random
 import statistics
 import time
 
-from repro.pairing import PairingGroup
+from repro.core import groupsig
+from repro.core.revocation import epoch_period
+from repro.pairing import FixedBaseTable, PairingGroup, fastpath
+from repro.pairing.fields import Fp2
+from repro.pairing.group import G1Element
+from repro.pairing.tate import final_exponentiation
 from repro.sig.curves import SECP160R1
 from repro.sig.ecdsa import ecdsa_generate
 from repro.sig.rsa import rsa_generate
@@ -59,12 +66,12 @@ def test_e9_primitive_cost_table(reporter):
         calls = CALLS[preset]
         a = group.random_scalar(rng)
         p = group.g1 ** a
-        fixed = group.make_fixed_base(group.g1)
+        fixed = FixedBaseTable(group.curve, group.g1.point)
         kernels += [
             (f"{preset} pairing", lambda g=group, p=p: g.pair(p, g.g2),
              calls),
             (f"{preset} G1 exp", lambda g=group, a=a: g.g1 ** a, calls),
-            (f"{preset} fixed-base g1 exp", lambda f=fixed, a=a: f.exp(a),
+            (f"{preset} fixed-base g1 exp", lambda f=fixed, a=a: f.mul(a),
              calls),
             (f"{preset} hash-to-G1",
              lambda g=group, tag=preset.encode(): g.hash_to_g1(b"bench",
@@ -91,6 +98,7 @@ def test_e9_primitive_cost_table(reporter):
 
     kernels += [("SS512 two multiples", two_multiples, 6),
                 ("SS512 two multiples, ladder", two_multiples_laddered, 6)]
+    kernels += _period_r2_kernels(rng)
 
     keypair = ecdsa_generate(SECP160R1, rng=rng)
     signature = keypair.sign(b"bench")
@@ -130,20 +138,79 @@ def test_e9_primitive_cost_table(reporter):
          f"{ms['SS512 two multiples, ladder']:.3f}"),
         ("median paired ratio, ladder / none", f"{ladder_ratio:.3f}"),
     ])
+    r2_ratio = statistics.median(
+        new / old for new, old in zip(samples["SS512 period R2, fused"],
+                                      samples["SS512 period R2, flat way"]))
+    report.table(("SS512, period-mode R2 block", "ms"), [
+        ("T2 ladder + subgroup check, left/right, pair_g2_w, GT power",
+         f"{ms['SS512 period R2, flat way']:.3f}"),
+        ("X, fused T2 chain + final exp., GT tables",
+         f"{ms['SS512 period R2, fused']:.3f}"),
+        ("median paired ratio, fused / flat way", f"{r2_ratio:.3f}"),
+    ])
     report.row(f"median of {ROUNDS} rounds; each round times a loop of "
                f"calls per primitive, in alternating order")
     for name, value in ms.items():
         report.record(name.replace(" ", "_").replace(",", "") + "_ms",
                       round(value, 4))
     report.record("ss512_two_multiples_ladder_ratio", round(ladder_ratio, 4))
+    report.record("ss512_period_r2_fused_ratio", round(r2_ratio, 4))
 
     # Shape claims: the pairing is the most expensive primitive, which
     # motivates the hybrid design and the DoS analysis (in this
     # pure-Python implementation the ratio to a G1 exponentiation is
     # smaller than on optimized libraries); and a ladder pays for
-    # itself by the second multiple.
+    # itself by the second multiple; so does the fused R2 block.
     assert ms["SS512 pairing"] > ms["SS512 G1 exp"]
     assert ladder_ratio < 1
+    assert r2_ratio < 1
+
+
+def _period_r2_kernels(rng):
+    """Two ways of computing one period-mode R2 at SS512, T2's subgroup
+    check included, each from a signature and a warm period context.
+
+    The flat way ladders T2 for its subgroup check and the multi-exps
+    ``left = T2^s_x * v^-s_delta`` and ``right = v^-s_alpha * T2^c``,
+    then pairs them with g2 and w.  The fused way computes ``X = g2^s_x
+    * w^c`` off fixed-base tables, runs e(T2, X)'s Miller chain (which
+    is T2's exact subgroup check) and one final exponentiation, and
+    takes e(v, g2)^-s_delta and e(v, w)^-s_alpha from the period's GT
+    tables.  Both end with the e(g1, g2)^-c table power and give the
+    same R2.
+    """
+    group = PairingGroup("SS512")
+    curve, order = group.curve, group.order
+    gpk, master = groupsig.keygen_master(group, rng)
+    key = groupsig.issue_member_key(group, master, 3, (0, 0), rng)
+    period = epoch_period(0)
+    sig = groupsig.sign(gpk, key, b"bench r2", rng=rng, period=period)
+    engine = gpk.engine
+    context = engine.generators(period)
+    v_ladder = curve.ladder(context.v.point)
+    t2, c = sig.t2, sig.c
+
+    def flat_way():
+        t2_ladder = curve.ladder(t2.point)
+        assert curve.ladder_in_subgroup(t2.point, t2_ladder)
+        left = G1Element(curve.multi_mul([(t2_ladder, sig.s_x),
+                                          (v_ladder, -sig.s_delta)]), group)
+        right = G1Element(curve.multi_mul([(t2_ladder, c),
+                                           (v_ladder, -sig.s_alpha)]), group)
+        return engine.pair_g2_w(left, right) * engine.gt_table.pow(-c % order)
+
+    def fused():
+        ok, f_a, f_b = fastpath.fused_miller_subgroup(
+            curve, t2.point, engine.g2_w_mul(sig.s_x, c))
+        assert ok
+        return (final_exponentiation(curve, Fp2(f_a, f_b, curve.p))
+                * context.v_g2_gt.pow(-sig.s_delta)
+                * context.v_w_gt.pow(-sig.s_alpha)
+                * engine.gt_table.pow(-c % order))
+
+    assert flat_way() == fused()
+    return [("SS512 period R2, flat way", flat_way, 6),
+            ("SS512 period R2, fused", fused, 6)]
 
 
 def test_e9_pairing_ss512(benchmark, ss512_group):

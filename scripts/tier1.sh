@@ -13,8 +13,11 @@
 # the table-driven AES against its byte-wise oracle, the one
 # scalar-multiplication kernel (fixed-base tables, wNAF on prebuilt or
 # one-off tables, cofactor clearing and H0) against the double-and-add
-# oracle and the naive hash loop, and a user's beacon check with its
-# signature and URL decode memos against the same check with neither.
+# oracle and the naive hash loop, a user's beacon check with its
+# signature and URL decode memos against the same check with neither,
+# and period-mode R2 (T2 paired with g2^s_x * w^c on the chain that
+# checks T2's subgroup, the period's GT tables; X at infinity included)
+# against generic pairings on TEST and SS512.
 #
 # The chaos subset runs the seeded fault-injection suites (radio
 # drop/duplicate/corrupt/delay, verifier-pool worker kill/hang,
@@ -47,7 +50,8 @@ if [ "$mode" = "smoke" ]; then
         tests/test_verifier_pool.py::TestSmoke \
         tests/test_crypto_aes.py::TestSmoke \
         tests/test_sig_curves.py::TestSmoke \
-        tests/test_protocol_user_router.py::TestSmoke
+        tests/test_protocol_user_router.py::TestSmoke \
+        tests/test_verify_differential.py::TestSmoke
     # obs-report smoke: the seeded traced scenario must produce at
     # least one stitched handshake trace and render it.
     python -m repro obs-report --workload scenario --format traces \

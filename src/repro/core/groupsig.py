@@ -61,17 +61,18 @@ from repro.errors import (
     RevokedKeyError,
 )
 from repro.core import batch_core
+from repro.mathx import jacobian
 from repro.mathx.jacobian import Ladder
 from repro.pairing import fastpath
+from repro.pairing.curve import Point
 from repro.pairing.fields import Fp2
 from repro.pairing.group import (
-    FixedBaseExp,
     G1Element,
     G2Element,
     GTElement,
     PairingGroup,
 )
-from repro.pairing.precompute import PairingTable
+from repro.pairing.precompute import FixedBaseTable, PairingTable
 from repro.pairing.tate import final_exponentiation, tate_pairing
 
 
@@ -307,37 +308,47 @@ def derive_generators(gpk: GroupPublicKey, message: bytes, r: int,
 
 @dataclass(frozen=True)
 class GeneratorContext:
-    """The generators of one period, plus their pairing tables.
+    """The generators of one period, plus what their verifications share.
 
-    Period generators depend only on ``(gpk, period)``, so the table
-    build amortizes across every signature of the period.
+    Period generators depend only on ``(gpk, period)``, so every table
+    here amortizes across every signature of the period.
     """
 
     u_hat: G2Element
     v_hat: G2Element
     u: G1Element
     v: G1Element
-    u_table: PairingTable
-    v_table: PairingTable
-    #: Ladders of ``u`` and ``v`` (:meth:`repro.pairing.curve.Curve.ladder`),
-    #: shared by every period-mode SPK of the period.
+    #: NAF Miller steps of ``u_hat`` and ``v_hat``
+    #: (:func:`repro.pairing.fastpath.naf_steps`): the revocation-tag
+    #: legs of the tag index and of the batch core's period-mode scan.
+    u_steps: list
+    v_steps: list
+    #: The ladder of ``u`` (:meth:`repro.pairing.curve.Curve.ladder`),
+    #: shared by the R1 and R3 of every period-mode SPK of the period.
     u_ladder: Ladder
-    v_ladder: Ladder
-    #: gpk epoch the memoized ``u_table`` was built under.  The scan
-    #: refuses a memo whose epoch disagrees with the verifying gpk's, so
-    #: a context replayed across a key rotation rebuilds instead of
-    #: serving a table for the retired epoch's generators.
-    u_table_epoch: int = 0
+    #: Fixed-base GT tables of ``e(v, g2)`` and ``e(v, w)``, the two
+    #: per-period factors of a period-mode R2.
+    v_g2_gt: fastpath.GTFixedBase
+    v_w_gt: fastpath.GTFixedBase
+    #: ``(gpk epoch, u_hat table, v_hat table)``: the binary pairing
+    #: tables of the serial reference scan (:func:`_scan_url`), built on
+    #: its first call.  The scan refuses a memo whose epoch disagrees
+    #: with the verifying gpk's, so a context replayed across a key
+    #: rotation rebuilds instead of serving tables for the retired
+    #: epoch's generators.
+    scan_tables: Optional[Tuple[int, PairingTable, PairingTable]] = field(
+        default=None, compare=False)
 
 
 class CryptoEngine:
     """Bounded precomputation state owned by one :class:`GroupPublicKey`.
 
     Holds one table per fixed base: NAF Miller step tables for ``g2``
-    and ``w``, a fixed-base exponentiation table for ``g1``, the cached
-    base pairing ``e(g1, g2)`` and its GT window table, per-URL token
-    line tables (an LRU of :attr:`max_urls` lists), and an LRU cache (at
-    most ``max_periods`` entries) of per-period generator contexts.
+    and ``w``, fixed-base exponentiation tables for ``g1`` and ``w``,
+    the cached base pairing ``e(g1, g2)`` and its GT window table,
+    per-URL token line tables (an LRU of :attr:`max_urls` lists), and an
+    LRU cache (at most ``max_periods`` entries) of per-period generator
+    contexts, each with its own GT tables.
     Everything is built lazily on first use and protected by a lock so
     a multi-threaded router can share one engine.
 
@@ -359,23 +370,13 @@ class CryptoEngine:
         self.max_periods = max_periods
         self._lock = threading.Lock()
         self._naf_steps: Dict[str, list] = {}
-        self._g1_fixed: Optional[FixedBaseExp] = None
+        self._fixed: Dict[str, FixedBaseTable] = {}
         self._base: Optional[GTElement] = None
         self._gt_table = None
         self._periods: "OrderedDict[bytes, GeneratorContext]" = OrderedDict()
         self._token_steps: "OrderedDict[tuple, list]" = OrderedDict()
 
     # -- fixed-parameter tables -----------------------------------------
-
-    def _build_table(self, base) -> PairingTable:
-        """Build one pairing table, reporting the build to the obs layer."""
-        reg = obs.active()
-        start = reg.clock() if reg is not None else 0.0
-        table = self.group.make_pairing_table(base)
-        if reg is not None:
-            reg.counter("engine.table_build_total")
-            reg.observe("engine.table_build_seconds", reg.clock() - start)
-        return table
 
     def _fixed_naf_steps(self, name: str) -> list:
         """NAF Miller steps for the fixed base ``gpk.<name>``, built once
@@ -405,19 +406,38 @@ class CryptoEngine:
         """NAF Miller steps for ``w`` (FE-identical to a plain table)."""
         return self._fixed_naf_steps("w")
 
+    def _fixed_base(self, name: str) -> FixedBaseTable:
+        """The fixed-base table of ``gpk.<name>``, built once."""
+        with self._lock:
+            table = self._fixed.get(name)
+        if table is None:
+            table = FixedBaseTable(self.group.curve,
+                                   getattr(self.gpk, name).point)
+            with self._lock:
+                table = self._fixed.setdefault(name, table)
+        return table
+
     def g1_exp(self, exponent: int, count: bool = True) -> G1Element:
         """``g1 ** exponent`` via the fixed-base table (one "exp" unless
         ``count=False``)."""
-        with self._lock:
-            if self._g1_fixed is None:
-                self._g1_fixed = self.group.make_fixed_base(self.gpk.g1)
-            fixed = self._g1_fixed
-        return fixed.exp(exponent, count)
+        if count:
+            instrument.note("exp")
+        return G1Element(self._fixed_base("g1").mul(exponent), self.group)
+
+    def g2_w_mul(self, a: int, b: int) -> Point:
+        """``g2^a * w^b`` on the fixed-base tables of ``g1`` (the same
+        point as ``g2``) and ``w``, one chain; notes nothing (period-mode
+        verification pairs T2 with it in place of two counted exps)."""
+        curve = self.group.curve
+        return curve.from_affine(jacobian.multi_mul(
+            [(self._fixed_base("g1"), a), (self._fixed_base("w"), b)],
+            curve.a, curve.p))
 
     def pair_g2_w(self, left: G1Element, right: G1Element) -> Fp2:
         """``e(left, g2) * e(right, w)``: the two pairings of R2.
 
-        Sign and verify both fold R2 into this product.  The two NAF
+        Sign and flat-mode verify fold R2 into this product (period
+        mode pairs T2 with ``g2^s_x * w^c`` instead).  The two NAF
         table evaluations ride one shared Miller accumulator and pay one
         final exponentiation (FE is a homomorphism), so the value is
         bit-identical to two :meth:`PairingGroup.pair` calls; notes the
@@ -537,13 +557,26 @@ class CryptoEngine:
             return context
         obs.counter("engine.period_cache_miss_total")
         u_hat, v_hat, u, v = derive_generators(self.gpk, b"", 0, period)
+        reg = obs.active()
+        start = reg.clock() if reg is not None else 0.0
+        curve = self.group.curve
+        # e(v, g2) and e(v, w) by symmetry on the fixed g2 / w steps
+        # (NAF values are final-exponentiation-identical); v comes from
+        # H0, never the point at infinity.
+        v_g2, v_w = fastpath.final_exponentiation_each(
+            [fastpath.miller_eval(self.g2_naf_steps, v.point, curve.p),
+             fastpath.miller_eval(self.w_naf_steps, v.point, curve.p)],
+            curve)
         context = GeneratorContext(
             u_hat, v_hat, u, v,
-            u_table=self._build_table(u_hat),
-            v_table=self._build_table(v_hat),
-            u_ladder=self.group.curve.ladder(u.point),
-            v_ladder=self.group.curve.ladder(v.point),
-            u_table_epoch=self.gpk.epoch)
+            u_steps=fastpath.naf_steps(curve, u_hat.point),
+            v_steps=fastpath.naf_steps(curve, v_hat.point),
+            u_ladder=curve.ladder(u.point),
+            v_g2_gt=fastpath.GTFixedBase(v_g2, self.group.order),
+            v_w_gt=fastpath.GTFixedBase(v_w, self.group.order))
+        if reg is not None:
+            reg.counter("engine.table_build_total", 4)
+            reg.observe("engine.table_build_seconds", reg.clock() - start)
         with self._lock:
             self._periods[key] = context
             self._periods.move_to_end(key)
@@ -566,11 +599,11 @@ def sign(gpk: GroupPublicKey, gsk: GroupPrivateKey, message: bytes,
     2 psi applications, which the paper prices as exponentiations) and
     2 pairings -- matching Section V.C.  The two pairings evaluate
     through the gpk engine's ``g2``/``w`` NAF step tables
-    (:meth:`CryptoEngine.pair_g2_w`), the same kernel verification
-    uses; the signature is bit-identical to generic pairings.  The six
-    multiples run on ladders of ``u``, ``v`` and ``A`` (the last kept on
-    ``gsk``), with ``T1`` and ``T2`` expanded out of R2's left factor
-    and R3 so that no multiple needs a fresh table.
+    (:meth:`CryptoEngine.pair_g2_w`), the same kernel flat-mode
+    verification uses; the signature is bit-identical to generic
+    pairings.  The six multiples run on ladders of ``u``, ``v`` and ``A``
+    (the last kept on ``gsk``), with ``T1`` and ``T2`` expanded out of
+    R2's left factor and R3 so that no multiple needs a fresh table.
     """
     group = gpk.group
     rng = rng or random.SystemRandom()
@@ -788,15 +821,18 @@ def _scan_url(gpk: GroupPublicKey, signature: GroupSignature,
     is the paper's: 2 pairings per token examined, short-circuiting on
     the first match.
     """
-    u_table = context.u_table
-    if context.u_table_epoch != gpk.epoch:
-        # The memo is keyed on the gpk epoch: a context carried across
-        # a key rotation must rebuild, never serve stale lines.
-        u_table = gpk.group.make_pairing_table(context.u_hat)
-        object.__setattr__(context, "u_table", u_table)
-        object.__setattr__(context, "u_table_epoch", gpk.epoch)
+    memo = context.scan_tables
+    if memo is None or memo[0] != gpk.epoch:
+        # Built on the first scan and keyed on the gpk epoch: a context
+        # carried across a key rotation must rebuild, never serve stale
+        # lines.
+        group = gpk.group
+        memo = (gpk.epoch, group.make_pairing_table(context.u_hat),
+                group.make_pairing_table(context.v_hat))
+        object.__setattr__(context, "scan_tables", memo)
+    _epoch, u_table, v_table = memo
     tau = (u_table.pairing(signature.t2.point)
-           * context.v_table.pairing(signature.t1.point).inverse())
+           * v_table.pairing(signature.t1.point).inverse())
     for token_index, token in enumerate(url):
         instrument.note("pairing", 2)
         if u_table.pairing(token.a.point) == tau:

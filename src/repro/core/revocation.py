@@ -179,12 +179,12 @@ class RevocationState:
         self.gpk = gpk
         self.epoch = gpk.epoch
         self.period = epoch_period(self.epoch)
-        # Derived once per epoch; every check and tag build reuses the
-        # steps (the amortization behind "6 exp + 5 pairings").
+        # The period's steps, built once by the engine and shared with
+        # period-mode verification; every check and tag build reuses
+        # them (the amortization behind "6 exp + 5 pairings").
         context = gpk.engine.generators(self.period)
-        curve = gpk.group.curve
-        self._u_steps = fastpath.naf_steps(curve, context.u_hat.point)
-        self._v_steps = fastpath.naf_steps(curve, context.v_hat.point)
+        self._u_steps = context.u_steps
+        self._v_steps = context.v_steps
 
     def rotate(self, gpk: GroupPublicKey,
                url: Optional[Sequence[RevocationToken]] = None,

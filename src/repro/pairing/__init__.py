@@ -21,7 +21,6 @@ from repro.pairing.params import (
 from repro.pairing.curve import Curve, Point
 from repro.pairing.precompute import FixedBaseTable, PairingTable
 from repro.pairing.group import (
-    FixedBaseExp,
     G1Element,
     G2Element,
     GTElement,
@@ -30,7 +29,6 @@ from repro.pairing.group import (
 
 __all__ = [
     "Curve",
-    "FixedBaseExp",
     "FixedBaseTable",
     "Fp2",
     "G1Element",

@@ -45,8 +45,8 @@ The kernels:
 
 ``GTFixedBase``
     Signed-window fixed-base exponentiation in GT for the cached base
-    pairing ``e(g1, g2)`` (unitary, so negative digits conjugate for
-    free).
+    pairing ``e(g1, g2)`` and each period's ``e(v, g2)`` and ``e(v, w)``
+    (unitary, so negative digits conjugate for free).
 
 Throughout, squarings are spelled so the multiplication receives the
 *same object* twice -- ``m * m``, ``3 * (X * X)`` rather than
@@ -621,10 +621,11 @@ def mul_conj(m_a: int, m_b: int, t_a: int, t_b: int, p: int
 class GTFixedBase:
     """Signed-window fixed-base powers of one unitary GT element.
 
-    Built once per engine for the cached base pairing ``e(g1, g2)``;
-    ``pow(k)`` then costs ~``bits/width`` unitary multiplications and
-    no squarings (negative digits conjugate the stored entry for
-    free).  Identical output to ``value ** (k % order)``.
+    Built once per engine for the cached base pairing ``e(g1, g2)``, and
+    once per period for ``e(v, g2)`` and ``e(v, w)``; ``pow(k)`` then
+    costs ~``bits/width`` unitary multiplications and no squarings
+    (negative digits conjugate the stored entry for free).  Identical
+    output to ``value ** (k % order)``.
     """
 
     __slots__ = ("p", "order", "width", "_blocks")

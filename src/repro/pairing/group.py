@@ -31,7 +31,7 @@ from repro.pairing.hashing import (
     hash_to_scalar,
 )
 from repro.pairing.params import PairingParams, get_params
-from repro.pairing.precompute import FixedBaseTable, PairingTable
+from repro.pairing.precompute import PairingTable
 from repro.pairing.tate import final_exponentiation, miller_loop, tate_pairing
 
 
@@ -141,29 +141,6 @@ class GTElement:
         return f"GTElement({self.encode().hex()[:16]}...)"
 
 
-class FixedBaseExp:
-    """Precomputed exponentiation for a fixed base element.
-
-    Wraps a :class:`FixedBaseTable` so that ``fixed.exp(k)`` returns the
-    same element (and notes the same single "exp") as ``base ** k``,
-    only faster.  Built via :meth:`PairingGroup.make_fixed_base`.
-    """
-
-    __slots__ = ("element", "_table")
-
-    def __init__(self, element: _GroupElement, table: FixedBaseTable) -> None:
-        self.element = element
-        self._table = table
-
-    def exp(self, exponent: int, count: bool = True) -> _GroupElement:
-        """Compute ``base ** exponent``; counted as one exponentiation
-        unless ``count=False``."""
-        if count:
-            instrument.note("exp")
-        return type(self.element)(self._table.mul(exponent),
-                                  self.element.group)
-
-
 class PairingGroup:
     """Facade bundling parameters, generators, pairing, and hashing.
 
@@ -228,11 +205,6 @@ class PairingGroup:
         side.  Building the table is not an instrumented operation.
         """
         return PairingTable.build_fast(self.curve, element.point)
-
-    def make_fixed_base(self, element: _GroupElement) -> FixedBaseExp:
-        """Precompute a fixed-base exponentiation table for ``element``."""
-        return FixedBaseExp(element,
-                            FixedBaseTable(self.curve, element.point))
 
     def pair_product(self,
                      terms: Sequence[Tuple[Union[PairingTable, _GroupElement],

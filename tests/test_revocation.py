@@ -237,9 +237,10 @@ class TestTagCache:
 
 class TestScanMemoEpochGuard:
     def test_u_table_rebuilt_when_epoch_restamped(self, group, rng):
-        """Regression: the serial scan's memoized ``u_table`` was keyed
-        on the context alone; a context carried across an epoch restamp
-        must rebuild the table instead of serving stale lines."""
+        """Regression: the serial scan's memoized tables were keyed on
+        the context alone; a context carried across an epoch restamp
+        must rebuild them instead of serving stale lines.  The tables
+        are built by the scan on demand, never by the engine."""
         gpk, master = groupsig.keygen_master(group, rng)
         key = groupsig.issue_member_key(group, master, 31, (3, 1), rng)
         other = groupsig.issue_member_key(group, master, 31, (3, 2), rng)
@@ -248,19 +249,25 @@ class TestScanMemoEpochGuard:
         signature = groupsig.sign(gpk, key, b"guard", rng=rng,
                                   period=period)
         context = gpk.engine.generators(period)
+        assert context.scan_tables is None
 
         with pytest.raises(RevokedKeyError):
             groupsig._scan_url(gpk, signature, url, context)
-        first_table = context.u_table
-        assert first_table is not None
-        assert context.u_table_epoch == 0
+        first = context.scan_tables
+        epoch, first_u, first_v = first
+        assert first_u is not None and first_v is not None
+        assert epoch == 0
+        with pytest.raises(RevokedKeyError):
+            groupsig._scan_url(gpk, signature, url, context)
+        assert context.scan_tables is first
 
         object.__setattr__(gpk, "epoch", 3)
         with pytest.raises(RevokedKeyError) as excinfo:
             groupsig._scan_url(gpk, signature, url, context)
         assert excinfo.value.token_index == 1
-        assert context.u_table is not first_table
-        assert context.u_table_epoch == 3
+        epoch, u_table, v_table = context.scan_tables
+        assert u_table is not first_u and v_table is not first_v
+        assert epoch == 3
 
 
 class TestTagKernel:

@@ -18,12 +18,19 @@ count is |URL|-independent by design):
   rung of the ladders period mode checks T1 and T2 on;
 * ``c`` and ``s_*`` at or beyond the group order, built directly in
   :class:`GroupSignature` (the wire decoder would reduce them);
+* period-mode R2's pairing argument ``X = g2^s_x * w^c`` at infinity:
+  ``s_x = -gamma * c`` (a challenge mismatch), the same with an order-37
+  component on T2 (T2's subgroup check then cannot ride the pairing's
+  Miller chain) and ``s_x = c = 0``;
 * the signer's token duplicated in the URL (the first index must win);
 * a token removed from the URL and then re-added, for the tag index
   also across :meth:`RevocationState.rotate` to a new epoch;
 * for the tag index, a router rebuilt from its journal by
   :meth:`MeshRouter.restore` and one warmed from a peer's
-  :class:`TagCheckpoint`.
+  :class:`TagCheckpoint`;
+* every byte of one period-mode M.2's group-signature field flipped,
+  through the wire decoder and the tag index against the decoder and
+  the reference.
 
 It also pins that ``verify`` on degenerate or off-subgroup input bills
 zero operations: the structural and subgroup checks come before the
@@ -35,16 +42,19 @@ beacon whose g or g^r_R carries it.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import instrument
-from repro.core import groupsig
+from repro.core import batch_core, groupsig
 from repro.core.durable import DurableRouterStore, MemoryStorage
 from repro.core.groupsig import GroupPublicKey, RevocationToken
+from repro.core.messages import AccessRequest
 from repro.core.revocation import (
     RevocationState,
     RevocationTagCache,
@@ -54,11 +64,13 @@ from repro.core.router import MeshRouter
 from repro.core.verifier_pool import VerifierPool
 from repro.errors import (
     AuthenticationError,
+    EncodingError,
     InvalidSignature,
     NotOnCurveError,
     ProtocolError,
     RevokedKeyError,
 )
+from repro.pairing import PairingGroup
 from repro.pairing.curve import Point
 from repro.pairing.group import G1Element
 
@@ -71,11 +83,16 @@ PERIODS = (None, PERIOD, INDEX_PERIOD)
 #: Mutations applied to an honest signature before classification.
 MUTATIONS = ("none", "degenerate_t1", "degenerate_t2", "torsion_t1",
              "torsion_t2", "order37_t1", "order37_t2", "c_plus_r",
-             "s_alpha_plus_r", "s_x_plus_r", "s_delta_plus_r", "c_plus_one")
+             "s_alpha_plus_r", "s_x_plus_r", "s_delta_plus_r", "c_plus_one",
+             "x_at_infinity", "x_at_infinity_order37_t2", "s_x_c_zero")
 
 #: Mutations the classifier must reject before any counted operation.
 FREE_REJECTS = ("degenerate_t1", "degenerate_t2", "torsion_t1",
-                "torsion_t2", "order37_t1", "order37_t2")
+                "torsion_t2", "order37_t1", "order37_t2",
+                "x_at_infinity_order37_t2")
+
+#: Mutations that put period-mode R2's ``X = g2^s_x * w^c`` at infinity.
+X_AT_INFINITY = ("x_at_infinity", "x_at_infinity_order37_t2", "s_x_c_zero")
 
 
 def _order37(group):
@@ -99,8 +116,9 @@ def _order37(group):
 
 @pytest.fixture(scope="module")
 def diff_scheme(group):
-    """A gpk, six members and honest signatures in both generator modes
-    (period mode under both period labels)."""
+    """A gpk, six members, honest signatures in both generator modes
+    (period mode under both period labels) and the master secret
+    gamma."""
     rng = random.Random(4242)
     gpk, master = groupsig.keygen_master(group, rng)
     keys = [groupsig.issue_member_key(group, master, 700 + i // 3,
@@ -113,10 +131,12 @@ def diff_scheme(group):
             signatures[signer, period] = (
                 message, groupsig.sign(gpk, keys[signer], message, rng=rng,
                                        period=period))
-    return gpk, keys, signatures
+    return gpk, keys, signatures, master.gamma
 
 
-def _mutate(gpk, signature, kind):
+def _mutate(gpk, signature, kind, gamma=None):
+    """``signature`` under mutation ``kind``; the X_AT_INFINITY kinds
+    need the master secret ``gamma``."""
     group = gpk.group
     order = group.order
     identity = G1Element(Point.infinity(group.curve.p), group)
@@ -136,6 +156,13 @@ def _mutate(gpk, signature, kind):
         return replace(signature, t2=signature.t2 * order37)
     if kind == "c_plus_one":
         return replace(signature, c=(signature.c + 1) % order)
+    if kind == "x_at_infinity":
+        return replace(signature, s_x=-gamma * signature.c % order)
+    if kind == "x_at_infinity_order37_t2":
+        return replace(signature, s_x=-gamma * signature.c % order,
+                       t2=signature.t2 * order37)
+    if kind == "s_x_c_zero":
+        return replace(signature, s_x=0, c=0)
     if kind == "none":
         return signature
     field = kind[:-len("_plus_r")]
@@ -195,6 +222,22 @@ def _via_index(state, items):
     return views
 
 
+def _challenge_inputs(classify_one):
+    """Run one classification; return the ``(R1, R2, R3)`` it hashed
+    into the challenge (an empty list when it rejected before the
+    SPK)."""
+    seen = []
+    original = GroupPublicKey.challenge
+
+    def recording(gpk, message, r, t1, t2, r1, r2, r3):
+        seen.append((r1, r2, r3))
+        return original(gpk, message, r, t1, t2, r1, r2, r3)
+
+    with mock.patch.object(GroupPublicKey, "challenge", recording):
+        classify_one()
+    return seen
+
+
 def _index_matches_reference(state, items, url):
     """The tag index vs the reference under the index's own period."""
     views = _via_index(state, items)
@@ -207,6 +250,11 @@ def _check_every_entry_point(gpk, item, companion, url, period):
     index's period -- the tag index vs reference."""
     message, signature = item
     single = _reference(gpk, [item], url, period)
+    # The kernel's SPK values are the reference's, R2 included.
+    assert _challenge_inputs(lambda: batch_core.classify_fast(
+        gpk, message, signature, url, period, True)) == \
+        _challenge_inputs(lambda: groupsig.reference_classify(
+            gpk, message, signature, url, period))
     assert _via_verify(gpk, message, signature, url, period) == single
     assert _via_batch(gpk, [item], url, period) == single
     pair = [item, companion]
@@ -233,9 +281,9 @@ class TestDifferential:
     def test_entry_points_match_reference(self, diff_scheme, signer,
                                           period, kind, others,
                                           signer_copies, position):
-        gpk, keys, signatures = diff_scheme
+        gpk, keys, signatures, gamma = diff_scheme
         message, honest = signatures[signer, period]
-        item = (message, _mutate(gpk, honest, kind))
+        item = (message, _mutate(gpk, honest, kind, gamma))
         companion = signatures[(signer + 1) % 3, period]
         url = [groupsig.RevocationToken(keys[i].a) for i in others]
         for _ in range(signer_copies):
@@ -250,7 +298,7 @@ class TestDifferential:
     @pytest.mark.parametrize("period", PERIODS)
     def test_duplicated_signer_token_first_index_wins(self, diff_scheme,
                                                       period):
-        gpk, keys, signatures = diff_scheme
+        gpk, keys, signatures, _gamma = diff_scheme
         item = signatures[0, period]
         companion = signatures[1, period]
         mine = groupsig.RevocationToken(keys[0].a)
@@ -265,7 +313,7 @@ class TestDifferential:
 
     @pytest.mark.parametrize("period", PERIODS)
     def test_token_removed_then_readded(self, diff_scheme, period):
-        gpk, keys, signatures = diff_scheme
+        gpk, keys, signatures, _gamma = diff_scheme
         item = signatures[2, period]
         companion = signatures[0, period]
         mine = groupsig.RevocationToken(keys[2].a)
@@ -284,7 +332,7 @@ class TestTagIndexDifferential:
 
     def test_token_removed_then_readded_across_rotation(self, group,
                                                         diff_scheme):
-        gpk, keys, _signatures = diff_scheme
+        gpk, keys, _signatures, _gamma = diff_scheme
         rotated = GroupPublicKey(group, gpk.w, epoch=gpk.epoch + 1)
         rng = random.Random(77)
         mine = RevocationToken(keys[2].a)
@@ -390,19 +438,193 @@ class TestTagIndexDifferential:
         self._check_router(target, items)
 
 
+class TestXAtInfinity:
+    """Period mode pairs T2 with ``X = g2^s_x * w^c`` for R2 and rides
+    T2's subgroup check on that pairing's Miller chain; at ``X = O``
+    the pairing is 1 and T2 takes the plain check."""
+
+    EXPECTED = {
+        "x_at_infinity": "challenge mismatch (Eq.2 failed)",
+        "x_at_infinity_order37_t2": "T1/T2 outside the prime-order subgroup",
+        "s_x_c_zero": "challenge mismatch (Eq.2 failed)",
+    }
+
+    @pytest.mark.parametrize("period", PERIODS)
+    @pytest.mark.parametrize("kind", X_AT_INFINITY)
+    def test_entry_points_match_reference(self, diff_scheme, period, kind):
+        gpk, keys, signatures, gamma = diff_scheme
+        message, honest = signatures[1, period]
+        bad = _mutate(gpk, honest, kind, gamma)
+        assert gpk.engine.g2_w_mul(bad.s_x, bad.c).is_infinity()
+        # The signer's own token is listed: no reject may reach the scan.
+        url = [groupsig.RevocationToken(keys[i].a) for i in (4, 1)]
+        views, ops = _check_every_entry_point(
+            gpk, (message, bad), signatures[2, period], url, period)
+        assert views == [(InvalidSignature, self.EXPECTED[kind], None)]
+        if kind in FREE_REJECTS:
+            assert ops == {}
+        else:
+            assert ops == {"hash_to_group": 2, "psi": 2, "exp": 4,
+                           "pairing": 3, "exp_gt": 1}
+
+
+class TestSmoke:
+    """Period-mode R2 against ``e(left, g2) * e(right, w) *
+    e(g1, g2)^-c`` on generic pairings, on TEST and SS512 (run by
+    ``scripts/tier1.sh smoke``)."""
+
+    @pytest.mark.parametrize("preset", ("TEST", "SS512"))
+    def test_period_r2_matches_generic_pairings(self, preset):
+        group = PairingGroup(preset)
+        order = group.order
+        rng = random.Random(2020)
+        gpk, master = groupsig.keygen_master(group, rng)
+        key = groupsig.issue_member_key(group, master, 5, (0, 0), rng)
+        period = epoch_period(0)
+        message = b"smoke r2"
+        honest = groupsig.sign(gpk, key, message, rng=rng, period=period)
+        at_infinity = replace(honest, s_x=-master.gamma * honest.c % order)
+        assert gpk.engine.g2_w_mul(at_infinity.s_x,
+                                   at_infinity.c).is_infinity()
+        cases = [
+            honest,
+            replace(honest, c=(honest.c + 1) % order),
+            replace(honest, s_alpha=rng.randrange(order),
+                    s_x=rng.randrange(order), s_delta=rng.randrange(order)),
+            at_infinity,
+            replace(honest, s_x=0, c=0),
+        ]
+        _u_hat, _v_hat, _u, v = groupsig.derive_generators(
+            gpk, message, honest.r, period)
+        verdicts = []
+        for signature in cases:
+            error = []
+            [(_r1, r2, _r3)] = _challenge_inputs(
+                lambda: error.append(batch_core.classify_fast(
+                    gpk, message, signature, (), period, False)))
+            verdicts.append(error[0] is None)
+            c, t2 = signature.c, signature.t2
+            left = group.multi_exp([(t2, signature.s_x),
+                                    (v, -signature.s_delta % order)])
+            right = group.multi_exp([(v, -signature.s_alpha % order),
+                                     (t2, c)])
+            assert r2 == (group.pair(left, gpk.g2) * group.pair(right, gpk.w)
+                          * group.pair(gpk.g1, gpk.g2) ** (-c % order))
+        assert verdicts == [True, False, False, False, False]
+        # X = O with T2 off the subgroup: the plain check rejects it.
+        torsion = G1Element(Point(0, 0, group.curve.p), group)
+        off = replace(at_infinity, t2=at_infinity.t2 * torsion)
+        assert _challenge_inputs(lambda: batch_core.classify_fast(
+            gpk, message, off, (), period, False)) == []
+        assert str(batch_core.classify_fast(
+            gpk, message, off, (), period, False)) == \
+            "T1/T2 outside the prime-order subgroup"
+
+
+class TestWireFlips:
+    """Each byte of one period-mode M.2's group-signature field flipped
+    with a seeded mask: decode and the router's tag-index verification
+    (``verify_batch(..., check_revocation=False)`` then
+    :meth:`RevocationState.check`) against decode and
+    ``reference_classify`` under the index's period."""
+
+    @staticmethod
+    def _tag_index(state, blob):
+        request = AccessRequest.decode(state.gpk.group, blob)
+        item = (request.signed_payload(), request.group_signature)
+        with instrument.count_operations() as ops:
+            [error] = groupsig.verify_batch(state.gpk, [item],
+                                            period=state.period,
+                                            check_revocation=False)
+        if error is None:
+            try:
+                state.check(*item)
+            except RevokedKeyError as exc:
+                error = exc
+        return _view(error), ops.snapshot()
+
+    @staticmethod
+    def _reference(state, blob, url):
+        request = AccessRequest.decode(state.gpk.group, blob)
+        item = (request.signed_payload(), request.group_signature)
+        error = groupsig.reference_classify(state.gpk, *item, url,
+                                            state.period)
+        # The verify stage alone: the index's tag check has its own,
+        # |URL|-independent cost.
+        with instrument.count_operations() as ops:
+            groupsig.reference_classify(state.gpk, *item, url, state.period,
+                                        check_revocation=False)
+        return _view(error), ops.snapshot()
+
+    @staticmethod
+    def _outcome(path, *args):
+        try:
+            return path(*args)
+        except EncodingError as exc:
+            return EncodingError, str(exc)
+
+    def test_flipped_signature_bytes_match_reference(self,
+                                                     fresh_deployment):
+        deployment = fresh_deployment(
+            users=[("alice", ["Company X"]), ("carol", ["University Z"])])
+        deployment.operator.revoke_user_key(
+            deployment.users["carol"].credentials["University Z"].index)
+        router = deployment.routers["MR-1"]
+        router.refresh_lists()
+        state = router.enable_sharded_revocation(cache=RevocationTagCache())
+        url = router.url.tokens
+        wires = {}
+        for name in ("alice", "carol"):
+            user = deployment.users[name]
+            user.auth_period = state.period
+            request, _pending = user.connect_to_router(router.make_beacon())
+            wires[name] = request.encode()
+        for name, expected in (("alice", None),
+                               ("carol", (RevokedKeyError, 0))):
+            view, _ops = self._tag_index(state, wires[name])
+            assert (view and (view[0], view[2])) == expected
+            assert (view, _ops) == self._reference(state, wires[name], url)
+
+        blob = wires["alice"]
+        field = AccessRequest.decode(deployment.group,
+                                     blob).group_signature.encode()
+        start = blob.index(field)
+        rng = random.Random(2027)
+        kinds = Counter()
+        for offset in range(start, start + len(field)):
+            flipped = bytearray(blob)
+            flipped[offset] ^= rng.randrange(1, 256)
+            flipped = bytes(flipped)
+            fast = self._outcome(self._tag_index, state, flipped)
+            assert fast == self._outcome(self._reference, state, flipped,
+                                         url), offset
+            kinds[fast[0] if fast[0] is EncodingError
+                  else fast[0][1]] += 1
+        # No flip is accepted, and the field reaches every reject stage.
+        assert sum(kinds.values()) == len(field)
+        assert set(kinds) == {EncodingError,
+                              "T1/T2 outside the prime-order subgroup",
+                              "challenge mismatch (Eq.2 failed)"}
+
+
 class TestZeroCostRejects:
-    """verify on structurally bad T1/T2 bills nothing at all."""
+    """verify on structurally bad T1/T2 bills nothing at all, in every
+    generator mode, with a scan ahead or none."""
 
     @pytest.mark.parametrize("kind", FREE_REJECTS)
     def test_verify_bills_zero_ops(self, diff_scheme, kind):
-        gpk, keys, signatures = diff_scheme
-        message, honest = signatures[0, None]
+        gpk, keys, signatures, gamma = diff_scheme
         url = [groupsig.RevocationToken(keys[3].a)]
-        bad = _mutate(gpk, honest, kind)
-        with instrument.count_operations() as ops:
-            with pytest.raises(InvalidSignature):
-                groupsig.verify(gpk, message, bad, url=url)
-        assert ops.snapshot() == {}
+        for period in PERIODS:
+            message, honest = signatures[0, period]
+            bad = _mutate(gpk, honest, kind, gamma)
+            for check_revocation in (True, False):
+                with instrument.count_operations() as ops:
+                    with pytest.raises(InvalidSignature):
+                        groupsig.verify(gpk, message, bad, url=url,
+                                        period=period,
+                                        check_revocation=check_revocation)
+                assert ops.snapshot() == {}
 
 
 class TestOddTorsion:
@@ -413,7 +635,7 @@ class TestOddTorsion:
     @pytest.mark.parametrize("kind", ("order37_t1", "order37_t2"))
     def test_signature_component_matches_reference(self, diff_scheme,
                                                    period, kind):
-        gpk, keys, signatures = diff_scheme
+        gpk, keys, signatures, _gamma = diff_scheme
         message, honest = signatures[0, period]
         url = [groupsig.RevocationToken(keys[i].a) for i in (3, 0)]
         views, ops = _check_every_entry_point(
