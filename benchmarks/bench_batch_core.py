@@ -8,8 +8,8 @@ experiment measures the resulting speedup on the paper-comparable
 workload -- SS512, |URL| = 8 -- for ``verify_batch`` at batch sizes
 1 / 4 / 16 and for one lone ``groupsig.verify`` (the path a single
 user's M.2 takes), against the sequential baseline
-``groupsig.reference_classify`` (the paper's algorithm on generic
-pairings, no engine state).
+``reference_classify`` (``tests/oracles.py``: the paper's algorithm on
+generic pairings, no engine state).
 
 Both sides are timed min-of-rounds in this one process, with every
 amortized table (token line tables, NAF step tables, GT fixed base)
@@ -31,6 +31,7 @@ import time
 from repro import instrument
 from repro.core import groupsig
 from repro.core.groupsig import RevocationToken
+from tests.oracles import reference_classify
 
 URL_SIZE = 8
 BATCH_SIZES = (1, 4, 16)
@@ -96,7 +97,7 @@ def test_batch_core_speedup(reporter, ss512_scheme):
     with instrument.count_operations() as batch_ops:
         batch_results = groupsig.verify_batch(gpk, gate_batch, url=url)
     with instrument.count_operations() as seq_ops:
-        seq_results = [groupsig.reference_classify(gpk, m, s, url)
+        seq_results = [reference_classify(gpk, m, s, url)
                        for m, s in gate_batch]
     assert all(r is None for r in batch_results)
     assert all(r is None for r in seq_results)
@@ -119,7 +120,7 @@ def test_batch_core_speedup(reporter, ss512_scheme):
     # cannot land on one side only.
     gate_seconds, sequential_seconds = _interleaved_best(
         lambda: groupsig.verify_batch(gpk, gate_batch, url=url),
-        lambda: [groupsig.reference_classify(gpk, m, s, url)
+        lambda: [reference_classify(gpk, m, s, url)
                  for m, s in gate_batch], rounds=3)
     per_sig[GATE_BATCH_SIZE] = gate_seconds / GATE_BATCH_SIZE
     rows = [(size, f"{per_sig[size] * 1000:.1f}") for size in BATCH_SIZES]
@@ -132,12 +133,12 @@ def test_batch_core_speedup(reporter, ss512_scheme):
     with instrument.count_operations() as single_ops:
         groupsig.verify(gpk, message, signature, url=url)
     with instrument.count_operations() as ref_ops:
-        assert groupsig.reference_classify(gpk, message, signature,
-                                           url) is None
+        assert reference_classify(gpk, message, signature,
+                                  url) is None
     assert single_ops.snapshot() == ref_ops.snapshot()
     single_seconds, reference_seconds = _interleaved_best(
         lambda: groupsig.verify(gpk, message, signature, url=url),
-        lambda: groupsig.reference_classify(gpk, message, signature, url),
+        lambda: reference_classify(gpk, message, signature, url),
         rounds=SINGLE_ROUNDS)
     single_speedup = reference_seconds / single_seconds
 

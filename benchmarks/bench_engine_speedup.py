@@ -5,8 +5,8 @@ the batch core's fused kernels) is a pure implementation-level
 optimisation: it must leave every instrumented operation count
 untouched while cutting wall-clock time.  This experiment measures both
 halves of that contract on the paper-comparable SS512 preset, with
-``groupsig.reference_classify`` (the paper's algorithm on generic
-pairings, no engine) as the "engine off" side:
+``reference_classify`` (``tests/oracles.py``: the paper's algorithm on
+generic pairings, no engine) as the "engine off" side:
 
 * revocation-scan verification (|URL| = 32) engine-on vs engine-off,
   the acceptance gate (>= 1.5x) for the engine refactor;
@@ -22,6 +22,7 @@ import time
 from repro import instrument
 from repro.core import groupsig
 from repro.core.groupsig import RevocationToken
+from tests.oracles import reference_classify
 
 URL_SIZE = 32
 REQUIRED_SPEEDUP = 1.5
@@ -54,20 +55,20 @@ def test_e9_engine_speedup(reporter, ss512_scheme):
         groupsig.verify(gpk, message, signature, url=url)
     counts[True] = ops.snapshot()
     with instrument.count_operations() as ops:
-        assert groupsig.reference_classify(gpk, message, signature,
-                                           url) is None
+        assert reference_classify(gpk, message, signature,
+                                  url) is None
     counts[False] = ops.snapshot()
     assert counts[True] == counts[False]
     assert counts[True]["pairing"] == 3 + 2 * URL_SIZE
 
     scan_on = _time(lambda: groupsig.verify(
         gpk, message, signature, url=url))
-    scan_off = _time(lambda: groupsig.reference_classify(
+    scan_off = _time(lambda: reference_classify(
         gpk, message, signature, url))
     scan_speedup = scan_off / scan_on
 
     base_on = _time(lambda: groupsig.verify(gpk, message, signature))
-    base_off = _time(lambda: groupsig.reference_classify(
+    base_off = _time(lambda: reference_classify(
         gpk, message, signature))
     base_speedup = base_off / base_on
 
@@ -80,7 +81,7 @@ def test_e9_engine_speedup(reporter, ss512_scheme):
     batch_on = _time(lambda: groupsig.verify_batch(
         gpk, batch, url=batch_url), rounds=2)
     sequential_off = _time(
-        lambda: [groupsig.reference_classify(gpk, m, s, batch_url)
+        lambda: [reference_classify(gpk, m, s, batch_url)
                  for m, s in batch],
         rounds=2)
     batch_speedup = sequential_off / batch_on

@@ -1,14 +1,17 @@
-"""revocation_scale -- tag index + tag cache vs the serial Eq.3 scan.
+"""revocation_scale -- tag index + tag cache vs the linear verify.
 
-The paper's verifier-local revocation walks the whole URL (one table
-pairing per listed token per verification).  The tag index
+The paper's verifier-local revocation walks the whole URL (2 pairings
+per listed token per verification).  The tag index
 (:mod:`repro.core.revocation`) computes the signature's period tag --
 2 pairings, |URL|-independent -- and looks it up in one
-``{tag: first URL index}`` map.  This experiment measures the crossover
-at metropolitan URL sizes and holds the index to *bit-identical*
-behaviour: same outcomes, same error message, same ``token_index`` as
-the serial first-match scan, including under shuffled URL orderings
-(chaos seeds 101/202/303).
+``{tag: first URL index}`` map.  The linear side is what a period-mode
+router without the index runs: ``groupsig.classify(gpk, [(m, sig)],
+url, period)``, the SPK and then the Eq.3 scan on the batch core's
+kernels.  This experiment measures the crossover at metropolitan URL
+sizes and holds the index to *bit-identical* behaviour: same outcomes,
+same error message, same ``token_index`` as the linear side, including
+under shuffled URL orderings (chaos seeds 101/202/303).  The tests
+hold both sides to the paper's verifier (``tests/oracles.py``).
 
 The second half measures epidemic CRL/URL distribution: a single
 router refreshes from the NO, every other router starts stale, and
@@ -16,15 +19,15 @@ push-pull anti-entropy (delta-first, full-list fallback) must converge
 the whole overlay within a bounded number of rounds under 15%
 per-exchange loss.
 
-Each of ``ROUNDS`` rounds times one linear scan and, right after it, a
-loop of ``INDEXED_LOOP`` indexed checks (a lone ~0.5 ms check is too
+Each of ``ROUNDS`` rounds times one linear verify and, right after it,
+a loop of ``INDEXED_LOOP`` indexed checks (a lone ~0.5 ms check is too
 noisy to ratio against); the recorded speedup is the median of the
 rounds' own ratios, so both sides of every ratio saw the same host.
 CI runs |URL| in {100, 1000} and a 24-router overlay; the nightly
 job sets ``BENCH_REVOCATION_LARGE=1`` to add |URL| = 10^4, a
 1000-router overlay, and a telemetry-rollup JSONL from a full gossip
 scenario.  Gates (scripts/bench_gate.py): indexed+cached >= 5x the
-linear scan at |URL| = 1000, identity booleans, and convergence.
+linear verify at |URL| = 1000, identity booleans, and convergence.
 """
 
 import os
@@ -42,7 +45,6 @@ from repro.core.revocation import (
     RevocationState,
     RevocationTagCache,
     epoch_period,
-    serial_scan_outcome,
 )
 from repro.core.router import MeshRouter
 from repro.pairing import PairingGroup
@@ -69,9 +71,9 @@ LARGE = os.environ.get("BENCH_REVOCATION_LARGE") == "1"
 
 
 def _paired_rounds(linear, state, message, signature):
-    """``ROUNDS`` pairs of (one linear scan s, one indexed check s).
+    """``ROUNDS`` pairs of (one linear verify s, one indexed check s).
 
-    Each round times the scan and then ``INDEXED_LOOP`` back-to-back tag
+    Each round times the verify and then ``INDEXED_LOOP`` back-to-back tag
     checks, so a round's ratio never divides samples taken under two
     different host states.
     """
@@ -89,12 +91,18 @@ def _paired_rounds(linear, state, message, signature):
 
 
 def _check_outcome(state, message, signature):
-    """The tag check's outcome in the serial scan's shape."""
+    """The tag check's outcome in the linear verify's shape."""
     try:
         state.check(message, signature)
     except groupsig.RevokedKeyError as exc:
         return exc
     return None
+
+
+def _linear_outcome(gpk, message, signature, tokens, period):
+    """A period-mode router without the index: the SPK, then the Eq.3
+    scan of ``tokens``."""
+    return groupsig.classify(gpk, [(message, signature)], tokens, period)[0]
 
 
 def _build_overlay(router_count, seed):
@@ -149,7 +157,7 @@ def test_revocation_scale(reporter, scale_scheme):
 
     cache = RevocationTagCache(capacity=2 * max(sizes))
     report = reporter("revocation_scale: tag index + tag cache vs "
-                      "serial Eq.3 scan; epidemic spread under loss")
+                      "linear verify; epidemic spread under loss")
 
     outcomes_identical = True
     token_index_identical = True
@@ -157,7 +165,7 @@ def test_revocation_scale(reporter, scale_scheme):
     speedups = {}
     for size in sizes:
         # The revoked signer's token sits at the END of the URL: the
-        # serial scan's worst case for a revoked signature, and the
+        # linear scan's worst case for a revoked signature, and the
         # largest token_index the identity check can get wrong.
         tokens = tuple(decoys[:size - 1]) + (RevocationToken(revoked_key.a),)
         state = RevocationState(gpk, cache=cache)
@@ -165,26 +173,26 @@ def test_revocation_scale(reporter, scale_scheme):
 
         # Bit-identity at this size: clean passes both paths, revoked
         # raises the same error text and token_index on both paths.
-        serial_clean = serial_scan_outcome(gpk, message, sig_clean,
-                                           tokens, period)
-        serial_revoked = serial_scan_outcome(gpk, message, sig_revoked,
-                                             tokens, period)
+        linear_clean = _linear_outcome(gpk, message, sig_clean, tokens,
+                                       period)
+        linear_revoked = _linear_outcome(gpk, message, sig_revoked, tokens,
+                                         period)
         indexed_clean = _check_outcome(state, message, sig_clean)
         indexed_revoked = _check_outcome(state, message, sig_revoked)
-        outcomes_identical &= (serial_clean is None
+        outcomes_identical &= (linear_clean is None
                                and indexed_clean is None
-                               and serial_revoked is not None
+                               and linear_revoked is not None
                                and indexed_revoked is not None
-                               and str(serial_revoked)
+                               and str(linear_revoked)
                                == str(indexed_revoked))
         token_index_identical &= (
-            serial_revoked is not None and indexed_revoked is not None
-            and serial_revoked.token_index == indexed_revoked.token_index
+            linear_revoked is not None and indexed_revoked is not None
+            and linear_revoked.token_index == indexed_revoked.token_index
             == size - 1)
 
         pairs = _paired_rounds(
-            lambda t=tokens: serial_scan_outcome(gpk, message, sig_clean,
-                                                 t, period),
+            lambda t=tokens: _linear_outcome(gpk, message, sig_clean, t,
+                                             period),
             state, message, sig_clean)
         speedups[size] = statistics.median(
             linear_s / indexed_s for linear_s, indexed_s in pairs)
@@ -195,8 +203,8 @@ def test_revocation_scale(reporter, scale_scheme):
                      f"{speedups[size]:.1f}x"))
 
     # Shuffled-URL identity at the gated size: the tag lookup must
-    # report the *same first-match index* the serial scan does for any
-    # ordering (chaos seeds fixed by the issue).
+    # report the *same first-match index* the linear scan does for any
+    # ordering (fixed chaos seeds).
     base = list(tuple(decoys[:GATE_URL_SIZE - 1])
                 + (RevocationToken(revoked_key.a),))
     for seed in CHAOS_SEEDS:
@@ -204,14 +212,14 @@ def test_revocation_scale(reporter, scale_scheme):
         random.Random(seed).shuffle(shuffled)
         state = RevocationState(gpk, cache=cache)
         state.update(tuple(shuffled), url_version=seed)
-        serial = serial_scan_outcome(gpk, message, sig_revoked,
-                                     tuple(shuffled), period)
+        linear = _linear_outcome(gpk, message, sig_revoked,
+                                 tuple(shuffled), period)
         indexed = _check_outcome(state, message, sig_revoked)
-        outcomes_identical &= (serial is not None and indexed is not None
-                               and str(serial) == str(indexed))
+        outcomes_identical &= (linear is not None and indexed is not None
+                               and str(linear) == str(indexed))
         token_index_identical &= (
-            serial is not None and indexed is not None
-            and serial.token_index == indexed.token_index)
+            linear is not None and indexed is not None
+            and linear.token_index == indexed.token_index)
 
     # Cache contract on the measured state: a warm rebuild derives no
     # tags at all (every lookup hits), the property that makes delta

@@ -16,6 +16,11 @@
 #    run and bloat diffs; .gitignore keeps new ones out, this gate
 #    keeps them from ever coming back (BENCH_*.json baselines at the
 #    repo root are the one committed benchmark artifact).
+# 5. One verifier in production: the paper's algorithm on generic
+#    pairings (reference_classify) is the tests' oracle and lives in
+#    tests/oracles.py.  The library may neither import the tests nor
+#    name the oracle, so the oracle cannot turn into a second,
+#    bug-hiding verification path.
 
 set -e
 cd "$(dirname "$0")/.."
@@ -40,6 +45,15 @@ wallclock=$(grep -rnE '(^|[^a-zA-Z0-9_.])(import time|from time import)' \
 if [ -n "$wallclock" ]; then
     echo "lint: wall-clock import in repro/faults (chaos must replay):" >&2
     echo "$wallclock" >&2
+    exit 1
+fi
+
+oracle=$(grep -rnE '(^|[^a-zA-Z0-9_.])(import tests|from tests)([^a-zA-Z0-9_]|$)|reference_classify' \
+         src/repro --include='*.py' || true)
+if [ -n "$oracle" ]; then
+    echo "lint: src/repro imports the tests or names their oracle" >&2
+    echo "      (reference_classify lives in tests/oracles.py only):" >&2
+    echo "$oracle" >&2
     exit 1
 fi
 

@@ -8,22 +8,26 @@
 #   scripts/tier1.sh [mode] --junit X     # also write a JUnit XML report
 #
 # The smoke subset runs the TestSmoke classes, which compare every
-# engine fast path (pairing tables, batch verification, the
-# multi-process verifier pool) against the naive reference computation,
-# the table-driven AES against its byte-wise oracle, the one
-# scalar-multiplication kernel (fixed-base tables, wNAF on prebuilt or
-# one-off tables, cofactor clearing and H0) against the double-and-add
-# oracle and the naive hash loop, a user's beacon check with its
-# signature and URL decode memos against the same check with neither,
-# and period-mode R2 (T2 paired with g2^s_x * w^c on the chain that
-# checks T2's subgroup, the period's GT tables; X at infinity included)
-# against generic pairings on TEST and SS512.
+# engine fast path (the NAF pairing kernel, batch verification, the
+# multi-process verifier pool) against the naive reference computation
+# -- the NAF Miller line tables against the generic Tate pairing on
+# TEST and SS512 -- the table-driven AES against its byte-wise oracle,
+# the one scalar-multiplication kernel (fixed-base tables, wNAF on
+# prebuilt or one-off tables, cofactor clearing and H0) against the
+# double-and-add oracle and the naive hash loop, a user's beacon check
+# with its signature and URL decode memos against the same check with
+# neither, and period-mode R2 (T2 paired with g2^s_x * w^c on the chain
+# that checks T2's subgroup, the period's GT tables; X at infinity
+# included) against generic pairings on TEST and SS512.  It also runs a
+# TEST grid of the kernel totality test: adversarial decodable
+# signatures in every generator mode, none of which may make the
+# verification kernel raise.
 #
 # The chaos subset runs the seeded fault-injection suites (radio
 # drop/duplicate/corrupt/delay, verifier-pool worker kill/hang,
 # router degraded mode, durable-journal corruption, crash/restart
-# recovery, and the tag index against the serial scan) across the
-# three fixed CI seeds.
+# recovery, and the tag index against the reference oracle) across
+# the three fixed CI seeds.
 
 set -e
 cd "$(dirname "$0")/.."

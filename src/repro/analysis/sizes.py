@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.core.groupsig import GroupSignature
 from repro.pairing.group import PairingGroup
@@ -106,7 +106,3 @@ def signature_size_table(group: PairingGroup) -> List[SchemeSizes]:
     ]
     return rows
 
-
-def message_size_report(messages: Dict[str, bytes]) -> Dict[str, int]:
-    """Byte sizes of encoded protocol messages (used by E4)."""
-    return {name: len(blob) for name, blob in messages.items()}

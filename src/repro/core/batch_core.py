@@ -2,14 +2,16 @@
 
 :func:`repro.core.groupsig.classify` -- the one classifier that
 ``groupsig.verify``, ``groupsig.verify_batch`` and the verifier pool's
-workers call -- runs every item through :func:`classify_fast` first.
-The contract is strict bit-identity with the paper's algorithm
-(``groupsig.reference_classify``): the same accept/reject outcome, the
-same error messages, the same ``token_index`` on revocation hits, and
-the same :mod:`repro.instrument` operation counts -- only the
-wall-clock changes.  ``tests/test_batch_core.py`` pins all four across
-randomized chaos batches and ``tests/test_verify_differential.py`` on
-adversarial input.
+workers call -- runs every item through :func:`classify_fast`, and
+through nothing else.  The contract is strict bit-identity with the
+paper's algorithm (the tests' oracle in ``tests/oracles.py``): the same
+accept/reject outcome, the same error messages, the same
+``token_index`` on revocation hits, and the same :mod:`repro.instrument`
+operation counts -- only the wall-clock changes.
+``tests/test_batch_core.py`` pins all four across randomized chaos
+batches and ``tests/test_verify_differential.py`` on adversarial input,
+where it also checks the kernel is total: no decodable signature makes
+it raise.
 
 How the speed is found (pairing kernels in :mod:`repro.pairing.fastpath`;
 H0 and the SPK's multi-exps on the one scalar-multiplication kernel of
@@ -18,7 +20,7 @@ table once for its two multi-exps -- in period mode only T1 is
 laddered, its ladder also serving T1's subgroup check, each multiple
 then doubling a quarter as often):
 
-* **Fused Miller + subgroup pass.**  The reference path pays two
+* **Fused Miller + subgroup pass.**  The paper's path pays two
   scalar multiplications by ``r`` for the small-subgroup check and then
   two more Miller loops for the revocation-tag legs ``e(T2, u_hat)``
   and ``e(T1, v_hat)``.  ``fused_miller_subgroup`` computes each leg's
@@ -64,9 +66,9 @@ evaluations are wall-clock-only -- the convention documented in
 DESIGN.md.
 
 This module takes the gpk and signature by duck type and imports
-nothing from :mod:`repro.core.groupsig`; an input that strays off the
-kernels' domain (e.g. a Miller value of exactly zero) raises, and the
-classifier reruns it on the reference.
+nothing from :mod:`repro.core.groupsig`.  It has no fallback: should a
+kernel raise all the same, the classifier fails the item closed as an
+:class:`InvalidSignature` and counts ``batch_core.fallback_total``.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ def classify_fast(gpk, message: bytes, signature, url, period,
     """Classify one item on the fast kernels; milestone-exact accounting.
 
     Returns ``None`` / :class:`InvalidSignature` /
-    :class:`RevokedKeyError` exactly as the reference would.  Raises
-    (anything) only when an input strays off a kernel's domain.
+    :class:`RevokedKeyError` exactly as the paper's algorithm would, and
+    raises on no decodable input.
     """
     group = gpk.group
     curve = group.curve

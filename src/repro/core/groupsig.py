@@ -32,16 +32,17 @@ Two revocation-check modes are provided:
 **One classifier.**  :func:`verify` (one item, raises),
 :func:`verify_batch` (a list, returns outcomes) and the verifier pool's
 workers all call :func:`classify`, which runs each item on the batch
-core's fused kernels (:mod:`repro.core.batch_core`) and falls back to
-:func:`reference_classify` -- the paper's algorithm on generic pairings
--- only if a kernel strays off its domain.  Every ``gpk`` owns a
-lazily-built :class:`CryptoEngine` holding the kernels' precomputation
-tables (one per fixed base: ``g1``, ``g2``, ``w``, the base pairing
-``e(g1, g2)``, per-URL token lines, and a bounded cache of per-period
-generator contexts).  The engine changes wall-clock cost only: whenever
-a table evaluation stands in for an abstract operation the same
-:mod:`repro.instrument` note is recorded, so the measured counts above
-are the reference's.
+core's fused kernels (:mod:`repro.core.batch_core`) and nothing else: a
+kernel exception fails closed as an :class:`InvalidSignature`.  The
+paper's algorithm on generic pairings is the tests' single oracle
+(``tests/oracles.py``), never a second verifier here.  Every ``gpk``
+owns a lazily-built :class:`CryptoEngine` holding the kernels'
+precomputation tables (one per fixed base: ``g1``, ``g2``, ``w``, the
+base pairing ``e(g1, g2)``, per-URL token lines, and a bounded cache of
+per-period generator contexts).  The engine changes wall-clock cost
+only: whenever a table evaluation stands in for an abstract operation
+the same :mod:`repro.instrument` note is recorded, so the measured
+counts above are the paper's.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from repro.core import batch_core
 from repro.mathx import jacobian
 from repro.mathx.jacobian import Ladder
 from repro.pairing import fastpath
-from repro.pairing.curve import Point
+from repro.pairing.curve import FixedBaseTable, Point
 from repro.pairing.fields import Fp2
 from repro.pairing.group import (
     G1Element,
@@ -72,7 +73,6 @@ from repro.pairing.group import (
     GTElement,
     PairingGroup,
 )
-from repro.pairing.precompute import FixedBaseTable, PairingTable
 from repro.pairing.tate import final_exponentiation, tate_pairing
 
 
@@ -330,14 +330,6 @@ class GeneratorContext:
     #: per-period factors of a period-mode R2.
     v_g2_gt: fastpath.GTFixedBase
     v_w_gt: fastpath.GTFixedBase
-    #: ``(gpk epoch, u_hat table, v_hat table)``: the binary pairing
-    #: tables of the serial reference scan (:func:`_scan_url`), built on
-    #: its first call.  The scan refuses a memo whose epoch disagrees
-    #: with the verifying gpk's, so a context replayed across a key
-    #: rotation rebuilds instead of serving tables for the retired
-    #: epoch's generators.
-    scan_tables: Optional[Tuple[int, PairingTable, PairingTable]] = field(
-        default=None, compare=False)
 
 
 class CryptoEngine:
@@ -670,34 +662,26 @@ def classify(gpk: GroupPublicKey,
     Returns ``None`` on acceptance, or the :class:`InvalidSignature` /
     :class:`RevokedKeyError` (with ``token_index``) the paper's
     algorithm rejects with.  :func:`verify`, :func:`verify_batch` and
-    the verifier pool's workers all classify here.  Each item runs on
-    the batch core's fused kernels under an isolated operation counter
-    whose tally is replayed on success; an unexpected exception (a
-    kernel off its domain, never a verdict) discards the tally, counts
-    ``batch_core.fallback_total`` and reruns the item on
-    :func:`reference_classify` -- so outcome, message, ``token_index``
-    and op counts are always the reference's.  Records each item's
-    ``groupsig.verify_*`` outcome counter and latency.
+    the verifier pool's workers all classify here, each item on the
+    batch core's kernels (:func:`repro.core.batch_core.classify_fast`).
+    The kernel is total on decodable input; an exception from it all
+    the same fails closed as ``InvalidSignature("verification kernel
+    error")`` (the exception as ``__cause__``), counted on
+    ``batch_core.fallback_total``, and the operations it noted before
+    raising stay recorded.  Records each item's ``groupsig.verify_*``
+    outcome counter and latency.
     """
     reg = obs.active()
     results: List[Optional[Exception]] = []
     for message, signature in items:
         start = reg.clock() if reg is not None else 0.0
-        with instrument.count_operations() as fast_ops:
-            try:
-                error = batch_core.classify_fast(gpk, message, signature,
-                                                 url, period,
-                                                 check_revocation)
-                exact = True
-            except Exception:
-                exact = False
-        if exact:
-            for event, amount in fast_ops.snapshot().items():
-                instrument.replay(event, amount)
-        else:
+        try:
+            error = batch_core.classify_fast(gpk, message, signature, url,
+                                             period, check_revocation)
+        except Exception as exc:
             obs.counter("batch_core.fallback_total")
-            error = reference_classify(gpk, message, signature, url,
-                                       period, check_revocation)
+            error = InvalidSignature("verification kernel error")
+            error.__cause__ = exc
         if reg is not None:
             if error is None:
                 outcome = "accept"
@@ -755,90 +739,6 @@ def verify_batch(gpk: GroupPublicKey,
     return results
 
 
-def reference_classify(gpk: GroupPublicKey, message: bytes,
-                       signature: GroupSignature,
-                       url: Sequence[RevocationToken] = (),
-                       period: Optional[bytes] = None,
-                       check_revocation: bool = True
-                       ) -> Optional[Exception]:
-    """The paper's verification algorithm on generic pairings.
-
-    Structural and subgroup rejection (no counted operation), the Eq.1
-    generators, the SPK challenge of Eq.2 (6 exps + 3 pairings + 1 GT
-    exp) and the linear Eq.3 scan (2 pairings per token examined, the
-    first match wins) -- no engine state, no fast kernel.  It is
-    :func:`classify`'s exact fallback, the tests' oracle and the
-    benches' baseline; :func:`classify` must agree with it on outcome,
-    message, ``token_index`` and op counts for every input.
-    """
-    group = gpk.group
-    curve = group.curve
-    order = group.order
-    t1, t2, c = signature.t1, signature.t2, signature.c
-    if t1.is_identity() or t2.is_identity():
-        return InvalidSignature("degenerate T1/T2")
-    # Small-subgroup hardening: decoded points satisfy the curve
-    # equation, but the curve's cofactor is large; T1/T2 must lie in
-    # the prime-order subgroup or the SPK algebra is off-group.
-    if not (curve.in_subgroup(t1.point) and curve.in_subgroup(t2.point)):
-        return InvalidSignature("T1/T2 outside the prime-order subgroup")
-    u_hat, v_hat, u, v = derive_generators(gpk, message, signature.r,
-                                           period)
-    r1 = group.multi_exp([(u, signature.s_alpha), (t1, -c % order)])
-    # R2 = e(T2^s_x * v^-s_delta, g2) * e(v^-s_alpha * T2^c, w)
-    #      * e(g1, g2)^-c
-    left = group.multi_exp([(t2, signature.s_x),
-                            (v, -signature.s_delta % order)])
-    right = group.multi_exp([(v, -signature.s_alpha % order), (t2, c)])
-    r2 = (group.pair(left, gpk.g2) * group.pair(right, gpk.w)
-          * group.pair(gpk.g1, gpk.g2) ** (-c % order))
-    r3 = group.multi_exp([(t1, signature.s_x),
-                          (u, -signature.s_delta % order)])
-    if gpk.challenge(message, signature.r, t1, t2, r1, r2, r3) != c:
-        return InvalidSignature("challenge mismatch (Eq.2 failed)")
-    if check_revocation:
-        for token_index, token in enumerate(url):
-            if _token_encoded(group, signature, token, u_hat, v_hat):
-                return RevokedKeyError.for_token(token_index)
-    return None
-
-
-def _scan_url(gpk: GroupPublicKey, signature: GroupSignature,
-              url: Sequence[RevocationToken],
-              context: GeneratorContext) -> None:
-    """Eq.3 scan on one period's tables; 2 counted pairings per token.
-
-    The serial reference the period tag index is held to
-    (:func:`repro.core.revocation.serial_scan_outcome`).  Eq.3 is
-    rewritten in *tag form*: by bilinearity (and ``e(u, v_hat) ==
-    e(v, u_hat)`` in this symmetric setting)
-
-        e(T2 / A, u_hat) == e(T1, v_hat)
-            <=>  e(T2, u_hat) / e(T1, v_hat) == e(A, u_hat),
-
-    so the scan computes the left side once and one ``u_hat``-table
-    evaluation per token -- an exact algebraic equivalence.  Counting
-    is the paper's: 2 pairings per token examined, short-circuiting on
-    the first match.
-    """
-    memo = context.scan_tables
-    if memo is None or memo[0] != gpk.epoch:
-        # Built on the first scan and keyed on the gpk epoch: a context
-        # carried across a key rotation must rebuild, never serve stale
-        # lines.
-        group = gpk.group
-        memo = (gpk.epoch, group.make_pairing_table(context.u_hat),
-                group.make_pairing_table(context.v_hat))
-        object.__setattr__(context, "scan_tables", memo)
-    _epoch, u_table, v_table = memo
-    tau = (u_table.pairing(signature.t2.point)
-           * v_table.pairing(signature.t1.point).inverse())
-    for token_index, token in enumerate(url):
-        instrument.note("pairing", 2)
-        if u_table.pairing(token.a.point) == tau:
-            raise RevokedKeyError.for_token(token_index)
-
-
 def _token_encoded(group: PairingGroup, signature: GroupSignature,
                    token: RevocationToken,
                    u_hat: G2Element, v_hat: G2Element) -> bool:
@@ -846,58 +746,6 @@ def _token_encoded(group: PairingGroup, signature: GroupSignature,
     lhs = group.pair(signature.t2 / token.a, u_hat)
     rhs = group.pair(signature.t1, v_hat)
     return lhs == rhs
-
-
-def validate_member_key(gpk: GroupPublicKey, key: GroupPrivateKey) -> bool:
-    """Check one SDH tuple: ``e(A, w * g2^(grp+x)) == e(g1, g2)``.
-
-    The relation every honestly-issued :func:`issue_member_key` output
-    satisfies.  Instrumented cost: 1 exponentiation + 2 pairings.
-    """
-    return validate_member_keys_batch(gpk, [key])[0]
-
-
-def validate_member_keys_batch(gpk: GroupPublicKey,
-                               keys: Sequence[GroupPrivateKey],
-                               rng: Optional[random.Random] = None
-                               ) -> List[bool]:
-    """Validate many SDH member keys with one randomized pairing product.
-
-    Folds every key's relation ``e(A_i, w * g2^(grp_i + x_i)) ==
-    e(g1, g2)`` into a single :meth:`PairingGroup.batch_pairing_check`
-    -- one Miller accumulation and one final exponentiation for the
-    whole batch, with fresh 64-bit exponents so two tampered keys
-    cannot cancel each other's error terms.  When the combined check
-    fails, the batch is bisected to localize the offender(s): a
-    single-key "batch" is an *exact* check (the order ``r`` is prime
-    and the nonzero delta is below it), so the returned booleans are
-    identical to per-key :func:`validate_member_key` verdicts.
-    """
-    if not keys:
-        return []
-    group = gpk.group
-    order = group.order
-    rng = rng or random.SystemRandom()
-    base = gpk.engine.base_pairing()
-    checks = []
-    for key in keys:
-        rhs = gpk.w * (gpk.g2 ** (key.exponent_sum % order))
-        checks.append(([(key.a, rhs)], base))
-    results = [False] * len(keys)
-
-    def resolve(indices: Sequence[int]) -> None:
-        if group.batch_pairing_check([checks[i] for i in indices], rng):
-            for i in indices:
-                results[i] = True
-            return
-        if len(indices) == 1:
-            return  # exact single check failed: key is bad
-        mid = len(indices) // 2
-        resolve(indices[:mid])
-        resolve(indices[mid:])
-
-    resolve(list(range(len(keys))))
-    return results
 
 
 def signature_matches_token(gpk: GroupPublicKey, message: bytes,

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import groupsig
 from repro.core.certs import (
     CertificateRevocationList,
-    CrlDelta,
     RouterCertificate,
     UrlDelta,
     UserRevocationList,
@@ -117,7 +116,7 @@ def _int_bytes(value: int) -> bytes:
 class NetworkOperator:
     """NO: key generation, router provisioning, revocation, audit."""
 
-    #: How many past CRL/URL versions stay answerable with a delta.
+    #: How many past URL versions stay answerable with a delta.
     max_list_snapshots = 32
 
     def __init__(self, group: PairingGroup,
@@ -154,11 +153,10 @@ class NetworkOperator:
         self._url_version = 0
         self.epoch = 0
         self._archives: List[_EpochArchive] = []
-        # Bounded per-version list snapshots so NO can answer "what
+        # Bounded per-version URL snapshots so NO can answer "what
         # changed since version v" with a delta instead of the full
         # list.  A version older than the window gets no delta and the
         # requester falls back to the full signed list.
-        self._crl_snapshots: Dict[int, FrozenSet[str]] = {0: frozenset()}
         self._url_snapshots: Dict[int, Tuple[RevocationToken, ...]] = {0: ()}
 
     # -- public key material -------------------------------------------------
@@ -266,12 +264,6 @@ class NetworkOperator:
 
     # -- revocation ---------------------------------------------------------
 
-    def _snapshot_crl(self) -> None:
-        self._crl_snapshots[self._crl_version] = frozenset(
-            self._revoked_routers)
-        while len(self._crl_snapshots) > self.max_list_snapshots:
-            del self._crl_snapshots[min(self._crl_snapshots)]
-
     def _snapshot_url(self) -> None:
         self._url_snapshots[self._url_version] = tuple(
             self._revoked_tokens.values())
@@ -284,7 +276,6 @@ class NetworkOperator:
             raise ParameterError(f"unknown router {router_id!r}")
         self._revoked_routers.add(router_id)
         self._crl_version += 1
-        self._snapshot_crl()
 
     def revoke_user_key(self, index: KeyIndex) -> RevocationToken:
         """Dynamic user revocation: move grt[i,j] into the URL."""
@@ -344,32 +335,6 @@ class NetworkOperator:
         lag behind these is its gossip-convergence debt (the health
         monitor's ``versions_behind`` signal)."""
         return (self._crl_version, self._url_version)
-
-    def issue_crl_delta(self, from_version: int,
-                        now: Optional[float] = None) -> Optional[CrlDelta]:
-        """Delta from a past CRL version to the current one, or ``None``.
-
-        ``None`` means no delta can be served -- the requester is
-        already current, or ``from_version`` has aged out of the
-        snapshot window -- and the caller falls back to the full list.
-        The delta carries NO's signature over the *target* list it
-        reconstructs, so applying it yields a normally-validatable CRL.
-        """
-        base = self._crl_snapshots.get(from_version)
-        if base is None or from_version >= self._crl_version:
-            return None
-        now = self.clock.now() if now is None else now
-        current = frozenset(self._revoked_routers)
-        target = CertificateRevocationList(
-            version=self._crl_version, issued_at=now,
-            update_period=self.crl_update_period,
-            revoked_router_ids=current, signature=b"")
-        return CrlDelta(
-            from_version=from_version, to_version=self._crl_version,
-            issued_at=now, update_period=self.crl_update_period,
-            added=tuple(sorted(current - base)),
-            removed=tuple(sorted(base - current)),
-            list_signature=self.signing_key.sign(target.signed_payload()))
 
     def issue_url_delta(self, from_version: int,
                         now: Optional[float] = None) -> Optional[UrlDelta]:

@@ -43,10 +43,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import instrument, obs
-from repro.core import groupsig
 from repro.core.groupsig import (
     GroupPublicKey,
     GroupSignature,
@@ -271,10 +270,11 @@ class RevocationState:
         exponentiation), looks it up, and raises
         :meth:`RevokedKeyError.for_token` on a match
         -- the same exception object shape, message text, and
-        ``token_index`` as the serial scan, enforced by
-        ``tests/test_revocation.py``.  ``message`` is unused in period
-        mode (the generators depend on the period alone) and kept for
-        signature parity with the scan.
+        ``token_index`` as the paper's first-match Eq.3 scan, which
+        ``tests/test_revocation.py`` holds it to through the tests'
+        reference verifier.  ``message`` is unused in period mode (the
+        generators depend on the period alone) and kept for signature
+        parity with the scan.
         """
         del message
         with obs.span("revocation.tag_check"):
@@ -356,20 +356,3 @@ class TagCheckpoint:
                    url_version=url_version, entries=entries,
                    certificate=certificate, signature=signature)
 
-
-def serial_scan_outcome(gpk: GroupPublicKey, message: bytes,
-                        signature: GroupSignature,
-                        tokens: Iterable[RevocationToken],
-                        period: bytes) -> Optional[Exception]:
-    """Reference outcome: the serial Eq.3 scan in period mode.
-
-    Used by the bit-identity tests and the scale benchmark to hold the
-    tag index to the serial path's exact behaviour (outcome class,
-    message text, ``token_index``).
-    """
-    context = gpk.engine.generators(period)
-    try:
-        groupsig._scan_url(gpk, signature, tuple(tokens), context)
-    except RevokedKeyError as exc:
-        return exc
-    return None

@@ -56,7 +56,3 @@ class TrustedThirdParty:
     def knows_uid_for(self, index: KeyIndex) -> Optional[bytes]:
         """What TTP could reveal under subpoena: uid <-> blinded share."""
         return self._deliveries.get(index)
-
-    @property
-    def stored_count(self) -> int:
-        return len(self._shares)

@@ -18,8 +18,7 @@ from repro.pairing.params import (
     find_parameters,
     get_params,
 )
-from repro.pairing.curve import Curve, Point
-from repro.pairing.precompute import FixedBaseTable, PairingTable
+from repro.pairing.curve import Curve, FixedBaseTable, Point
 from repro.pairing.group import (
     G1Element,
     G2Element,
@@ -37,7 +36,6 @@ __all__ = [
     "PRESETS",
     "PairingGroup",
     "PairingParams",
-    "PairingTable",
     "Point",
     "find_parameters",
     "get_params",

@@ -286,3 +286,21 @@ class Curve:
             cleared = self.clear_cofactor(point)
             if not cleared.is_infinity():
                 return cleared
+
+
+class FixedBaseTable(jacobian.FixedBaseTable):
+    """Signed-window precomputation for ``k * P`` with ``P`` fixed: the
+    shared :class:`repro.mathx.jacobian.FixedBaseTable` on :class:`Point`.
+    Building it is not an instrumented operation; callers note the
+    exponentiation a :meth:`mul` stands in for."""
+
+    __slots__ = ("curve", "point")
+
+    def __init__(self, curve: Curve, point: Point) -> None:
+        super().__init__(curve.to_affine(point), curve.r, curve.a, curve.p)
+        self.curve = curve
+        self.point = point
+
+    def mul(self, scalar: int) -> Point:
+        """Return ``(scalar mod r) * P``; bit-exact vs :meth:`Curve.mul`."""
+        return self.curve.from_affine(super().mul(scalar))

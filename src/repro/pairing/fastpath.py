@@ -1,16 +1,16 @@
 """Engine-only pairing kernels for the batch verification core.
 
-Everything in this module is a wall-clock optimisation of an existing
-naive computation in :mod:`repro.pairing.tate` / ``precompute``:
-outputs are either bit-identical to the reference (table steps) or
-identical after the final exponentiation (Miller values scaled by an
-F_p* factor, which the ``(p - 1)`` part of the final exponent
-annihilates).  The reference implementations stay untouched so A/B
-benchmarks keep an honest baseline; only the crypto engine, the
-batch core and the revocation tag index call into this module.  Scalar
-multiplication is not here: every curve multiple -- the SPK's
-multi-exps on shared tables and ladders and H0's cofactor clearing
-included -- runs on the one kernel of :mod:`repro.mathx.jacobian`.
+Everything in this module is a wall-clock optimisation of the generic
+pairing of :mod:`repro.pairing.tate`: outputs are identical to it after
+the final exponentiation (Miller values scaled by an F_p* factor, which
+the ``(p - 1)`` part of the final exponent annihilates), and
+``tests/test_pairing_precompute.py`` holds the NAF kernel to
+:func:`~repro.pairing.tate.tate_pairing` on every shipped preset.  Only
+the crypto engine, the batch core and the revocation tag index call
+into this module.  Scalar multiplication is not here: every curve
+multiple -- the SPK's multi-exps on shared tables and ladders and H0's
+cofactor clearing included -- runs on the one kernel of
+:mod:`repro.mathx.jacobian`.
 
 Nothing here reports to :mod:`repro.instrument` -- callers note the
 abstract operations at the same milestones the naive path would, which
@@ -28,10 +28,10 @@ The kernels:
     certifies a smaller order and no degeneration certifies
     ``r*P != O``).
 
-``table_steps``
-    Bit-identical :class:`~repro.pairing.precompute.PairingTable` line
-    coefficients built with two batched inversions instead of one
-    inversion per Miller step (Montgomery's trick).
+``naf_steps``
+    The Miller line coefficients of a fixed first argument along the
+    non-adjacent form of ``r``, built with two batched inversions
+    instead of one inversion per Miller step (Montgomery's trick).
 
 ``miller_eval`` / ``miller_eval_pair`` / ``final_exponentiation_each``
     Raw-integer helpers for evaluating stored lines -- one table, or
@@ -65,8 +65,8 @@ from repro.pairing.curve import Curve, Point
 from repro.pairing.fields import Fp2
 from repro.pairing.tate import _unitary_pow
 
-#: Cached MSB-first bit strings keyed by the integer itself -- ``r``
-#: and ``h`` for each curve in use (two entries per parameter preset).
+#: Cached MSB-first bit strings keyed by the integer itself -- the
+#: cofactor ``h`` of each curve in use (one entry per parameter preset).
 _BITS_CACHE: Dict[int, str] = {}
 
 
@@ -202,115 +202,25 @@ def fused_miller_subgroup(curve: Curve, point_p: Point, point_q: Point
 
 
 # ---------------------------------------------------------------------------
-# Bit-identical pairing-table construction (two batched inversions)
+# Fixed-argument Miller line tables (two batched inversions)
 # ---------------------------------------------------------------------------
-
-
-def table_steps(curve: Curve, point: Point
-                ) -> List[List[Tuple[int, int]]]:
-    """Line coefficients identical to ``PairingTable(curve, point)._steps``.
-
-    Phase 1 walks the double-and-add chain in Jacobian coordinates,
-    recording which affine point each line is anchored at; phase 2
-    batch-inverts the ``Z`` coordinates and the slope denominators
-    (two Montgomery inversions total) and emits the exact ``(c1, c0)``
-    pairs the affine reference build produces.
-    """
-    if point.is_infinity():
-        return []
-    p = curve.p
-    xp_, yp_ = point.x, point.y
-    X, Y, Z = xp_, yp_, 1
-    at_inf = False
-    events: List[List[Tuple[str, int, int, int]]] = []
-    for bit in _bits_after_msb(curve.r):
-        evs: List[Tuple[str, int, int, int]] = []
-        if not at_inf:
-            if Y == 0:
-                at_inf = True
-            else:
-                evs.append(("d", X, Y, Z))
-                ysq = Y * Y % p
-                s = 4 * X * ysq % p
-                zsq = Z * Z % p
-                m = (3 * (X * X) + zsq * zsq) % p
-                nx = (m * m - 2 * s) % p
-                ny = (m * (s - nx) - 8 * (ysq * ysq)) % p
-                nz = 2 * Y * Z % p
-                X, Y, Z = nx, ny, nz
-        if bit == "1" and not at_inf:
-            zsq = Z * Z % p
-            u2 = xp_ * zsq % p
-            s2 = yp_ * zsq % p * Z % p
-            if X == u2 and (Y + s2) % p == 0:
-                at_inf = True
-            else:
-                evs.append(("a", X, Y, Z))
-                if X == u2:  # V == P: the add is a doubling
-                    ysq = Y * Y % p
-                    s = 4 * X * ysq % p
-                    m = (3 * (X * X) + zsq * zsq) % p
-                    nx = (m * m - 2 * s) % p
-                    ny = (m * (s - nx) - 8 * (ysq * ysq)) % p
-                    nz = 2 * Y * Z % p
-                    X, Y, Z = nx, ny, nz
-                else:
-                    hh = (u2 - X) % p
-                    rr = (s2 - Y) % p
-                    hsq = hh * hh % p
-                    hcu = hsq * hh % p
-                    nx = (rr * rr - hcu - 2 * X * hsq) % p
-                    ny = (rr * (X * hsq - nx) - Y * hcu) % p
-                    nz = hh * Z % p
-                    X, Y, Z = nx, ny, nz
-        events.append(evs)
-    # Phase 2a: all recorded points to affine via one batched inversion.
-    zs = [ev[3] for evs in events for ev in evs]
-    zinvs = batch_inverse(zs, p)
-    flat: List[Tuple[str, int, int]] = []
-    k = 0
-    for evs in events:
-        for kind, ex, ey, _ez in evs:
-            zi = zinvs[k]
-            k += 1
-            zi2 = zi * zi % p
-            xv = ex * zi2 % p
-            yv = ey * zi2 % p * zi % p
-            flat.append((kind, xv, yv))
-    # Phase 2b: slope denominators (tangent 2*yv, chord xp_ - xv).
-    dens = [2 * yv % p if kind == "d" or xv == xp_ else (xp_ - xv) % p
-            for kind, xv, yv in flat]
-    dinvs = batch_inverse(dens, p)
-    # Phase 2c: the reference line coefficients (c1, c0).
-    steps: List[List[Tuple[int, int]]] = []
-    k = 0
-    for evs in events:
-        lines: List[Tuple[int, int]] = []
-        for _ in evs:
-            kind, xv, yv = flat[k]
-            if kind == "d" or xv == xp_:
-                slope = (3 * (xv * xv) + 1) * dinvs[k] % p
-            else:
-                slope = (yp_ - yv) * dinvs[k] % p
-            lines.append((-slope % p, (slope * xv - yv) % p))
-            k += 1
-        steps.append(lines)
-    return steps
 
 
 def naf_steps(curve: Curve, point: Point) -> List[List[Tuple[int, int]]]:
     """Line coefficients for a *NAF* Miller chain over ``r`` (fixed P).
 
-    Same ``(c1, c0)``-per-step format as ``PairingTable._steps`` /
-    :func:`table_steps`, but the chain follows the non-adjacent form of
+    One list per chain step of the ``(c1, c0)`` pairs whose line
+    ``(c0 + c1 * x_phi) + y_Q * i`` is evaluated at ``phi(Q)`` by
+    :func:`miller_eval`.  The chain follows the non-adjacent form of
     ``r`` -- around a third the add steps of the dense binary expansion
     at SS512 -- so every evaluation of the table is proportionally
-    cheaper.  The value differs from the binary chain's by an F_p*
-    factor only (negative digits drop a vertical line that evaluates in
-    F_p at ``phi(Q)``), i.e. it is *final-exponentiation-identical*:
-    only callers that FE the result (the batch core) may use these
-    tables; bit-identity tests against ``tate_pairing`` go through
-    :func:`table_steps`.
+    cheaper.  The value differs from the binary Miller loop's
+    (:func:`repro.pairing.tate.miller_loop`) by an F_p* factor only
+    (negative digits drop a vertical line that evaluates in F_p at
+    ``phi(Q)``), i.e. it is *final-exponentiation-identical*: only
+    callers that FE the result may use these tables, and the tests hold
+    ``FE(miller_eval(naf_steps(P), Q))`` to ``tate_pairing(P, Q)``.
+    The point at infinity has no steps.
     """
     if point.is_infinity():
         return []
@@ -397,9 +307,8 @@ def miller_eval(steps: Sequence[Sequence[Tuple[int, int]]],
                 point_q: Point, p: int) -> Tuple[int, int]:
     """Evaluate stored lines at ``phi(Q)``; raw ``(a, b)`` Miller value.
 
-    Identical to ``PairingTable.miller`` on the same steps, without the
-    :class:`Fp2` wrapping (batch callers combine several raw values
-    before one shared final exponentiation).
+    Unwrapped integers rather than :class:`Fp2`: batch callers combine
+    several raw values before one shared final exponentiation.
     """
     x_phi = (-point_q.x) % p
     yq = point_q.y

@@ -11,7 +11,6 @@ and by tests/property checks.
 
 from __future__ import annotations
 
-from typing import Tuple
 
 from repro.errors import ParameterError
 
@@ -124,10 +123,6 @@ class Fp2:
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.p))
-
-    def as_tuple(self) -> Tuple[int, int]:
-        """Return the raw ``(a, b)`` coefficient pair."""
-        return (self.a, self.b)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Fp2({self.a:#x}, {self.b:#x})"

@@ -31,8 +31,7 @@ from repro.pairing.hashing import (
     hash_to_scalar,
 )
 from repro.pairing.params import PairingParams, get_params
-from repro.pairing.precompute import PairingTable
-from repro.pairing.tate import final_exponentiation, miller_loop, tate_pairing
+from repro.pairing.tate import tate_pairing
 
 
 class _GroupElement:
@@ -189,117 +188,6 @@ class PairingGroup:
 
     def gt_identity(self) -> GTElement:
         return GTElement(Fp2.one(self.params.p), self)
-
-    # -- precomputation (engine support) --------------------------------
-    #
-    # Tables trade memory for wall-clock time without changing any
-    # result or any instrumented count: building a table is free in the
-    # abstract cost model (it happens once per fixed system parameter),
-    # while *using* one notes the same operation the naive path would.
-
-    def make_pairing_table(self, element: _GroupElement) -> PairingTable:
-        """Precompute Miller-loop lines for ``e(element, .)``.
-
-        Because this Type-1 pairing is symmetric, the table also
-        evaluates pairings written with ``element`` on the right-hand
-        side.  Building the table is not an instrumented operation.
-        """
-        return PairingTable.build_fast(self.curve, element.point)
-
-    def pair_product(self,
-                     terms: Sequence[Tuple[Union[PairingTable, _GroupElement],
-                                           _GroupElement]]) -> GTElement:
-        """Compute ``prod e(lhs_i, rhs_i)`` sharing one final exponentiation.
-
-        Each ``lhs`` may be a :class:`PairingTable` (stored lines) or a
-        plain group element (naive Miller loop).  The final
-        exponentiation is a homomorphism, so exponentiating the product
-        of Miller values once equals the product of full pairings.  Each
-        term is counted as one pairing: the shared tail is a wall-clock
-        optimisation, not a change to the abstract algorithm.
-
-        Degenerate terms (either side at infinity) pair to 1 without a
-        Miller loop and are therefore *not* billed: only evaluated terms
-        note a pairing.  (An earlier revision billed ``len(terms)``
-        up front, over-counting batches containing identity elements;
-        ``tests/test_batch_core.py`` pins the corrected convention.)
-        """
-        if not terms:
-            raise ParameterError("pair_product of no terms")
-        evaluated = [
-            (lhs, rhs) for lhs, rhs in terms
-            if not (lhs.point.is_infinity() or rhs.point.is_infinity())
-        ]
-        instrument.note("pairing", len(evaluated))
-        accum = Fp2.one(self.params.p)
-        for lhs, rhs in evaluated:
-            if isinstance(lhs, PairingTable):
-                accum = accum * lhs.miller(rhs.point)
-            else:
-                accum = accum * miller_loop(self.curve, lhs.point, rhs.point)
-        return GTElement(final_exponentiation(self.curve, accum), self)
-
-    def batch_pairing_check(
-            self,
-            checks: Sequence[Tuple[Sequence[Tuple[Union[PairingTable,
-                                                        _GroupElement],
-                                                  _GroupElement]],
-                                   GTElement]],
-            rng: Optional[random.Random] = None) -> bool:
-        """Randomized small-exponent batching of pairing-product equations.
-
-        ``checks`` is a sequence of ``(terms, expected)`` pairs, each
-        asserting ``prod_j e(lhs_j, rhs_j) == expected`` (terms shaped
-        exactly like :meth:`pair_product`).  Instead of evaluating every
-        equation separately, the whole batch is folded into a single
-        randomized product
-
-            prod_i (prod_j m_ij) ^ delta_i  ==  prod_i expected_i ^ delta_i
-
-        with fresh 64-bit nonzero exponents ``delta_i``: all Miller
-        values accumulate into one running F_p2 product that pays a
-        single final exponentiation.  Soundness is the standard
-        small-exponent argument -- if any individual equation fails, the
-        randomized combination holds with probability at most ``2^-64``
-        over the ``delta_i``, so a forged member cannot hide behind
-        another term cancelling its error (``tests/test_batch_core.py``
-        constructs exactly that cancellation and checks it is caught).
-
-        Billing follows the :meth:`pair_product` convention: one pairing
-        per *evaluated* term plus one GT exponentiation per check (the
-        ``delta_i`` power); the shared Miller accumulation and single
-        final exponentiation are wall-clock optimisations only.
-
-        Returns ``True`` when the randomized combination holds.  A
-        ``False`` result says at least one equation is (overwhelmingly
-        likely) false without localizing it -- callers bisect with
-        smaller batches when they need the offender (see
-        ``repro.core.groupsig.validate_member_keys_batch``).
-        """
-        if not checks:
-            raise ParameterError("batch_pairing_check of no checks")
-        rng = rng or random.SystemRandom()
-        p = self.params.p
-        evaluated = 0
-        lhs_accum = Fp2.one(p)
-        rhs_accum = Fp2.one(p)
-        for terms, expected in checks:
-            delta = rng.randrange(1, 1 << 64)
-            product = Fp2.one(p)
-            for lhs, rhs in terms:
-                if lhs.point.is_infinity() or rhs.point.is_infinity():
-                    continue             # degenerate term pairs to 1
-                evaluated += 1
-                if isinstance(lhs, PairingTable):
-                    product = product * lhs.miller(rhs.point)
-                else:
-                    product = product * miller_loop(self.curve, lhs.point,
-                                                    rhs.point)
-            instrument.note("exp_gt")
-            lhs_accum = lhs_accum * product ** delta
-            rhs_accum = rhs_accum * expected.value ** delta
-        instrument.note("pairing", evaluated)
-        return final_exponentiation(self.curve, lhs_accum) == rhs_accum
 
     # -- scalars -----------------------------------------------------------
 

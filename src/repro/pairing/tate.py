@@ -13,11 +13,18 @@ value is annihilated by the ``(p - 1)`` factor of the final exponent --
 so the Miller loop evaluates line numerators only.  The loop below works
 on raw integer pairs ``(a, b)`` representing ``a + b*i`` for speed; the
 result is wrapped into :class:`~repro.pairing.fields.Fp2` at the end.
+
+This is the generic pairing behind
+:meth:`repro.pairing.group.PairingGroup.pair` (credential checks,
+audits, the first evaluation of the base pairing) and the reference the
+fixed-argument kernels of :mod:`repro.pairing.fastpath`, which every
+verification runs on, are tested against; :func:`final_exponentiation`
+is shared with those kernels.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ParameterError
 from repro.mathx import wnaf_digits
@@ -52,24 +59,6 @@ def final_exponentiation(curve: Curve, value: Fp2) -> Fp2:
     p = curve.p
     easy = value.conjugate() * value.inverse()      # value^(p-1), unitary
     return _unitary_pow(easy.a, easy.b, curve.h, p)
-
-
-def final_exponentiation_product(curve: Curve, values: Iterable[Fp2]) -> Fp2:
-    """Final-exponentiate the product of several Miller values at once.
-
-    ``FE(a) * FE(b) == FE(a * b)`` (the final exponentiation is a group
-    homomorphism), so verification equations that multiply several
-    pairings together can accumulate the raw Miller values and pay for a
-    single hard exponentiation on the product.  This shared tail is a
-    wall-clock optimisation only: callers still note one abstract
-    ``pairing`` per Miller evaluation (see ``PairingGroup.pair_product``
-    for the billing convention).
-    """
-    p = curve.p
-    acc = Fp2.one(p)
-    for value in values:
-        acc = acc * value
-    return final_exponentiation(curve, acc)
 
 
 def _unitary_pow(base_a: int, base_b: int, exponent: int, p: int) -> Fp2:

@@ -106,11 +106,6 @@ class RadioMedium:
         self._nodes.pop(node_id, None)
         self._ranges.pop(node_id, None)
 
-    def set_range(self, node_id: str, tx_range: float) -> None:
-        """Adjust transmit power (paper footnote 3: users may boost
-        power to reach a router directly during authentication)."""
-        self._ranges[node_id] = tx_range
-
     def node(self, node_id: str) -> RadioNode:
         return self._nodes[node_id]
 

@@ -5,9 +5,9 @@ deployment) are session-scoped; tests must not mutate them.  Tests that
 need mutation (revocation, list updates) build their own deployment via
 the ``fresh_deployment`` factory.
 
-Every test also runs under :func:`_no_classifier_fallback`: a fast
-verification kernel that strays off its domain must fail the suite,
-not hide behind the reference classifier.
+Every test also runs under :func:`_no_kernel_error`: a verification
+kernel that raises must fail the suite, not hide behind the classifier's
+fail-closed verdict.
 """
 
 from __future__ import annotations
@@ -24,36 +24,36 @@ from repro.pairing import PairingGroup
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "forces_fallback: the test forces the classifier's "
-        "fallback to the reference on purpose")
+        "markers", "forces_kernel_error: the test makes the verification "
+        "kernel raise on purpose")
 
 
 @pytest.fixture(autouse=True)
-def _no_classifier_fallback(request, monkeypatch):
+def _no_kernel_error(request, monkeypatch):
     """Fail any test during which ``batch_core.fallback_total`` moves.
 
-    In production the fallback keeps a verdict exact when a fast kernel
-    strays off its domain; in a test it would mask that kernel bug.
-    Only in-process classification is watched (pool workers run in
-    their own interpreters).  Tests that force the fallback on purpose
-    carry ``@pytest.mark.forces_fallback``.
+    The counter counts items the classifier failed closed because the
+    kernel raised.  In production that verdict keeps a kernel bug from
+    accepting anything; in a test the kernel bug is the failure.  Only
+    in-process classification is watched (pool workers run in their own
+    interpreters).  Tests that make the kernel raise on purpose carry
+    ``@pytest.mark.forces_kernel_error``.
     """
-    if request.node.get_closest_marker("forces_fallback") is not None:
+    if request.node.get_closest_marker("forces_kernel_error") is not None:
         yield
         return
-    fallbacks = []
+    errors = []
     counter = obs.counter
 
     def watched(name, amount=1):
         if name == "batch_core.fallback_total":
-            fallbacks.append(amount)
+            errors.append(amount)
         return counter(name, amount)
 
     monkeypatch.setattr(obs, "counter", watched)
     yield
-    assert not fallbacks, (
-        f"{len(fallbacks)} verification(s) fell back to the reference "
-        "classifier")
+    assert not errors, (
+        f"{len(errors)} verification(s) failed closed on a kernel error")
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,18 @@
 """The batch verification core: soundness, bit-identity, and kernels.
 
-Pins for the randomized multi-pairing batch core and its satellites:
+Pins for the batch core's kernels and their satellites:
 
 * **Adversarial cancellation.**  Two tampered SDH member keys whose
-  pairing error terms cancel in an *unrandomized* product equation are
-  both caught by the randomized ``batch_pairing_check`` and localized
-  by ``validate_member_keys_batch``'s bisection.
+  pairing error terms cancel in an *unrandomized* product equation
+  each fail the per-key SDH check a user runs on its credential.
 * **Bit-identity.**  ``groupsig.classify`` (the batch core's kernels)
-  matches ``groupsig.reference_classify`` on chaos batches (seeds
+  matches the tests' ``reference_classify`` on chaos batches (seeds
   101/202/303): outcome type, error message, ``token_index``, and
-  replayed operation counts.
-* **Accounting.**  ``pair_product`` bills one pairing per *evaluated*
-  term; degenerate (identity) terms are free -- the regression pin for
-  the earlier bill-len(terms) over-count.
-* **Scan table cache.**  Repeat Eq.3 scans on one period context
-  note the same counts.
+  operation counts.
+* **Fail-closed.**  A kernel that raises yields an
+  :class:`InvalidSignature` and one ``batch_core.fallback_total``
+  count; nothing reruns the item, and the operations noted before the
+  exception are recorded once.
 * **Kernel identity.**  The split-exponent ``unitary_tag_is_one``
   agrees with the full unitary power, and ``_h_split``'s exactness
   condition ``h % gcd(2^s - t, p+1) == 0`` holds where the split is
@@ -33,9 +31,12 @@ import pytest
 from repro import instrument, obs
 from repro.core import batch_core, groupsig
 from repro.core import verifier_pool
-from repro.errors import InvalidSignature, ParameterError, RevokedKeyError
+from repro.core.identity import RoleAttribute, UserIdentity
+from repro.core.user import NetworkUser
+from repro.errors import AuthenticationError, InvalidSignature, RevokedKeyError
 from repro.pairing import PairingGroup
 from repro.pairing import fastpath
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -48,50 +49,7 @@ def _tampered(signature, **fields):
 
 
 # ---------------------------------------------------------------------------
-# pair_product / batch_pairing_check accounting
-# ---------------------------------------------------------------------------
-
-class TestPairProductAccounting:
-    def test_bills_only_evaluated_terms(self, group, rng):
-        a = group.random_g1(rng)
-        b = group.g2 ** group.random_scalar(rng)
-        identity = group.g1 ** 0
-        expected = group.pair(a, b)
-        expected = expected * expected
-        with instrument.count_operations() as ops:
-            product = group.pair_product([(a, b), (identity, b), (a, b)])
-        assert ops.total("pairing") == 2
-        assert product == expected
-
-    def test_all_degenerate_terms_bill_nothing(self, group, rng):
-        b = group.g2 ** group.random_scalar(rng)
-        identity = group.g1 ** 0
-        with instrument.count_operations() as ops:
-            product = group.pair_product([(identity, b)])
-        assert ops.total("pairing") == 0
-        assert product.is_identity()
-
-    def test_empty_product_raises(self, group):
-        with pytest.raises(ParameterError):
-            group.pair_product([])
-
-    def test_batch_check_billing_convention(self, group, rng):
-        a = group.random_g1(rng)
-        b = group.g2 ** group.random_scalar(rng)
-        identity = group.g1 ** 0
-        expected = group.pair(a, b)
-        checks = [([(a, b)], expected),
-                  ([(a, b), (identity, b)], expected)]
-        with instrument.count_operations() as ops:
-            assert group.batch_pairing_check(checks, rng)
-        # One pairing per evaluated term, one GT exp (delta) per check;
-        # the shared Miller tail and single FE are wall-clock-only.
-        assert ops.total("pairing") == 2
-        assert ops.total("exp_gt") == 2
-
-
-# ---------------------------------------------------------------------------
-# Satellite 4: adversarial cancellation vs the randomized batch
+# Adversarial cancellation vs the per-key credential check
 # ---------------------------------------------------------------------------
 
 class TestAdversarialCancellation:
@@ -105,7 +63,7 @@ class TestAdversarialCancellation:
         inverse: each equation is false, their plain product still
         holds.  Only an attacker who already knows ``gamma`` (here: the
         test, playing the network operator) can solve for ``f``, which
-        is exactly the insider threat the randomized fold defends
+        is exactly the insider threat a per-key check defends
         against.
         """
         order = gpk.group.order
@@ -133,27 +91,21 @@ class TestAdversarialCancellation:
         assert sides[0] != base and sides[1] != base
         assert sides[0] * sides[1] == base * base
 
-    def test_randomized_batch_rejects_both(self, scheme):
+    def test_credential_check_rejects_both(self, scheme):
+        """The SDH check a user runs on its assembled credential
+        evaluates each key alone, so neither cancelling key passes."""
         gpk, master, keys = scheme
         bad1, bad2 = self._cancelling_pair(gpk, master, keys["a1"],
                                            keys["b2"])
-        results = groupsig.validate_member_keys_batch(
-            gpk, [bad1, keys["a2"], bad2, keys["b1"]],
-            rng=random.Random(404))
-        assert results == [False, True, False, True]
-
-    def test_randomized_fold_fails_directly(self, scheme):
-        gpk, master, keys = scheme
-        group = gpk.group
-        order = group.order
-        bad1, bad2 = self._cancelling_pair(gpk, master, keys["a1"],
-                                           keys["b2"])
-        base = gpk.engine.base_pairing()
-        checks = []
+        user = NetworkUser(
+            UserIdentity.build("mallory", {"ssn": "0"},
+                               [RoleAttribute("engineer", "Company X")]),
+            gpk, None, rng=random.Random(404))
         for bad in (bad1, bad2):
-            rhs = gpk.w * gpk.g2 ** (bad.exponent_sum % order)
-            checks.append(([(bad.a, rhs)], base))
-        assert not group.batch_pairing_check(checks, random.Random(7))
+            with pytest.raises(AuthenticationError):
+                user._validate_credential(bad)
+        for honest in (keys["a2"], keys["b1"]):
+            user._validate_credential(honest)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +149,8 @@ class TestBitIdentity:
                 fast = groupsig.classify(gpk, [(message, signature)],
                                          url)[0]
             with instrument.count_operations() as ref_ops:
-                ref = groupsig.reference_classify(gpk, message, signature,
-                                                  url)
+                ref = oracles.reference_classify(gpk, message, signature,
+                                                 url)
             assert type(fast) is type(ref)
             assert str(fast) == str(ref)
             assert getattr(fast, "token_index", None) == \
@@ -221,56 +173,62 @@ class TestBitIdentity:
                 fast = groupsig.classify(gpk, [(message, signature)], url,
                                          period)[0]
             with instrument.count_operations() as ref_ops:
-                ref = groupsig.reference_classify(gpk, message, signature,
-                                                  url, period)
+                ref = oracles.reference_classify(gpk, message, signature,
+                                                 url, period)
             assert type(fast) is type(ref)
             assert getattr(fast, "token_index", None) == \
                 getattr(ref, "token_index", None)
             assert fast_ops.snapshot() == ref_ops.snapshot()
 
-    @pytest.mark.forces_fallback
-    def test_fallback_path_stays_exact(self, gpk, member_keys,
-                                       monkeypatch):
-        """A fast-path crash discards its tally and reruns the reference."""
+    @pytest.mark.forces_kernel_error
+    def test_kernel_error_fails_closed(self, gpk, member_keys, monkeypatch):
+        """A kernel exception rejects the item: an InvalidSignature
+        carrying the exception, one count, and no rerun anywhere."""
         rng = random.Random(66)
-        message = b"fallback probe"
+        message = b"fail-closed probe"
         signature = groupsig.sign(gpk, member_keys["a1"], message, rng=rng)
 
         def boom(*args, **kwargs):
             raise RuntimeError("kernel off its domain")
 
+        def no_rerun(*args, **kwargs):
+            raise AssertionError("the classifier reran the item")
+
         monkeypatch.setattr(batch_core, "classify_fast", boom)
+        monkeypatch.setattr(oracles, "reference_classify", no_rerun)
+        with obs.collecting() as reg:
+            [error] = groupsig.classify(gpk, [(message, signature)])
+        assert type(error) is InvalidSignature
+        assert str(error) == "verification kernel error"
+        assert isinstance(error.__cause__, RuntimeError)
+        assert reg.counter_value("batch_core.fallback_total") == 1
+        assert reg.counter_value("groupsig.verify_reject_invalid_total") == 1
+        with pytest.raises(InvalidSignature) as raised:
+            groupsig.verify(gpk, message, signature)
+        assert isinstance(raised.value.__cause__, RuntimeError)
+
+    @pytest.mark.forces_kernel_error
+    def test_notes_before_a_kernel_error_stay_recorded(
+            self, gpk, member_keys, monkeypatch):
+        """Operations the kernel noted before raising reach the ambient
+        counter and the open span alike, once."""
+        rng = random.Random(67)
+        message = b"partial notes"
+        signature = groupsig.sign(gpk, member_keys["a2"], message, rng=rng)
+
+        def notes_then_boom(*args, **kwargs):
+            instrument.note("hash_to_group", 2)
+            raise RuntimeError("kernel off its domain")
+
+        monkeypatch.setattr(batch_core, "classify_fast", notes_then_boom)
         with obs.collecting() as reg, \
                 instrument.count_operations() as ops:
-            assert groupsig.classify(gpk, [(message, signature)]) == [None]
+            with reg.span("probe"):
+                groupsig.classify(gpk, [(message, signature)])
+        assert ops.snapshot() == {"hash_to_group": 2}
+        by_name = {record.name: dict(record.ops) for record in reg.spans()}
+        assert by_name["probe"] == {"hash_to_group": 2}
         assert reg.counter_value("batch_core.fallback_total") == 1
-        with instrument.count_operations() as ref_ops:
-            assert groupsig.reference_classify(gpk, message,
-                                               signature) is None
-        assert ops.snapshot() == ref_ops.snapshot()
-
-
-# ---------------------------------------------------------------------------
-# Satellite 2: repeat Eq.3 scans on one period context
-# ---------------------------------------------------------------------------
-
-class TestScanTableCache:
-    def test_cached_scan_counts_unchanged(self, gpk, member_keys):
-        rng = random.Random(322)
-        message = b"cache counts"
-        period = b"cache-period"
-        signature = groupsig.sign(gpk, member_keys["a2"], message, rng=rng,
-                                  period=period)
-        url = [groupsig.RevocationToken(member_keys["b1"].a),
-               groupsig.RevocationToken(member_keys["b2"].a)]
-        context = gpk.engine.generators(period)
-        snapshots = []
-        for _ in range(2):
-            with instrument.count_operations() as ops:
-                groupsig._scan_url(gpk, signature, url, context)
-            snapshots.append(ops.snapshot())
-        assert snapshots[0] == snapshots[1]
-        assert snapshots[0]["pairing"] == 2 * len(url)
 
 
 # ---------------------------------------------------------------------------

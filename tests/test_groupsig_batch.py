@@ -2,8 +2,8 @@
 
 Three properties pin the classifier down:
 
-1. ``verify`` and the engine-free ``reference_classify`` accept/reject
-   identically;
+1. ``verify`` and the engine-free ``reference_classify``
+   (``tests/oracles.py``) accept/reject identically;
 2. ``verify_batch`` classifies every item exactly as per-item ``verify``
    would (including bad signatures and revoked signers);
 3. the instrumented operation counts are the reference's -- tables
@@ -17,6 +17,7 @@ import pytest
 from repro import instrument
 from repro.core import groupsig
 from repro.errors import InvalidSignature, RevokedKeyError
+from tests.oracles import reference_classify
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +36,7 @@ def signed_batch(gpk, member_keys):
 
 def _reference_verify(gpk, message, signature, url=(), period=None):
     """The reference classifier with :func:`groupsig.verify`'s raising."""
-    error = groupsig.reference_classify(gpk, message, signature, url,
-                                        period)
+    error = reference_classify(gpk, message, signature, url, period)
     if error is not None:
         raise error
 

@@ -1,26 +1,37 @@
 """Randomized cross-checks of the precomputation layer.
 
-Every fast path introduced by the engine refactor -- interleaved-wNAF
-multi-scalar multiplication, the unitary final exponentiation, fixed-base
-exponentiation tables, and fixed-argument pairing tables -- is compared
-here against the naive reference computation on random inputs.  The
-``TestSmoke`` class at the bottom is the subset ``scripts/tier1.sh`` runs
-as its quick cross-check.
+Every fast path the engine runs -- interleaved-wNAF multi-scalar
+multiplication, the unitary final exponentiation, fixed-base
+exponentiation tables, and the NAF Miller line tables of fixed pairing
+arguments (:func:`repro.pairing.fastpath.naf_steps` evaluated by
+``miller_eval`` and ``miller_eval_pair``) -- is compared here against
+the naive reference computation on random inputs, the pairing tables
+against :func:`~repro.pairing.tate.tate_pairing` on TEST and SS512.  The
+``TestSmoke`` class at the bottom is the subset ``scripts/tier1.sh``
+runs as its quick cross-check.
 """
 
 import random
 
 import pytest
 
-from repro.pairing.curve import Curve, Point
+from repro.pairing import fastpath
+from repro.pairing.curve import Curve, FixedBaseTable, Point
+from repro.pairing.fields import Fp2
 from repro.pairing.params import PRESETS
-from repro.pairing.precompute import FixedBaseTable, PairingTable
 from repro.pairing.tate import final_exponentiation, miller_loop, tate_pairing
 
 
 @pytest.fixture(scope="module")
 def curve():
     return Curve(PRESETS["TEST"])
+
+
+@pytest.fixture(scope="module")
+def curves(curve):
+    """The shipped presets' curves, TEST and SS512, with a trial count
+    each (generic SS512 pairings are the slow side)."""
+    return ((curve, 8), (Curve(PRESETS["SS512"]), 4))
 
 
 @pytest.fixture(scope="module")
@@ -98,49 +109,105 @@ class TestFixedBaseTable:
         assert table.mul(12345).is_infinity()
 
 
-class TestPairingTable:
-    def test_matches_tate_pairing(self, curve, module_rng):
-        for trial in range(8):
-            p1 = _random_point(curve, module_rng)
-            p2 = _random_point(curve, module_rng)
-            table = PairingTable(curve, p1)
-            assert table.pairing(p2) == tate_pairing(curve, p1, p2), trial
+def _table_pairing(curve, point_p, point_q):
+    """``e(P, Q)`` through P's NAF line table: one ``miller_eval`` and
+    the final exponentiation."""
+    raw = fastpath.miller_eval(fastpath.naf_steps(curve, point_p), point_q,
+                               curve.p)
+    return final_exponentiation(curve, Fp2(*raw, curve.p))
 
-    def test_symmetric_swap(self, curve, module_rng):
+
+class TestPairingTable:
+    """The NAF Miller line table of a fixed first argument against the
+    generic pairing, on every shipped preset."""
+
+    def test_matches_tate_pairing(self, curves, module_rng):
+        for curve, trials in curves:
+            for trial in range(trials):
+                p1 = _random_point(curve, module_rng)
+                p2 = _random_point(curve, module_rng)
+                assert _table_pairing(curve, p1, p2) == \
+                    tate_pairing(curve, p1, p2), trial
+
+    def test_symmetric_swap(self, curves, module_rng):
         # e(P, Q) == e(Q, P): a table for P evaluates pairings written
         # with P on either side -- the identity the engine's revocation
-        # scan relies on.
-        for _ in range(4):
-            p1 = _random_point(curve, module_rng)
-            p2 = _random_point(curve, module_rng)
-            table = PairingTable(curve, p1)
-            assert table.pairing(p2) == tate_pairing(curve, p2, p1)
+        # scan and tag index rely on.
+        for curve, trials in curves:
+            for _ in range(max(1, trials // 2)):
+                p1 = _random_point(curve, module_rng)
+                p2 = _random_point(curve, module_rng)
+                assert _table_pairing(curve, p1, p2) == \
+                    tate_pairing(curve, p2, p1)
 
-    def test_degenerate_points(self, curve, module_rng):
-        point = _random_point(curve, module_rng)
-        infinity = Point.infinity(curve.p)
-        assert PairingTable(curve, point).pairing(infinity).is_one()
-        assert PairingTable(curve, infinity).pairing(point).is_one()
+    def test_degenerate_points(self, curves, module_rng):
+        for curve, _trials in curves:
+            p = curve.p
+            point = _random_point(curve, module_rng)
+            infinity = Point.infinity(p)
+            steps = fastpath.naf_steps(curve, point)
+            # e(O, Q) = 1: the point at infinity has no steps, and an
+            # empty table evaluates to the Miller value 1.
+            assert fastpath.naf_steps(curve, infinity) == []
+            assert fastpath.miller_eval([], point, p) == (1, 0)
+            assert tate_pairing(curve, infinity, point).is_one()
+            # e(P, O) = 1 on the shared accumulator.
+            assert fastpath.miller_eval_pair(steps, infinity, steps,
+                                             infinity, p) == (1, 0)
+            assert fastpath.miller_eval_pair(steps, point, steps,
+                                             infinity, p) == \
+                fastpath.miller_eval(steps, point, p)
+            assert fastpath.miller_eval_pair(steps, infinity, steps,
+                                             point, p) == \
+                fastpath.miller_eval(steps, point, p)
 
-    def test_bilinear_through_table(self, curve, module_rng):
-        point = _random_point(curve, module_rng)
-        other = _random_point(curve, module_rng)
-        a = module_rng.randrange(2, curve.r)
-        table = PairingTable(curve, point)
-        assert (table.pairing(curve.mul(other, a))
-                == table.pairing(other) ** a)
+    def test_bilinear_through_table(self, curves, module_rng):
+        for curve, _trials in curves:
+            point = _random_point(curve, module_rng)
+            other = _random_point(curve, module_rng)
+            a = module_rng.randrange(2, curve.r)
+            assert (_table_pairing(curve, point, curve.mul(other, a))
+                    == _table_pairing(curve, point, other) ** a)
+
+    def test_pair_is_the_product(self, curves, module_rng):
+        """``miller_eval_pair`` is the exact residue of the two
+        evaluations' product -- also against the table of the 2-torsion
+        point, whose lines stop after its first doubling -- and after the
+        final exponentiation the product of the two pairings."""
+        for curve, _trials in curves:
+            p = curve.p
+            p1, p2, q1, q2 = (_random_point(curve, module_rng)
+                              for _ in range(4))
+            short = Point(0, 0, p)
+            for table_point in (p2, short):
+                s1 = fastpath.naf_steps(curve, p1)
+                s2 = fastpath.naf_steps(curve, table_point)
+                a1, b1 = fastpath.miller_eval(s1, q1, p)
+                a2, b2 = fastpath.miller_eval(s2, q2, p)
+                raw = fastpath.miller_eval_pair(s1, q1, s2, q2, p)
+                assert raw == ((a1 * a2 - b1 * b2) % p,
+                               (a1 * b2 + b1 * a2) % p)
+            s2 = fastpath.naf_steps(curve, p2)
+            raw = fastpath.miller_eval_pair(s1, q1, s2, q2, p)
+            assert final_exponentiation(curve, Fp2(*raw, p)) == (
+                tate_pairing(curve, p1, q1) * tate_pairing(curve, p2, q2))
 
 
 class TestSmoke:
     """~10s subset exercised by scripts/tier1.sh."""
 
-    def test_table_and_multiexp_agree_with_naive(self, curve):
+    def test_table_and_multiexp_agree_with_naive(self, curves):
         rng = random.Random(42)
+        for curve, _trials in curves:
+            p1 = _random_point(curve, rng)
+            p2 = _random_point(curve, rng)
+            assert _table_pairing(curve, p1, p2) == \
+                tate_pairing(curve, p1, p2)
+            assert _table_pairing(curve, p1, p2) == \
+                tate_pairing(curve, p2, p1)
+        curve = curves[0][0]
         p1 = _random_point(curve, rng)
         p2 = _random_point(curve, rng)
-        table = PairingTable(curve, p1)
-        assert table.pairing(p2) == tate_pairing(curve, p1, p2)
-        assert table.pairing(p2) == tate_pairing(curve, p2, p1)
         fixed = FixedBaseTable(curve, p1)
         k = rng.randrange(1, curve.r)
         assert fixed.mul(k) == curve.mul(p1, k)

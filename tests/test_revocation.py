@@ -1,10 +1,13 @@
 """The period tag index + the epoch tag cache (repro.core.revocation).
 
 The contract under test: the cached tag index produces
-*bit-identical* outcomes to the paper's serial Eq.3 first-match scan --
-same accept/reject decision, same error message, same ``token_index``
--- for every URL ordering, duplicate tokens included; and the cache
-invalidates strictly on epoch bumps and URL delta removals.
+*bit-identical* outcomes to the paper's verifier
+(``tests/oracles.py``'s ``reference_classify`` under the index's
+period, whose Eq.3 scan stops at the first match) -- same accept/reject
+decision, same error message, same ``token_index`` -- for every URL
+ordering, duplicate tokens included; its tags are the generic
+pairing's, byte for byte; and the cache invalidates strictly on epoch
+bumps and URL delta removals.
 """
 
 import random
@@ -19,10 +22,11 @@ from repro.core.revocation import (
     RevocationState,
     RevocationTagCache,
     epoch_period,
-    serial_scan_outcome,
 )
 from repro.errors import CertificateError, ParameterError, RevokedKeyError
 from repro.pairing.group import G1Element, GTElement
+from repro.pairing.tate import tate_pairing
+from tests.oracles import reference_classify
 
 CHAOS_SEEDS = (101, 202, 303)
 
@@ -63,7 +67,7 @@ class TestPrimitives:
 
 
 class TestBitIdentity:
-    """Tag-index check vs the serial scan: identical, always."""
+    """Tag-index check vs the paper's verifier: identical, always."""
 
     def _signatures(self, gpk, member_keys, period, rng):
         revoked = groupsig.sign(gpk, member_keys["a1"], b"identity",
@@ -79,14 +83,14 @@ class TestBitIdentity:
         url = tuple(decoys) + (RevocationToken(member_keys["a1"].a),)
         state = RevocationState(gpk)
         state.update(url, url_version=1)
-        serial = serial_scan_outcome(gpk, b"identity", sig_revoked,
-                                     url, period)
+        reference = reference_classify(gpk, b"identity", sig_revoked,
+                                       url, period)
         indexed = _outcome(lambda: state.check(b"identity", sig_revoked))
-        assert serial is not None and indexed is not None
-        assert str(serial) == str(indexed)
-        assert serial.token_index == indexed.token_index == len(decoys)
-        assert serial_scan_outcome(gpk, b"identity", sig_clean,
-                                   url, period) is None
+        assert reference is not None and indexed is not None
+        assert str(reference) == str(indexed)
+        assert reference.token_index == indexed.token_index == len(decoys)
+        assert reference_classify(gpk, b"identity", sig_clean,
+                                  url, period) is None
         assert _outcome(lambda: state.check(b"identity", sig_clean)) is None
 
     def test_shuffled_orderings_chaos_seeds(self, gpk, member_keys,
@@ -98,13 +102,13 @@ class TestBitIdentity:
             random.Random(seed).shuffle(url)
             state = RevocationState(gpk, cache=cache)
             state.update(url, url_version=seed)
-            serial = serial_scan_outcome(gpk, b"identity", sig_revoked,
-                                         url, period)
+            reference = reference_classify(
+                gpk, b"identity", sig_revoked, url, period)
             indexed = _outcome(
                 lambda: state.check(b"identity", sig_revoked))
-            assert serial is not None and indexed is not None
-            assert str(serial) == str(indexed)
-            assert serial.token_index == indexed.token_index
+            assert reference is not None and indexed is not None
+            assert str(reference) == str(indexed)
+            assert reference.token_index == indexed.token_index
 
     def test_duplicate_token_reports_first_match(self, gpk, member_keys,
                                                  period, decoys, rng):
@@ -113,16 +117,16 @@ class TestBitIdentity:
         url = (decoys[0], decoys[1], token, decoys[2], token, decoys[3])
         state = RevocationState(gpk)
         state.update(url, url_version=1)
-        serial = serial_scan_outcome(gpk, b"identity", sig_revoked,
-                                     url, period)
+        reference = reference_classify(gpk, b"identity", sig_revoked,
+                                       url, period)
         indexed = _outcome(lambda: state.check(b"identity", sig_revoked))
-        assert serial is not None and indexed is not None
-        assert serial.token_index == indexed.token_index == 2
+        assert reference is not None and indexed is not None
+        assert reference.token_index == indexed.token_index == 2
 
     def test_epoch_rotation_rebalances_and_stays_identical(
             self, group, gpk, member_keys, period, decoys, rng):
         """Rotating the gpk re-derives every tag under the new epoch's
-        generators; outcomes must track the new epoch's serial scan."""
+        generators; outcomes must track the new epoch's verifier."""
         state = RevocationState(gpk)
         url = tuple(decoys) + (RevocationToken(member_keys["a1"].a),)
         state.update(url, url_version=1)
@@ -141,12 +145,12 @@ class TestBitIdentity:
         new_period = epoch_period(new_gpk.epoch)
         sig = groupsig.sign(new_gpk, member_keys["a1"], b"rot", rng=rng,
                             period=new_period)
-        serial = serial_scan_outcome(new_gpk, b"rot", sig, url,
-                                     new_period)
+        reference = reference_classify(new_gpk, b"rot", sig, url,
+                                       new_period)
         indexed = _outcome(lambda: state.check(b"rot", sig))
-        assert serial is not None and indexed is not None
-        assert str(serial) == str(indexed)
-        assert serial.token_index == indexed.token_index == len(decoys)
+        assert reference is not None and indexed is not None
+        assert str(reference) == str(indexed)
+        assert reference.token_index == indexed.token_index == len(decoys)
 
 
 class TestTagCache:
@@ -235,52 +239,10 @@ class TestTagCache:
         assert str(again) == str(revoked)
 
 
-class TestScanMemoEpochGuard:
-    def test_u_table_rebuilt_when_epoch_restamped(self, group, rng):
-        """Regression: the serial scan's memoized tables were keyed on
-        the context alone; a context carried across an epoch restamp
-        must rebuild them instead of serving stale lines.  The tables
-        are built by the scan on demand, never by the engine."""
-        gpk, master = groupsig.keygen_master(group, rng)
-        key = groupsig.issue_member_key(group, master, 31, (3, 1), rng)
-        other = groupsig.issue_member_key(group, master, 31, (3, 2), rng)
-        url = (RevocationToken(other.a), RevocationToken(key.a))
-        period = b"guard-period"
-        signature = groupsig.sign(gpk, key, b"guard", rng=rng,
-                                  period=period)
-        context = gpk.engine.generators(period)
-        assert context.scan_tables is None
-
-        with pytest.raises(RevokedKeyError):
-            groupsig._scan_url(gpk, signature, url, context)
-        first = context.scan_tables
-        epoch, first_u, first_v = first
-        assert first_u is not None and first_v is not None
-        assert epoch == 0
-        with pytest.raises(RevokedKeyError):
-            groupsig._scan_url(gpk, signature, url, context)
-        assert context.scan_tables is first
-
-        object.__setattr__(gpk, "epoch", 3)
-        with pytest.raises(RevokedKeyError) as excinfo:
-            groupsig._scan_url(gpk, signature, url, context)
-        assert excinfo.value.token_index == 1
-        epoch, u_table, v_table = context.scan_tables
-        assert u_table is not first_u and v_table is not first_v
-        assert epoch == 3
-
-
 class TestTagKernel:
     """The tag kernel (NAF steps of u_hat and v_hat, one shared Miller
-    chain per check, one batched easy part per update) against generic
-    binary-chain pairing tables, byte for byte."""
-
-    @staticmethod
-    def _tables(state):
-        context = state.gpk.engine.generators(state.period)
-        group = state.gpk.group
-        return (group.make_pairing_table(context.u_hat),
-                group.make_pairing_table(context.v_hat))
+    chain per check, one batched easy part per update) against the
+    generic pairing, byte for byte."""
 
     @staticmethod
     def _inputs(group, rng):
@@ -289,19 +251,21 @@ class TestTagKernel:
         return points + [points[0], infinity]      # duplicate, identity
 
     def _assert_pinned(self, state, group, rng):
-        u_table, v_table = self._tables(state)
+        context = state.gpk.engine.generators(state.period)
+        curve = group.curve
+        u_hat, v_hat = context.u_hat.point, context.v_hat.point
         points = self._inputs(group, rng)
         for t1 in points:
             for t2 in (points[1], points[0], points[-1]):
-                expected = (u_table.pairing(t2)
-                            * v_table.pairing(t1).inverse())
+                expected = (tate_pairing(curve, t2, u_hat)
+                            * tate_pairing(curve, t1, v_hat).inverse())
                 assert state._tag(t1, t2) == GTElement(
                     expected, group).encode()
         tokens = [RevocationToken(G1Element(point, group))
                   for point in points]
         state.update(tokens, url_version=state.url_version + 1)
         assert [tag for _, tag in state.entries()] == [
-            GTElement(u_table.pairing(point), group).encode()
+            GTElement(tate_pairing(curve, point, u_hat), group).encode()
             for point in points]
 
     def test_check_and_update_match_generic_pairings(self, group, gpk,

@@ -22,9 +22,8 @@ from hypothesis import strategies as st
 from repro.errors import NotOnCurveError, ParameterError
 from repro.mathx import jacobian
 from repro.pairing import hashing
-from repro.pairing.curve import Curve, Point
+from repro.pairing.curve import Curve, FixedBaseTable, Point
 from repro.pairing.params import get_params
-from repro.pairing.precompute import FixedBaseTable
 from repro.sig.curves import SECP160R1, SECP256R1, get_curve
 
 scalars160 = st.integers(min_value=1, max_value=SECP160R1.n - 1)

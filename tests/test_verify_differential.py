@@ -3,9 +3,10 @@
 ``groupsig.verify`` (one item, raises), ``groupsig.verify_batch`` (size
 1 and size 2) and ``VerifierPool(processes=0)`` all classify through
 ``groupsig.classify``; this suite holds each of them to
-``groupsig.reference_classify`` -- the paper's algorithm on generic
-pairings -- on outcome class, message, ``token_index`` and op counts,
-over inputs built to stray off the honest path.  Items signed under the
+``reference_classify`` (``tests/oracles.py``) -- the paper's
+algorithm on generic pairings -- on outcome class, message,
+``token_index`` and op counts, over inputs built to stray off the
+honest path.  Items signed under the
 epoch period also run the router's tag-index path --
 ``verify(..., check_revocation=False)`` then
 :meth:`RevocationState.check` -- held to the reference under the
@@ -28,9 +29,16 @@ count is |URL|-independent by design):
 * for the tag index, a router rebuilt from its journal by
   :meth:`MeshRouter.restore` and one warmed from a peer's
   :class:`TagCheckpoint`;
-* every byte of one period-mode M.2's group-signature field flipped,
-  through the wire decoder and the tag index against the decoder and
-  the reference.
+* every byte of one M.2's group-signature field flipped, through the
+  wire decoder and the verifier against the decoder and the reference:
+  in period mode through the tag index, in flat mode through
+  ``verify_batch`` with a URL of decoys and the signer's token.
+
+:class:`TestKernelTotality` shows the kernel
+(``batch_core.classify_fast``) raises on no decodable signature -- any
+on-curve T1 and T2, boundary scalars, every generator mode, URLs with
+tokens at infinity -- which is what lets ``classify`` fail closed on a
+kernel exception instead of rerunning a second verifier.
 
 It also pins that ``verify`` on degenerate or off-subgroup input bills
 zero operations: the structural and subgroup checks come before the
@@ -41,6 +49,7 @@ component: the router refuses such a g^r_j alike from
 beacon whose g or g^r_R carries it.
 """
 
+import functools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -73,6 +82,7 @@ from repro.errors import (
 from repro.pairing import PairingGroup
 from repro.pairing.curve import Point
 from repro.pairing.group import G1Element
+from tests.oracles import reference_classify
 
 PERIOD = b"differential-period"
 #: The period the tag index derives for the scheme's epoch-0 gpk: items
@@ -95,12 +105,12 @@ FREE_REJECTS = ("degenerate_t1", "degenerate_t2", "torsion_t1",
 X_AT_INFINITY = ("x_at_infinity", "x_at_infinity_order37_t2", "s_x_c_zero")
 
 
-def _order37(group):
-    """A TEST-curve point of order 37, an odd factor of the cofactor
-    ``h = 2^3 * 37 * 197 * ...``.  Added to a subgroup point it puts the
-    sum off the order-``r`` subgroup; unlike the 2-torsion point
-    ``(0, 0)``, which a ladder's first ``d`` doublings clear, it
-    survives every rung."""
+def _torsion_point(group, order):
+    """A point of the odd prime ``order`` dividing the cofactor: 37 on
+    TEST (``h = 2^3 * 37 * 197 * ...``), 7 on SS512.  Added to a
+    subgroup point it puts the sum off the order-``r`` subgroup; unlike
+    the 2-torsion point ``(0, 0)``, which a ladder's first ``d``
+    doublings clear, it survives every rung."""
     curve = group.curve
     x = 0
     while True:
@@ -109,7 +119,7 @@ def _order37(group):
             point = curve.lift_x(x, 0)
         except NotOnCurveError:
             continue
-        torsion = curve.multi_mul_raw([(point, (curve.p + 1) // 37)])
+        torsion = curve.multi_mul_raw([(point, (curve.p + 1) // order)])
         if not torsion.is_infinity():
             return torsion
 
@@ -141,7 +151,7 @@ def _mutate(gpk, signature, kind, gamma=None):
     order = group.order
     identity = G1Element(Point.infinity(group.curve.p), group)
     torsion = G1Element(Point(0, 0, group.curve.p), group)
-    order37 = G1Element(_order37(group), group)
+    order37 = G1Element(_torsion_point(group, 37), group)
     if kind == "degenerate_t1":
         return replace(signature, t1=identity)
     if kind == "degenerate_t2":
@@ -178,8 +188,7 @@ def _view(error):
 
 def _reference(gpk, items, url, period):
     with instrument.count_operations() as ops:
-        views = [_view(groupsig.reference_classify(gpk, message, sig, url,
-                                                   period))
+        views = [_view(reference_classify(gpk, message, sig, url, period))
                  for message, sig in items]
     return views, ops.snapshot()
 
@@ -253,7 +262,7 @@ def _check_every_entry_point(gpk, item, companion, url, period):
     # The kernel's SPK values are the reference's, R2 included.
     assert _challenge_inputs(lambda: batch_core.classify_fast(
         gpk, message, signature, url, period, True)) == \
-        _challenge_inputs(lambda: groupsig.reference_classify(
+        _challenge_inputs(lambda: reference_classify(
             gpk, message, signature, url, period))
     assert _via_verify(gpk, message, signature, url, period) == single
     assert _via_batch(gpk, [item], url, period) == single
@@ -468,10 +477,167 @@ class TestXAtInfinity:
                            "pairing": 3, "exp_gt": 1}
 
 
+#: The odd prime torsion order each preset's cofactor carries.
+ODD_TORSION = {"TEST": 37, "SS512": 7}
+
+#: What T1 or T2 may become: any on-curve point.
+POINT_KINDS = ("subgroup", "two_torsion", "odd_torsion", "plus_odd_torsion",
+               "full_group", "infinity")
+SCALAR_FIELDS = ("r", "c", "s_alpha", "s_x", "s_delta")
+SCALAR_KINDS = ("zero", "one", "r_minus_1", "r", "r_plus_1", "random")
+#: The URL entries a totality input draws from.
+URL_KINDS = ("signer", "decoy", "infinity")
+#: Every message an :class:`InvalidSignature` verdict may carry.
+INVALID_MESSAGES = {"degenerate T1/T2",
+                    "T1/T2 outside the prime-order subgroup",
+                    "challenge mismatch (Eq.2 failed)"}
+
+
+@functools.lru_cache(maxsize=None)
+def _totality_scheme(preset):
+    """``(gpk, {URL kind: token}, odd torsion point, {period: (message,
+    honest signature)})`` for one preset, built once per run."""
+    group = PairingGroup(preset)
+    rng = random.Random(7070)
+    gpk, master = groupsig.keygen_master(group, rng)
+    key = groupsig.issue_member_key(group, master, 11, (0, 0), rng)
+    tokens = {"signer": RevocationToken(key.a),
+              "decoy": RevocationToken(group.random_g1(rng)),
+              "infinity": RevocationToken(
+                  G1Element(Point.infinity(group.curve.p), group))}
+    signed = {}
+    for period in PERIODS:
+        message = b"totality %r" % period
+        signed[period] = (message, groupsig.sign(gpk, key, message, rng=rng,
+                                                 period=period))
+    return (gpk, tokens, _torsion_point(group, ODD_TORSION[preset]),
+            signed)
+
+
+def _any_point(group, kind, honest, odd, rng):
+    """An on-curve point of ``kind`` (``honest`` is the field's own)."""
+    curve = group.curve
+    if kind == "subgroup":
+        return group.random_g1(rng).point
+    if kind == "two_torsion":
+        return Point(0, 0, curve.p)
+    if kind == "odd_torsion":
+        return odd
+    if kind == "plus_odd_torsion":
+        return curve.add(honest, odd)
+    if kind == "full_group":
+        while True:
+            try:
+                return curve.lift_x(rng.randrange(curve.p), rng.randrange(2))
+            except NotOnCurveError:
+                continue
+    return Point.infinity(curve.p)
+
+
+def _any_scalar(order, kind, rng):
+    if kind == "random":
+        return rng.randrange(order)
+    return {"zero": 0, "one": 1, "r_minus_1": order - 1, "r": order,
+            "r_plus_1": order + 1}[kind]
+
+
+def _changed(gpk, honest, changes, odd, rng):
+    """``honest`` with each ``field: kind`` of ``changes`` applied."""
+    group = gpk.group
+    fields = {}
+    for name, kind in changes:
+        if name in ("t1", "t2"):
+            fields[name] = G1Element(_any_point(
+                group, kind, getattr(honest, name).point, odd, rng), group)
+        else:
+            fields[name] = _any_scalar(group.order, kind, rng)
+    return replace(honest, **fields)
+
+
+def _total_verdict(gpk, message, signature, url, period, check_revocation):
+    """``classify_fast`` on one input: it must return, not raise, and
+    its verdict must be one of the three classes the paper's verifier
+    gives.  Returns the verdict's class (``None`` on accept)."""
+    verdict = batch_core.classify_fast(gpk, message, signature, url, period,
+                                       check_revocation)
+    if verdict is None:
+        return None
+    if type(verdict) is RevokedKeyError:
+        assert check_revocation
+        assert 0 <= verdict.token_index < len(url)
+    else:
+        assert type(verdict) is InvalidSignature
+        assert str(verdict) in INVALID_MESSAGES
+    return type(verdict)
+
+
+class TestKernelTotality:
+    """The kernel is total on decodable signatures: T1 and T2 any
+    on-curve point (subgroup, 2-torsion, odd torsion, odd torsion on the
+    honest point, random points of the full curve group, infinity),
+    scalars at 0, 1, r - 1, r, r + 1 or random, every generator mode,
+    with a scan and without, and URLs holding the signer's token, a
+    decoy and a token at infinity.  :func:`repro.core.groupsig.classify`
+    fails closed on a kernel exception, so this is the evidence that an
+    honest signature never meets that verdict."""
+
+    EXAMPLES = {"TEST": 150, "SS512": 30}
+
+    @pytest.mark.parametrize("preset", ("TEST", "SS512"))
+    def test_classify_fast_is_total(self, preset):
+        gpk, tokens, odd, signed = _totality_scheme(preset)
+        fields = ("t1", "t2") + SCALAR_FIELDS
+
+        @given(data=st.data())
+        @settings(max_examples=self.EXAMPLES[preset], deadline=None)
+        def run(data):
+            period = data.draw(st.sampled_from(PERIODS))
+            message, honest = signed[period]
+            changes = []
+            for name in data.draw(st.lists(st.sampled_from(fields),
+                                           unique=True, max_size=7)):
+                kinds = POINT_KINDS if name in ("t1", "t2") else SCALAR_KINDS
+                changes.append((name, data.draw(st.sampled_from(kinds))))
+            rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+            url = [tokens[kind] for kind in data.draw(
+                st.lists(st.sampled_from(URL_KINDS), max_size=4))]
+            _total_verdict(gpk, message,
+                           _changed(gpk, honest, changes, odd, rng), url,
+                           period, data.draw(st.booleans()))
+
+        run()
+
+
 class TestSmoke:
     """Period-mode R2 against ``e(left, g2) * e(right, w) *
-    e(g1, g2)^-c`` on generic pairings, on TEST and SS512 (run by
-    ``scripts/tier1.sh smoke``)."""
+    e(g1, g2)^-c`` on generic pairings, on TEST and SS512, and a TEST
+    grid of :class:`TestKernelTotality` (run by ``scripts/tier1.sh
+    smoke``)."""
+
+    def test_kernel_total_on_adversarial_grid(self):
+        """Every point kind on T1 and on T2 and every scalar kind on each
+        scalar, in every generator mode, against a URL holding the
+        signer's token, one without it and no scan: no exception, and
+        accept, invalid and revoked are all reached."""
+        gpk, tokens, odd, signed = _totality_scheme("TEST")
+        grid = [()]
+        grid += [((name, kind),) for name in ("t1", "t2")
+                 for kind in POINT_KINDS]
+        grid += [((name, kind),) for name in SCALAR_FIELDS
+                 for kind in SCALAR_KINDS]
+        with_signer = [tokens["decoy"], tokens["infinity"], tokens["signer"]]
+        without = [tokens["infinity"], tokens["decoy"]]
+        rng = random.Random(37)
+        seen = set()
+        for period in PERIODS:
+            message, honest = signed[period]
+            for changes in grid:
+                signature = _changed(gpk, honest, changes, odd, rng)
+                for url, check in ((with_signer, True), (without, True),
+                                   (with_signer, False)):
+                    seen.add(_total_verdict(gpk, message, signature, url,
+                                            period, check))
+        assert seen == {None, InvalidSignature, RevokedKeyError}
 
     @pytest.mark.parametrize("preset", ("TEST", "SS512"))
     def test_period_r2_matches_generic_pairings(self, preset):
@@ -522,16 +688,27 @@ class TestSmoke:
 
 
 class TestWireFlips:
-    """Each byte of one period-mode M.2's group-signature field flipped
-    with a seeded mask: decode and the router's tag-index verification
-    (``verify_batch(..., check_revocation=False)`` then
-    :meth:`RevocationState.check`) against decode and
-    ``reference_classify`` under the index's period."""
+    """Each byte of one M.2's group-signature field flipped with a
+    seeded mask, in both generator modes: decode and the router's
+    verification against decode and ``reference_classify``.
+
+    Period mode runs the tag-index path (``verify_batch(...,
+    check_revocation=False)`` then :meth:`RevocationState.check`)
+    against the reference under the index's period.  Flat mode -- the
+    path every ``handshake`` and ``city_day`` verify takes -- runs
+    ``verify_batch(url)`` with a URL of decoys and the signer's token
+    against the reference's scan of the same URL.  Each pair must raise
+    the same :class:`EncodingError` or agree on class, message,
+    ``token_index`` and verify-stage op counts."""
 
     @staticmethod
-    def _tag_index(state, blob):
-        request = AccessRequest.decode(state.gpk.group, blob)
-        item = (request.signed_payload(), request.group_signature)
+    def _item(group, blob):
+        request = AccessRequest.decode(group, blob)
+        return request.signed_payload(), request.group_signature
+
+    @classmethod
+    def _tag_index(cls, state, blob):
+        item = cls._item(state.gpk.group, blob)
         with instrument.count_operations() as ops:
             [error] = groupsig.verify_batch(state.gpk, [item],
                                             period=state.period,
@@ -543,25 +720,56 @@ class TestWireFlips:
                 error = exc
         return _view(error), ops.snapshot()
 
-    @staticmethod
-    def _reference(state, blob, url):
-        request = AccessRequest.decode(state.gpk.group, blob)
-        item = (request.signed_payload(), request.group_signature)
-        error = groupsig.reference_classify(state.gpk, *item, url,
-                                            state.period)
+    @classmethod
+    def _reference(cls, state, blob, url):
+        item = cls._item(state.gpk.group, blob)
+        error = reference_classify(state.gpk, *item, url, state.period)
         # The verify stage alone: the index's tag check has its own,
         # |URL|-independent cost.
         with instrument.count_operations() as ops:
-            groupsig.reference_classify(state.gpk, *item, url, state.period,
-                                        check_revocation=False)
+            reference_classify(state.gpk, *item, url, state.period,
+                               check_revocation=False)
+        return _view(error), ops.snapshot()
+
+    @classmethod
+    def _flat(cls, gpk, blob, url):
+        item = cls._item(gpk.group, blob)
+        with instrument.count_operations() as ops:
+            [error] = groupsig.verify_batch(gpk, [item], url=url)
+        return _view(error), ops.snapshot()
+
+    @classmethod
+    def _flat_reference(cls, gpk, blob, url):
+        item = cls._item(gpk.group, blob)
+        with instrument.count_operations() as ops:
+            error = reference_classify(gpk, *item, url)
         return _view(error), ops.snapshot()
 
     @staticmethod
-    def _outcome(path, *args):
+    def _outcome(path, blob):
         try:
-            return path(*args)
+            return path(blob)
         except EncodingError as exc:
             return EncodingError, str(exc)
+
+    def _flip_each_byte(self, group, blob, fast, reference):
+        """Flip every byte of ``blob``'s group-signature field; ``fast``
+        and ``reference`` (each ``blob -> (view, ops)``) must agree on
+        every copy.  Returns how often each outcome occurred."""
+        field = AccessRequest.decode(group, blob).group_signature.encode()
+        start = blob.index(field)
+        rng = random.Random(2027)
+        kinds = Counter()
+        for offset in range(start, start + len(field)):
+            flipped = bytearray(blob)
+            flipped[offset] ^= rng.randrange(1, 256)
+            flipped = bytes(flipped)
+            outcome = self._outcome(fast, flipped)
+            assert outcome == self._outcome(reference, flipped), offset
+            kinds[outcome[0] if outcome[0] is EncodingError
+                  else outcome[0][1]] += 1
+        assert sum(kinds.values()) == len(field)
+        return kinds
 
     def test_flipped_signature_bytes_match_reference(self,
                                                      fresh_deployment):
@@ -585,23 +793,37 @@ class TestWireFlips:
             assert (view and (view[0], view[2])) == expected
             assert (view, _ops) == self._reference(state, wires[name], url)
 
-        blob = wires["alice"]
-        field = AccessRequest.decode(deployment.group,
-                                     blob).group_signature.encode()
-        start = blob.index(field)
-        rng = random.Random(2027)
-        kinds = Counter()
-        for offset in range(start, start + len(field)):
-            flipped = bytearray(blob)
-            flipped[offset] ^= rng.randrange(1, 256)
-            flipped = bytes(flipped)
-            fast = self._outcome(self._tag_index, state, flipped)
-            assert fast == self._outcome(self._reference, state, flipped,
-                                         url), offset
-            kinds[fast[0] if fast[0] is EncodingError
-                  else fast[0][1]] += 1
+        kinds = self._flip_each_byte(
+            deployment.group, wires["alice"],
+            lambda blob: self._tag_index(state, blob),
+            lambda blob: self._reference(state, blob, url))
         # No flip is accepted, and the field reaches every reject stage.
-        assert sum(kinds.values()) == len(field)
+        assert set(kinds) == {EncodingError,
+                              "T1/T2 outside the prime-order subgroup",
+                              "challenge mismatch (Eq.2 failed)"}
+
+    def test_flat_flipped_signature_bytes_match_reference(
+            self, fresh_deployment):
+        deployment = fresh_deployment()
+        gpk = deployment.operator.gpk
+        alice = deployment.users["alice"]
+        router = deployment.routers["MR-1"]
+        request, _pending = alice.connect_to_router(router.make_beacon())
+        blob = request.encode()
+        rng = random.Random(2028)
+        url = [RevocationToken(deployment.group.random_g1(rng))
+               for _ in range(3)]
+        url.append(RevocationToken(alice.credentials["Company X"].a))
+        view, ops = self._flat(gpk, blob, url)
+        assert (view[0], view[2]) == (RevokedKeyError, 3)
+        assert ops["pairing"] == 3 + 2 * len(url)
+        assert (view, ops) == self._flat_reference(gpk, blob, url)
+
+        kinds = self._flip_each_byte(
+            deployment.group, blob,
+            lambda flipped: self._flat(gpk, flipped, url),
+            lambda flipped: self._flat_reference(gpk, flipped, url))
+        # No flip is accepted, and the field reaches every reject stage.
         assert set(kinds) == {EncodingError,
                               "T1/T2 outside the prime-order subgroup",
                               "challenge mismatch (Eq.2 failed)"}
@@ -653,7 +875,7 @@ class TestOddTorsion:
         router = deployment.routers["MR-1"]
         request, _pending = deployment.users["alice"].connect_to_router(
             router.make_beacon())
-        extra = (_order37(group) if component == "order37"
+        extra = (_torsion_point(group, 37) if component == "order37"
                  else Point(0, 0, group.curve.p))
         bad = replace(request,
                       g_r_user=request.g_r_user * G1Element(extra, group))
@@ -676,7 +898,7 @@ class TestOddTorsion:
         group = deployment.group
         engine = deployment.routers["MR-1"].engine
         beacon = engine.make_beacon()
-        extra = (_order37(group) if component == "order37"
+        extra = (_torsion_point(group, 37) if component == "order37"
                  else Point(0, 0, group.curve.p))
         bad = replace(beacon, **{
             field: getattr(beacon, field) * G1Element(extra, group)})
