@@ -3,9 +3,14 @@
 The paper prices everything in 'exponentiations' and 'bilinear map
 computations'; this bench measures both on every shipped parameter set,
 plus the conventional primitives (ECDSA-160, RSA-1024) PEACE composes
-with, what a ladder buys two multiples of one SS512 point, and what
+with, what a ladder buys two multiples of one SS512 point, what
 period-mode verification saves on R2 by pairing T2 with X = g2^s_x *
-w^c on the chain that also checks T2's subgroup.
+w^c on the chain that also checks T2's subgroup, and the cold-start
+builders on TEST and SS512 beside their oracles (``tests/oracles.py``):
+a NAF line table (one batched inversion against two), the fixed-base
+table of g1 (batched affine additions against Jacobian ones) and a
+user's SDH credential check (A's ladder and the engine's line tables
+against two generic pairings).
 
 Each primitive is timed as a loop of calls.  One round times every
 primitive's loop once, all in one process, in an order that reverses
@@ -15,11 +20,14 @@ per-call time; a with/without comparison is the median of its
 per-round ratios (the two sides of a ratio come from the same round).
 """
 
+import dataclasses
 import random
 import statistics
 import time
 
 from repro.core import groupsig
+from repro.core.identity import RoleAttribute, UserIdentity
+from repro.core.user import NetworkUser
 from repro.core.revocation import epoch_period
 from repro.pairing import FixedBaseTable, PairingGroup, fastpath
 from repro.pairing.fields import Fp2
@@ -28,6 +36,7 @@ from repro.pairing.tate import final_exponentiation
 from repro.sig.curves import SECP160R1
 from repro.sig.ecdsa import ecdsa_generate
 from repro.sig.rsa import rsa_generate
+from tests.oracles import jadd_fixed_base_blocks, two_inversion_naf_steps
 
 #: Rounds per table; each reports the median of its rounds.
 ROUNDS = 9
@@ -99,6 +108,7 @@ def test_e9_primitive_cost_table(reporter):
     kernels += [("SS512 two multiples", two_multiples, 6),
                 ("SS512 two multiples, ladder", two_multiples_laddered, 6)]
     kernels += _period_r2_kernels(rng)
+    kernels += _cold_start_kernels(rng)
 
     keypair = ecdsa_generate(SECP160R1, rng=rng)
     signature = keypair.sign(b"bench")
@@ -148,6 +158,19 @@ def test_e9_primitive_cost_table(reporter):
          f"{ms['SS512 period R2, fused']:.3f}"),
         ("median paired ratio, fused / flat way", f"{r2_ratio:.3f}"),
     ])
+    cold_rows = []
+    cold_ratios = {}
+    for preset in ("TEST", "SS512"):
+        for what in COLD_START:
+            new = f"{preset} {what}"
+            old = f"{new}, oracle"
+            ratio = statistics.median(
+                n / o for n, o in zip(samples[new], samples[old]))
+            cold_ratios[new] = ratio
+            cold_rows.append((preset, what, f"{ms[new]:.3f}",
+                              f"{ms[old]:.3f}", f"{ratio:.3f}"))
+    report.table(("preset", "cold-start builder", "ms", "oracle ms",
+                  "median paired ratio"), cold_rows)
     report.row(f"median of {ROUNDS} rounds; each round times a loop of "
                f"calls per primitive, in alternating order")
     for name, value in ms.items():
@@ -155,6 +178,8 @@ def test_e9_primitive_cost_table(reporter):
                       round(value, 4))
     report.record("ss512_two_multiples_ladder_ratio", round(ladder_ratio, 4))
     report.record("ss512_period_r2_fused_ratio", round(r2_ratio, 4))
+    for name, ratio in cold_ratios.items():
+        report.record(name.replace(" ", "_") + "_ratio", round(ratio, 4))
 
     # Shape claims: the pairing is the most expensive primitive, which
     # motivates the hybrid design and the DoS analysis (in this
@@ -164,6 +189,8 @@ def test_e9_primitive_cost_table(reporter):
     assert ms["SS512 pairing"] > ms["SS512 G1 exp"]
     assert ladder_ratio < 1
     assert r2_ratio < 1
+    # Each cold-start builder beats the oracle it replaced.
+    assert all(ratio < 1 for ratio in cold_ratios.values()), cold_ratios
 
 
 def _period_r2_kernels(rng):
@@ -211,6 +238,59 @@ def _period_r2_kernels(rng):
     assert flat_way() == fused()
     return [("SS512 period R2, flat way", flat_way, 6),
             ("SS512 period R2, fused", fused, 6)]
+
+
+#: The cold-start builders, each timed beside its oracle.
+COLD_START = ("naf_steps build", "g1 FixedBaseTable build",
+              "credential check")
+
+
+def _cold_start_kernels(rng):
+    """Each cold-start builder and its oracle, on TEST and SS512.
+
+    The line table is built for a random subgroup point, the fixed-base
+    table for g1.  The credential check runs on a fresh copy of one
+    honest key each call, so A's ladder is built every time, against
+    warm engine tables (the handshake builds the g2 and w line tables
+    and e(g1, g2) anyway); its oracle is the paper's check on two
+    generic pairings.
+    """
+    kernels = []
+    for preset in ("TEST", "SS512"):
+        group = PairingGroup(preset)
+        curve = group.curve
+        calls = 40 if preset == "TEST" else 6
+        point = curve.random_point(rng)
+        g1 = curve.to_affine(group.g1.point)
+        gpk, master = groupsig.keygen_master(group, rng)
+        key = groupsig.issue_member_key(group, master, 5, (0, 0), rng)
+        user = NetworkUser(
+            UserIdentity.build("bench", {"ssn": "0"},
+                               [RoleAttribute("engineer", "Company X")]),
+            gpk, None, rng=rng)
+        user._validate_credential(key)  # warm the engine's tables
+
+        def generic_check(group=group, gpk=gpk, key=key):
+            lhs = group.pair(key.a, gpk.w * gpk.g2 ** key.exponent_sum)
+            assert lhs == group.pair(gpk.g1, gpk.g2)
+
+        kernels += [
+            (f"{preset} naf_steps build",
+             lambda c=curve, q=point: fastpath.naf_steps(c, q), calls),
+            (f"{preset} naf_steps build, oracle",
+             lambda c=curve, q=point: two_inversion_naf_steps(c, q), calls),
+            (f"{preset} g1 FixedBaseTable build",
+             lambda c=curve, g=group: FixedBaseTable(c, g.g1.point),
+             max(2, calls // 4)),
+            (f"{preset} g1 FixedBaseTable build, oracle",
+             lambda c=curve, g=g1: jadd_fixed_base_blocks(g, c.r, c.a, c.p),
+             max(2, calls // 4)),
+            (f"{preset} credential check",
+             lambda u=user, k=key: u._validate_credential(
+                 dataclasses.replace(k)), calls),
+            (f"{preset} credential check, oracle", generic_check, calls),
+        ]
+    return kernels
 
 
 def test_e9_pairing_ss512(benchmark, ss512_group):

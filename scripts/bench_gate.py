@@ -156,8 +156,9 @@ GATES: Dict[str, Dict[str, dict]] = {
         "url_size": {"kind": "exact"},
         "chunk_size": {"kind": "exact"},
     },
-    # Metropolitan revocation (ISSUE 8 acceptance): the indexed+cached
-    # check must beat the linear Eq.3 scan >= 5x at |URL| = 1000 as an
+    # Metropolitan revocation: the tag-index verify (the SPK, then the
+    # indexed+cached tag check) must beat the linear verify (the SPK,
+    # then the Eq.3 scan) >= 5x at |URL| = 1000 as an
     # absolute floor, the bit-identity and cache contracts are
     # booleans checked exactly, and the epidemic overlay must have
     # converged deterministically under the 15% loss model.  Router

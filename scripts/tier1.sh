@@ -11,12 +11,18 @@
 # engine fast path (the NAF pairing kernel, batch verification, the
 # multi-process verifier pool) against the naive reference computation
 # -- the NAF Miller line tables against the generic Tate pairing on
-# TEST and SS512 -- the table-driven AES against its byte-wise oracle,
-# the one scalar-multiplication kernel (fixed-base tables, wNAF on
-# prebuilt or one-off tables, cofactor clearing and H0) against the
-# double-and-add oracle and the naive hash loop, a user's beacon check
-# with its signature and URL decode memos against the same check with
-# neither, and period-mode R2 (T2 paired with g2^s_x * w^c on the chain
+# TEST and SS512, and on a TEST grid every line of the one-inversion
+# table builder against its three-pass oracle -- the table-driven AES
+# against its byte-wise oracle, the one scalar-multiplication kernel
+# (fixed-base tables, wNAF on prebuilt or one-off tables, cofactor
+# clearing and H0) against the double-and-add oracle and the naive hash
+# loop, every entry of the batched-affine fixed-base build against its
+# Jacobian-addition oracle (TEST and secp160r1), a user's SDH credential
+# check on a TEST grid (an honest key accepted; A plus the 2-torsion
+# point, A plus an order-37 point and A at infinity rejected, each
+# noting 1 exp + 2 pairings), a user's beacon check with its signature
+# and URL decode memos against the same check with neither, and
+# period-mode R2 (T2 paired with g2^s_x * w^c on the chain
 # that checks T2's subgroup, the period's GT tables; X at infinity
 # included) against generic pairings on TEST and SS512.  It also runs a
 # TEST grid of the kernel totality test: adversarial decodable
@@ -55,7 +61,8 @@ if [ "$mode" = "smoke" ]; then
         tests/test_crypto_aes.py::TestSmoke \
         tests/test_sig_curves.py::TestSmoke \
         tests/test_protocol_user_router.py::TestSmoke \
-        tests/test_verify_differential.py::TestSmoke
+        tests/test_verify_differential.py::TestSmoke \
+        tests/test_setup_entities.py::TestSmoke
     # obs-report smoke: the seeded traced scenario must produce at
     # least one stitched handshake trace and render it.
     python -m repro obs-report --workload scenario --format traces \

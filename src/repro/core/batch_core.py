@@ -53,7 +53,7 @@ then doubling a quarter as often):
 
 * **Fixed-argument tables.**  ``e(A_k, u_hat)`` evaluates through a
   per-token line table (the pairing is symmetric, ``A_k`` is the fixed
-  argument) cached on the engine per URL -- in period mode through the
+  argument) cached on the engine per token -- in period mode through the
   period's NAF steps of ``u_hat`` -- and ``e(g1, g2)^-c`` goes through
   a signed-window GT table -- all amortized over the gpk's or the
   period's lifetime like every other engine table.
@@ -216,7 +216,7 @@ def classify_fast(gpk, message: bytes, signature, url, period,
         return InvalidSignature("challenge mismatch (Eq.2 failed)")
 
     # Milestone 3: the Eq.3 revocation scan.  Token Miller values come
-    # from per-URL line tables; FE(e(A_k, u_hat)) == tau is decided as
+    # from per-token line tables; FE(e(A_k, u_hat)) == tau is decided as
     # z^h == 1 on the unit circle with the norm inversions batched.
     # The speculative evaluation of every token is wall-clock-only:
     # pairings are noted in scan order up to the short-circuit hit,

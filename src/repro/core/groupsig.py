@@ -38,8 +38,8 @@ paper's algorithm on generic pairings is the tests' single oracle
 (``tests/oracles.py``), never a second verifier here.  Every ``gpk``
 owns a lazily-built :class:`CryptoEngine` holding the kernels'
 precomputation tables (one per fixed base: ``g1``, ``g2``, ``w``, the
-base pairing ``e(g1, g2)``, per-URL token lines, and a bounded cache of
-per-period generator contexts).  The engine changes wall-clock cost
+base pairing ``e(g1, g2)``, per-token revocation lines, and a bounded
+cache of per-period generator contexts).  The engine changes wall-clock cost
 only: whenever a table evaluation stands in for an abstract operation
 the same :mod:`repro.instrument` note is recorded, so the measured
 counts above are the paper's.
@@ -73,7 +73,7 @@ from repro.pairing.group import (
     GTElement,
     PairingGroup,
 )
-from repro.pairing.tate import final_exponentiation, tate_pairing
+from repro.pairing.tate import final_exponentiation
 
 
 @dataclass(frozen=True)
@@ -338,9 +338,10 @@ class CryptoEngine:
     Holds one table per fixed base: NAF Miller step tables for ``g2``
     and ``w``, fixed-base exponentiation tables for ``g1`` and ``w``,
     the cached base pairing ``e(g1, g2)`` and its GT window table,
-    per-URL token line tables (an LRU of :attr:`max_urls` lists), and an
-    LRU cache (at most ``max_periods`` entries) of per-period generator
-    contexts, each with its own GT tables.
+    token line tables (one per token of the last :attr:`max_urls`
+    lists), and an LRU cache (at most ``max_periods`` entries) of
+    per-period generator contexts, each with its own GT tables.  No
+    table is built by a generic pairing.
     Everything is built lazily on first use and protected by a lock so
     a multi-threaded router can share one engine.
 
@@ -350,8 +351,8 @@ class CryptoEngine:
     derivation would have produced.
     """
 
-    #: Bound on the per-URL token line-table cache (distinct revocation
-    #: lists seen by one gpk at a time; each entry is |URL| tables).
+    #: Bound on the token line-table cache: the tables of the tokens of
+    #: the last ``max_urls`` distinct revocation lists are kept.
     max_urls = 4
 
     def __init__(self, gpk: "GroupPublicKey", max_periods: int = 16) -> None:
@@ -442,51 +443,57 @@ class CryptoEngine:
                                         self.w_naf_steps, right.point, p)
         return final_exponentiation(curve, Fp2(raw[0], raw[1], p))
 
-    def base_pairing(self) -> GTElement:
-        """The fixed pairing ``e(g1, g2)``, computed once per gpk.
+    def _base_value(self) -> GTElement:
+        """``e(g1, g2)``, evaluated once per gpk on ``g2``'s NAF steps.
 
-        A cache hit still notes one "pairing" so counts match the
-        paper's accounting.
+        The pairing is symmetric and ``g2`` is ``g1``'s point, so the
+        value is ``FE(miller_eval(g2_steps, g1))`` -- bit-identical to
+        the generic pairing.  Notes nothing: the use sites do.
         """
         with self._lock:
             cached = self._base
         if cached is None:
-            obs.counter("engine.base_pairing_miss_total")
-            value = self.group.pair(self.gpk.g1, self.gpk.g2)
+            curve = self.group.curve
+            p = curve.p
+            raw = fastpath.miller_eval(self.g2_naf_steps, self.gpk.g1.point,
+                                       p)
+            value = GTElement(final_exponentiation(
+                curve, Fp2(raw[0], raw[1], p)), self.group)
             with self._lock:
                 if self._base is None:
                     self._base = value
-            return value
-        obs.counter("engine.base_pairing_hit_total")
-        instrument.note("pairing")
+                cached = self._base
         return cached
+
+    def base_pairing(self) -> GTElement:
+        """The fixed pairing ``e(g1, g2)``, computed once per gpk.
+
+        Every call, the first included, notes one "pairing" so counts
+        match the paper's accounting.
+        """
+        with self._lock:
+            hit = self._base is not None
+        obs.counter("engine.base_pairing_hit_total" if hit
+                    else "engine.base_pairing_miss_total")
+        instrument.note("pairing")
+        return self._base_value()
 
     @property
     def gt_table(self):
         """Signed-window GT table for the base pairing ``e(g1, g2)``.
 
-        Built once per gpk from the quietly-warmed base pairing value
-        (table construction, like every precomputation here, is not an
-        instrumented operation); the batch core uses it for the
+        Built once per gpk from the quietly-evaluated base pairing
+        value (table construction, like every precomputation here, is
+        not an instrumented operation); the batch core uses it for the
         ``base ** -c`` factor of R2 and notes the same one "exp_gt" the
         naive ``**`` would.
         """
         with self._lock:
-            cached_base = self._base
             cached_table = self._gt_table
         if cached_table is not None:
             return cached_table
-        if cached_base is None:
-            # Quiet warm of the fixed pairing value: the *use* sites
-            # (base_pairing) keep noting one pairing per verification.
-            value = GTElement(
-                tate_pairing(self.group.curve, self.gpk.g1.point,
-                             self.gpk.g2.point), self.group)
-            with self._lock:
-                if self._base is None:
-                    self._base = value
-                cached_base = self._base
-        table = fastpath.GTFixedBase(cached_base.value, self.group.order)
+        table = fastpath.GTFixedBase(self._base_value().value,
+                                     self.group.order)
         with self._lock:
             if self._gt_table is None:
                 self._gt_table = table
@@ -498,28 +505,38 @@ class CryptoEngine:
         The Eq.3 scan pairs every token against a *varying* ``u_hat``;
         by symmetry ``e(A_k, u_hat)`` evaluates through a table built
         for the fixed ``A_k``, so one build per token amortizes over
-        every signature scanned against the same URL.  Built at the
-        first scan against a URL and cached per-URL (bounded LRU of
-        :attr:`max_urls` lists); building is uninstrumented per the
-        engine convention, evaluations note their pairings at the call
-        sites.
+        every signature scanned against it.  The lists of the last
+        :attr:`max_urls` URLs are kept (a bounded LRU); a URL seen for
+        the first time reuses the table of every token those lists
+        hold, so a URL delta builds the tables of its new tokens alone.
+        Building is uninstrumented per the engine convention;
+        evaluations note their pairings at the call sites.
         """
         key = tuple(token.a.point for token in url)
         with self._lock:
             cached = self._token_steps.get(key)
             if cached is not None:
                 self._token_steps.move_to_end(key)
+            else:
+                known = {point: steps
+                         for points, lists in self._token_steps.items()
+                         for point, steps in zip(points, lists)}
         if cached is not None:
             obs.counter("engine.token_table_hit_total")
             return cached
         reg = obs.active()
         start = reg.clock() if reg is not None else 0.0
         curve = self.group.curve
-        steps = [fastpath.naf_steps(curve, point)
-                 if not point.is_infinity() else []
-                 for point in key]
+        steps = []
+        built = 0
+        for point in key:
+            lines = known.get(point)
+            if lines is None:
+                lines = known[point] = fastpath.naf_steps(curve, point)
+                built += 1
+            steps.append(lines)
         if reg is not None:
-            reg.counter("engine.token_table_build_total", len(url))
+            reg.counter("engine.token_table_build_total", built)
             reg.observe("engine.table_build_seconds", reg.clock() - start)
         with self._lock:
             self._token_steps[key] = steps

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
+from repro import instrument
 from repro.core import groupsig
 from repro.core.certs import SignatureMemo
 from repro.core.clock import Clock, SystemClock
@@ -30,7 +31,10 @@ from repro.core.protocols.user_user import PeerAuthEngine
 from repro.core.ttp import TrustedThirdParty
 from repro.core.wire import Writer
 from repro.errors import AuthenticationError, ParameterError
+from repro.pairing import fastpath
+from repro.pairing.fields import Fp2
 from repro.pairing.group import PairingGroup
+from repro.pairing.tate import final_exponentiation
 from repro.sig.curves import SECP160R1, WeierstrassCurve
 from repro.sig.ecdsa import EcdsaKeyPair, ecdsa_generate
 
@@ -103,11 +107,37 @@ class NetworkUser:
         return credential
 
     def _validate_credential(self, credential: GroupPrivateKey) -> None:
-        """Reject a corrupt credential before ever signing with it."""
-        check = self.group.pair(
-            credential.a,
-            self.gpk.w * (self.gpk.g2 ** credential.exponent_sum))
-        if check != self.group.pair(self.gpk.g1, self.gpk.g2):
+        """Reject a corrupt credential before ever signing with it.
+
+        The paper's SDH check ``e(A, w * g2^(grp+x)) == e(g1, g2)``, on
+        the gpk engine's kernels.  ``A`` must first be a point of the
+        order-``r`` subgroup, checked on ``A``'s ladder (which signing
+        builds anyway): ``A + (0, 0)`` passes the pairing equation (the
+        2-torsion part's Miller chain stops at its first doubling, and
+        the final exponentiation kills what it leaves), yet every router
+        rejects its signatures.  Then, by
+        bilinearity and symmetry, the left side is ``FE(f_w(A) *
+        f_g2([grp+x]A))``: the ``w`` and ``g2`` NAF line tables on one
+        Miller accumulator, compared with the engine's ``e(g1, g2)``.
+        Notes the paper's 1 exp and 2 pairings whatever the verdict.
+        """
+        engine = self.gpk.engine
+        curve = self.group.curve
+        p = curve.p
+        point = credential.a.point
+        instrument.note("exp")
+        instrument.note("pairing")
+        base = engine.base_pairing()
+        if point.is_infinity() or not curve.ladder_in_subgroup(
+                point, credential.a_ladder):
+            raise AuthenticationError(
+                "assembled group private key is outside the prime-order "
+                "subgroup")
+        scaled = curve.multi_mul([(credential.a_ladder,
+                                   credential.exponent_sum)])
+        raw = fastpath.miller_eval_pair(engine.w_naf_steps, point,
+                                        engine.g2_naf_steps, scaled, p)
+        if final_exponentiation(curve, Fp2(raw[0], raw[1], p)) != base.value:
             raise AuthenticationError(
                 "assembled group private key fails the SDH check")
 

@@ -17,7 +17,9 @@ interleaved wNAF digits over affine odd-multiple tables (built per call
 for a point, or a prebuilt :class:`Ladder`'s); :class:`FixedBaseTable`
 feeds it one affine entry per signed window and no doublings, alone or
 after a :func:`multi_mul` chain's last doubling.  :func:`jdouble` and
-:func:`jadd` are the general Jacobian steps the tables are built with.
+:func:`jadd` are the general Jacobian steps a ladder is built with; a
+fixed-base table adds in affine coordinates instead, a column of
+windows at a time over one batched inversion (:func:`_add_columns`).
 
 A chain doubles as often as its widest scalar has bits, so a point
 whose multiples run in separate chains pays for the same doublings in
@@ -113,6 +115,34 @@ def to_affine(x: int, y: int, z: int, p: int) -> Affine:
     z_inv = pow(z, -1, p)
     z_inv_sq = z_inv * z_inv % p
     return (x * z_inv_sq % p, y * z_inv_sq * z_inv % p)
+
+
+def _add_columns(lhs: Sequence[Affine], rhs: Sequence[Affine], a: int,
+                 p: int) -> List[Affine]:
+    """``lhs[i] + rhs[i]`` for every ``i`` by the affine group law, the
+    slope denominators sharing one batched inversion."""
+    out: List[Affine] = []
+    pending = []  # (index, slope numerator, x1, y1, x2)
+    dens = []
+    for i, (q, b) in enumerate(zip(lhs, rhs)):
+        if q is None or b is None:
+            out.append(b if q is None else q)
+            continue
+        out.append(None)
+        (x1, y1), (x2, y2) = q, b
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                continue  # q == -b, including a 2-torsion doubling
+            pending.append((i, 3 * (x1 * x1) + a, x1, y1, x2))
+            dens.append(2 * y1)
+        else:
+            pending.append((i, y2 - y1, x1, y1, x2))
+            dens.append(x2 - x1)
+    for (i, num, x1, y1, x2), inv in zip(pending, batch_inverse(dens, p)):
+        slope = num * inv % p
+        x3 = (slope * slope - x1 - x2) % p
+        out[i] = (x3, (slope * (x1 - x3) - y1) % p)
+    return out
 
 
 def _normalise(points: Sequence[Jacobian], p: int) -> List[Affine]:
@@ -316,6 +346,14 @@ class FixedBaseTable:
     ``d`` in ``1 .. 32`` (negative digits negate on the fly); a
     multiplication is then one mixed addition per non-zero window
     (~27 for a 160-bit order) and no doublings.
+
+    Built column by column in affine coordinates: the window bases
+    ``B_j = 2^(6*j) * P`` come off one Jacobian doubling chain and one
+    batched inversion, then ``d * B_j = (d-1) * B_j + B_j`` for ``d =
+    2 .. 32``, each column's slope denominators over all windows sharing
+    one batched inversion (31 in all).  A base or entry at infinity (a
+    point of small order) and the doubling a small order forces are
+    ordinary cases of that addition.
     """
 
     __slots__ = ("a", "p", "order", "_blocks")
@@ -329,19 +367,17 @@ class FixedBaseTable:
             return
         # Signed recoding of a scalar < order can carry one window more.
         blocks = (order.bit_length() + FIXED_WINDOW - 1) // FIXED_WINDOW + 1
-        half = 1 << (FIXED_WINDOW - 1)
-        base = (point[0], point[1], 1)
-        entries: List[Jacobian] = []
-        for _ in range(blocks):
-            entry = base
-            entries.append(entry)
-            for _ in range(half - 1):
-                entry = jadd(*entry, *base, a, p)
-                entries.append(entry)
+        chain: List[Jacobian] = [(point[0], point[1], 1)]
+        for _ in range(blocks - 1):
+            x, y, z = chain[-1]
             for _ in range(FIXED_WINDOW):
-                base = jdouble(*base, a, p)
-        flat = _normalise(entries, p)
-        self._blocks = [flat[i:i + half] for i in range(0, len(flat), half)]
+                x, y, z = jdouble(x, y, z, a, p)
+            chain.append((x, y, z))
+        bases = _normalise(chain, p)
+        columns = [bases]
+        for _ in range((1 << (FIXED_WINDOW - 1)) - 1):
+            columns.append(_add_columns(columns[-1], bases, a, p))
+        self._blocks = [list(row) for row in zip(*columns)]
 
     def mul(self, scalar: int) -> Affine:
         """Return ``(scalar mod order) * P``."""

@@ -6,11 +6,11 @@ the final exponentiation (Miller values scaled by an F_p* factor, which
 the ``(p - 1)`` part of the final exponent annihilates), and
 ``tests/test_pairing_precompute.py`` holds the NAF kernel to
 :func:`~repro.pairing.tate.tate_pairing` on every shipped preset.  Only
-the crypto engine, the batch core and the revocation tag index call
-into this module.  Scalar multiplication is not here: every curve
-multiple -- the SPK's multi-exps on shared tables and ladders and H0's
-cofactor clearing included -- runs on the one kernel of
-:mod:`repro.mathx.jacobian`.
+the crypto engine, the batch core, the revocation tag index and a
+user's credential check call into this module.  Scalar multiplication
+is not here: every curve multiple -- the SPK's multi-exps on shared
+tables and ladders and H0's cofactor clearing included -- runs on the
+one kernel of :mod:`repro.mathx.jacobian`.
 
 Nothing here reports to :mod:`repro.instrument` -- callers note the
 abstract operations at the same milestones the naive path would, which
@@ -30,8 +30,10 @@ The kernels:
 
 ``naf_steps``
     The Miller line coefficients of a fixed first argument along the
-    non-adjacent form of ``r``, built with two batched inversions
-    instead of one inversion per Miller step (Montgomery's trick).
+    non-adjacent form of ``r``: one Jacobian chain yields each line's
+    numerators over one denominator, and a single batched inversion
+    (Montgomery's trick) serves every line, instead of one inversion
+    per Miller step.
 
 ``miller_eval`` / ``miller_eval_pair`` / ``final_exponentiation_each``
     Raw-integer helpers for evaluating stored lines -- one table, or
@@ -202,7 +204,7 @@ def fused_miller_subgroup(curve: Curve, point_p: Point, point_q: Point
 
 
 # ---------------------------------------------------------------------------
-# Fixed-argument Miller line tables (two batched inversions)
+# Fixed-argument Miller line tables (one batched inversion)
 # ---------------------------------------------------------------------------
 
 
@@ -221,6 +223,20 @@ def naf_steps(curve: Curve, point: Point) -> List[List[Tuple[int, int]]]:
     callers that FE the result may use these tables, and the tests hold
     ``FE(miller_eval(naf_steps(P), Q))`` to ``tate_pairing(P, Q)``.
     The point at infinity has no steps.
+
+    Each line's affine slope and constant come straight off the
+    Jacobian chain over one common denominator ``D``, and all the
+    denominators share one batched inversion (Montgomery's trick):
+
+    * the tangent at ``V = (X : Y : Z)``: slope ``M*Z^2 / D`` and
+      ``c0 = (M*X - 2*Y^2) / D``, with ``M = 3*X^2 + Z^4`` and
+      ``D = 2*Y*Z^3`` (the doubled point's Z times ``Z^2``);
+    * the chord from ``V`` towards ``d*P = (x_P, y_d)``: slope
+      ``rr / D`` and ``c0 = (rr*x_P - y_d*D) / D``, with ``D = hh*Z``,
+      the sum's Z (``hh``, ``rr`` the mixed addition's differences).
+
+    ``(c1, c0) = (-slope, slope*x - y)`` for any point ``(x, y)`` of the
+    line; the residues are exactly those of the affine Miller loop.
     """
     if point.is_infinity():
         return []
@@ -229,77 +245,72 @@ def naf_steps(curve: Curve, point: Point) -> List[List[Tuple[int, int]]]:
     yp_neg = (-yp_) % p
     X, Y, Z = xp_, yp_, 1
     at_inf = False
-    events: List[List[Tuple[str, int, int, int, int]]] = []
+    # Per chain step, how many lines it holds; per line, the numerators
+    # of its slope and of c0, and its denominator D.
+    counts: List[int] = []
+    nums: List[Tuple[int, int]] = []
+    dens: List[int] = []
     for digit in _naf_after_msd(curve.r):
-        evs: List[Tuple[str, int, int, int, int]] = []
+        lines = 0
         if not at_inf:
             if Y == 0:
                 at_inf = True
             else:
-                evs.append(("d", X, Y, Z, 0))
                 ysq = Y * Y % p
-                s = 4 * X * ysq % p
                 zsq = Z * Z % p
                 m = (3 * (X * X) + zsq * zsq) % p
-                nx = (m * m - 2 * s) % p
-                ny = (m * (s - nx) - 8 * (ysq * ysq)) % p
                 nz = 2 * Y * Z % p
-                X, Y, Z = nx, ny, nz
+                nums.append((m * zsq, m * X - 2 * ysq))
+                dens.append(nz * zsq % p)
+                lines = 1
+                s = 4 * X * ysq % p
+                nx = (m * m - 2 * s) % p
+                Y = (m * (s - nx) - 8 * (ysq * ysq)) % p
+                X, Z = nx, nz
         if digit and not at_inf:
             yd = yp_ if digit > 0 else yp_neg
             zsq = Z * Z % p
             u2 = xp_ * zsq % p
             s2 = yd * zsq % p * Z % p
-            if X == u2 and (Y + s2) % p == 0:
-                at_inf = True
-            else:
-                evs.append(("a", X, Y, Z, yd))
-                if X == u2:  # V == digit*P: the add is a doubling
-                    ysq = Y * Y % p
-                    s = 4 * X * ysq % p
-                    m = (3 * (X * X) + zsq * zsq) % p
-                    nx = (m * m - 2 * s) % p
-                    ny = (m * (s - nx) - 8 * (ysq * ysq)) % p
-                    nz = 2 * Y * Z % p
-                    X, Y, Z = nx, ny, nz
+            if X == u2:
+                if (Y + s2) % p == 0:
+                    at_inf = True
                 else:
-                    hh = (u2 - X) % p
-                    rr = (s2 - Y) % p
-                    hsq = hh * hh % p
-                    hcu = hsq * hh % p
-                    nx = (rr * rr - hcu - 2 * X * hsq) % p
-                    ny = (rr * (X * hsq - nx) - Y * hcu) % p
-                    nz = hh * Z % p
-                    X, Y, Z = nx, ny, nz
-        events.append(evs)
-    zs = [ev[3] for evs in events for ev in evs]
-    zinvs = batch_inverse(zs, p)
-    flat: List[Tuple[str, int, int, int]] = []
-    k = 0
-    for evs in events:
-        for kind, ex, ey, _ez, yd in evs:
-            zi = zinvs[k]
-            k += 1
-            zi2 = zi * zi % p
-            xv = ex * zi2 % p
-            yv = ey * zi2 % p * zi % p
-            flat.append((kind, xv, yv, yd))
-    dens = [2 * yv % p if kind == "d" or xv == xp_ else (xp_ - xv) % p
-            for kind, xv, yv, _yd in flat]
-    dinvs = batch_inverse(dens, p)
+                    # V == digit*P exactly: the chord is V's tangent.
+                    ysq = Y * Y % p
+                    m = (3 * (X * X) + zsq * zsq) % p
+                    nz = 2 * Y * Z % p
+                    nums.append((m * zsq, m * X - 2 * ysq))
+                    dens.append(nz * zsq % p)
+                    lines += 1
+                    s = 4 * X * ysq % p
+                    nx = (m * m - 2 * s) % p
+                    Y = (m * (s - nx) - 8 * (ysq * ysq)) % p
+                    X, Z = nx, nz
+            else:
+                hh = (u2 - X) % p
+                rr = (s2 - Y) % p
+                hz = hh * Z % p
+                nums.append((rr, rr * xp_ - yd * hz))
+                dens.append(hz)
+                lines += 1
+                hsq = hh * hh % p
+                hcu = hsq * hh % p
+                nx = (rr * rr - hcu - 2 * X * hsq) % p
+                Y = (rr * (X * hsq - nx) - Y * hcu) % p
+                X, Z = nx, hz
+        counts.append(lines)
+    invs = batch_inverse(dens, p)
     steps: List[List[Tuple[int, int]]] = []
     k = 0
-    for evs in events:
-        lines: List[Tuple[int, int]] = []
-        for _ in evs:
-            kind, xv, yv, yd = flat[k]
-            if kind == "d" or xv == xp_:
-                slope = (3 * (xv * xv) + 1) * dinvs[k] % p
-            else:
-                slope = (yd - yv) * dinvs[k] % p
-            lines.append((-slope % p, (slope * xv - yv) % p))
+    for lines in counts:
+        row: List[Tuple[int, int]] = []
+        for _ in range(lines):
+            slope_num, c0_num = nums[k]
+            inv = invs[k]
+            row.append((-slope_num * inv % p, c0_num * inv % p))
             k += 1
-        steps.append(lines)
+        steps.append(row)
     return steps
 
 

@@ -15,11 +15,12 @@ on raw integer pairs ``(a, b)`` representing ``a + b*i`` for speed; the
 result is wrapped into :class:`~repro.pairing.fields.Fp2` at the end.
 
 This is the generic pairing behind
-:meth:`repro.pairing.group.PairingGroup.pair` (credential checks,
-audits, the first evaluation of the base pairing) and the reference the
-fixed-argument kernels of :mod:`repro.pairing.fastpath`, which every
-verification runs on, are tested against; :func:`final_exponentiation`
-is shared with those kernels.
+:meth:`repro.pairing.group.PairingGroup.pair` (the NO's audits and
+opens, and ``CostModel.calibrate``) and the reference the
+fixed-argument kernels of :mod:`repro.pairing.fastpath` are tested
+against.  Every verification, a user's credential check and the
+engine's base pairing run on those kernels, which share
+:func:`final_exponentiation`.
 """
 
 from __future__ import annotations

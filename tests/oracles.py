@@ -1,4 +1,4 @@
-"""The paper's verifier, kept as the single test oracle for every verify path.
+"""The test oracles: the paper's verifier and the table builders' references.
 
 :func:`reference_classify` is Section IV step 3.2 on generic pairings:
 the Eq.2 SPK, then the linear Eq.3 scan.  Production runs the batch
@@ -8,11 +8,20 @@ bit-identity tests and the benches hold every entry point and the
 period tag index to this function on outcome class, message,
 ``token_index`` and op counts.  ``scripts/lint.sh`` keeps it out of
 ``src/repro``.
+
+:func:`two_inversion_naf_steps` and :func:`jadd_fixed_base_blocks` are
+the straightforward builds of the engine's two precomputed tables: the
+NAF Miller lines of a fixed point by a Jacobian chain, an affine pass
+and a second batched inversion for the slopes, and the fixed-base
+window entries by general Jacobian additions.  The production builders
+(:func:`repro.pairing.fastpath.naf_steps`, one batched inversion;
+:class:`repro.mathx.jacobian.FixedBaseTable`, batched affine additions)
+must give exactly their entries.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.groupsig import (
     GroupPublicKey,
@@ -22,6 +31,17 @@ from repro.core.groupsig import (
     derive_generators,
 )
 from repro.errors import InvalidSignature, RevokedKeyError
+from repro.mathx import batch_inverse
+from repro.mathx.jacobian import (
+    FIXED_WINDOW,
+    Affine,
+    Jacobian,
+    _normalise,
+    jadd,
+    jdouble,
+)
+from repro.pairing.curve import Curve, Point
+from repro.pairing.fastpath import _naf_after_msd
 
 
 def reference_classify(gpk: GroupPublicKey, message: bytes,
@@ -69,3 +89,91 @@ def reference_classify(gpk: GroupPublicKey, message: bytes,
             if _token_encoded(group, signature, token, u_hat, v_hat):
                 return RevokedKeyError.for_token(token_index)
     return None
+
+
+def two_inversion_naf_steps(curve: Curve, point: Point
+                            ) -> List[List[Tuple[int, int]]]:
+    """The NAF Miller lines of ``point`` in three passes.
+
+    A Jacobian chain records each line's point (the running point, and
+    for an add step the digit's ``+-P``), one batched inversion takes
+    those points to affine, and a second one inverts the affine slope
+    denominators (``2*y`` for a tangent, ``x_P - x`` for a chord).
+    """
+    if point.is_infinity():
+        return []
+    p = curve.p
+    xp_, yp_ = point.x, point.y
+    yp_neg = (-yp_) % p
+    X, Y, Z = xp_, yp_, 1
+    at_inf = False
+    events: List[List[Tuple[str, int, int, int, int]]] = []
+    for digit in _naf_after_msd(curve.r):
+        evs: List[Tuple[str, int, int, int, int]] = []
+        if not at_inf:
+            if Y == 0:
+                at_inf = True
+            else:
+                evs.append(("d", X, Y, Z, 0))
+                X, Y, Z = jdouble(X, Y, Z, curve.a, p)
+        if digit and not at_inf:
+            yd = yp_ if digit > 0 else yp_neg
+            zsq = Z * Z % p
+            u2 = xp_ * zsq % p
+            s2 = yd * zsq % p * Z % p
+            if X == u2 and (Y + s2) % p == 0:
+                at_inf = True
+            else:
+                evs.append(("a", X, Y, Z, yd))
+                X, Y, Z = jadd(X, Y, Z, xp_, yd, 1, curve.a, p)
+        events.append(evs)
+    zinvs = batch_inverse([ev[3] for evs in events for ev in evs], p)
+    flat: List[Tuple[str, int, int, int]] = []
+    k = 0
+    for evs in events:
+        for kind, ex, ey, _ez, yd in evs:
+            zi = zinvs[k]
+            k += 1
+            zi2 = zi * zi % p
+            flat.append((kind, ex * zi2 % p, ey * zi2 % p * zi % p, yd))
+    dens = [2 * yv % p if kind == "d" or xv == xp_ else (xp_ - xv) % p
+            for kind, xv, yv, _yd in flat]
+    dinvs = batch_inverse(dens, p)
+    steps: List[List[Tuple[int, int]]] = []
+    k = 0
+    for evs in events:
+        lines: List[Tuple[int, int]] = []
+        for _ in evs:
+            kind, xv, yv, yd = flat[k]
+            if kind == "d" or xv == xp_:
+                slope = (3 * (xv * xv) + 1) * dinvs[k] % p
+            else:
+                slope = (yd - yv) * dinvs[k] % p
+            lines.append((-slope % p, (slope * xv - yv) % p))
+            k += 1
+        steps.append(lines)
+    return steps
+
+
+def jadd_fixed_base_blocks(point: Affine, order: int, a: int, p: int
+                           ) -> List[List[Affine]]:
+    """The fixed-base window entries ``d * 2^(6*j) * P`` (``d`` in
+    ``1 .. 32``, one list per window ``j``) by general Jacobian
+    additions and doublings, normalised with one batched inversion;
+    ``None`` marks an entry at infinity."""
+    if point is None:
+        return []
+    blocks = (order.bit_length() + FIXED_WINDOW - 1) // FIXED_WINDOW + 1
+    half = 1 << (FIXED_WINDOW - 1)
+    base = (point[0], point[1], 1)
+    entries: List[Jacobian] = []
+    for _ in range(blocks):
+        entry = base
+        entries.append(entry)
+        for _ in range(half - 1):
+            entry = jadd(*entry, *base, a, p)
+            entries.append(entry)
+        for _ in range(FIXED_WINDOW):
+            base = jdouble(*base, a, p)
+    flat = _normalise(entries, p)
+    return [flat[i:i + half] for i in range(0, len(flat), half)]

@@ -1,7 +1,10 @@
 """Tests for the Deployment builder and its conveniences."""
 
+from unittest import mock
+
 import pytest
 
+from repro import instrument
 from repro.core.deployment import Deployment
 from repro.errors import ParameterError, RevokedKeyError
 
@@ -104,3 +107,36 @@ class TestPeerConnect:
         deployment = fresh_deployment()
         si, sr = deployment.peer_connect("alice", "bob", "MR-1")
         assert si.session_id == sr.session_id
+
+
+class TestColdStart:
+    """Standing a deployment up runs on the engine's kernels alone."""
+
+    #: The paper's tallies: 6 key issues, w and the credential check's
+    #: exp, its 2 pairings; then a flat-mode handshake against a URL of
+    #: 2 tokens (sign 8 exp + 2 pairings, verify 6 exp + 3 + 2*2
+    #: pairings).
+    BUILD = {"ecdsa_sign": 8, "ecdsa_verify": 4, "exp": 8, "pairing": 2}
+    HANDSHAKE = {"aes_block": 8, "ecdsa_sign": 1, "ecdsa_verify": 4,
+                 "exp": 14, "exp_gt": 1, "hash_to_group": 4, "mac": 2,
+                 "pairing": 9, "psi": 4, "sym_decrypt": 1,
+                 "sym_encrypt": 1}
+
+    def test_build_and_first_handshake_skip_the_generic_pairing(self):
+        with mock.patch("repro.pairing.tate.miller_loop",
+                        side_effect=AssertionError("generic pairing")):
+            with instrument.count_operations() as build_ops:
+                deployment = Deployment.build(
+                    preset="TEST", seed=11, groups={"Metro": 6},
+                    users=[("alice", ["Metro"])], routers=["MR-1"])
+            mine = deployment.users["alice"].credentials["Metro"].index
+            others = [(mine[0], j) for j in range(6) if (mine[0], j) != mine]
+            for index in others[:2]:
+                deployment.operator.revoke_user_key(index)
+            deployment.routers["MR-1"].refresh_lists()
+            with instrument.count_operations() as handshake_ops:
+                user_session, router_session = deployment.connect(
+                    "alice", "MR-1")
+        assert user_session.session_id == router_session.session_id
+        assert build_ops.snapshot() == self.BUILD
+        assert handshake_ops.snapshot() == self.HANDSHAKE

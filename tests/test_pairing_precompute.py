@@ -6,7 +6,10 @@ exponentiation tables, and the NAF Miller line tables of fixed pairing
 arguments (:func:`repro.pairing.fastpath.naf_steps` evaluated by
 ``miller_eval`` and ``miller_eval_pair``) -- is compared here against
 the naive reference computation on random inputs, the pairing tables
-against :func:`~repro.pairing.tate.tate_pairing` on TEST and SS512.  The
+against :func:`~repro.pairing.tate.tate_pairing` on TEST and SS512.
+:class:`TestNafStepsBuild` holds every line the one-inversion builder
+produces to the three-pass oracle ``two_inversion_naf_steps``
+(``tests/oracles.py``), small-order and degenerate chains included.  The
 ``TestSmoke`` class at the bottom is the subset ``scripts/tier1.sh``
 runs as its quick cross-check.
 """
@@ -15,11 +18,15 @@ import random
 
 import pytest
 
-from repro.pairing import fastpath
+from repro.core import groupsig
+from repro.pairing import PairingGroup, fastpath
 from repro.pairing.curve import Curve, FixedBaseTable, Point
 from repro.pairing.fields import Fp2
 from repro.pairing.params import PRESETS
 from repro.pairing.tate import final_exponentiation, miller_loop, tate_pairing
+from tests.oracles import two_inversion_naf_steps
+from tests.test_sig_curves import _point_of_order
+from tests.test_verify_differential import ODD_TORSION
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +200,71 @@ class TestPairingTable:
                 tate_pairing(curve, p1, q1) * tate_pairing(curve, p2, q2))
 
 
+def _builder_points(preset, count):
+    """The table points the builder identity covers on one preset:
+    ``count`` random subgroup points, ``g1`` and a gpk's ``w``, the
+    2-torsion point, the odd small-order point (its SS512 chain takes
+    the tangent-add branch), a subgroup point plus it, and infinity."""
+    group = PairingGroup(preset)
+    curve = group.curve
+    rng = random.Random(preset)
+    gpk, _master = groupsig.keygen_master(group, rng)
+    odd = curve.from_affine(_point_of_order(curve, ODD_TORSION[preset]))
+    randoms = [_random_point(curve, rng) for _ in range(count)]
+    return curve, randoms + [
+        group.g1.point, gpk.w.point, Point(0, 0, curve.p), odd,
+        curve.add(randoms[0], odd), Point.infinity(curve.p)]
+
+
+def _tangent_add_steps(curve, order):
+    """The NAF chain steps at which a point of the odd ``order`` adds
+    ``digit * P`` to itself (``V == digit * P``, so the chord is V's
+    tangent), found on the partial scalars modulo ``order``."""
+    partial, steps = 1, []
+    for index, digit in enumerate(fastpath._naf_after_msd(curve.r)):
+        partial = 2 * partial % order
+        if digit:
+            if (partial + digit) % order == 0:
+                break  # V == -digit * P: the chain ends at infinity
+            if (partial - digit) % order == 0:
+                steps.append(index)
+            partial = (partial + digit) % order
+    return steps
+
+
+class TestNafStepsBuild:
+    """The one-inversion line-table builder against the three-pass
+    oracle: equal ``(c1, c0)`` lines, step for step."""
+
+    @pytest.mark.parametrize("preset", ["TEST", "SS512"])
+    def test_lines_equal_oracle(self, preset):
+        curve, points = _builder_points(preset, 8)
+        for point in points:
+            assert fastpath.naf_steps(curve, point) == \
+                two_inversion_naf_steps(curve, point), point
+
+    def test_tangent_add_chain_covered(self):
+        # SS512's order-7 point meets V == -P at an add step: the step
+        # holds its doubling's tangent and the add's tangent.
+        curve = Curve(PRESETS["SS512"])
+        steps = _tangent_add_steps(curve, 7)
+        assert steps
+        seven = curve.from_affine(_point_of_order(curve, 7))
+        table = fastpath.naf_steps(curve, seven)
+        assert all(len(table[index]) == 2 for index in steps)
+        assert table == two_inversion_naf_steps(curve, seven)
+        # No TEST chain of an odd small order takes the branch.
+        assert _tangent_add_steps(Curve(PRESETS["TEST"]), 37) == []
+
+
 class TestSmoke:
     """~10s subset exercised by scripts/tier1.sh."""
+
+    def test_naf_steps_equal_oracle_on_test_grid(self):
+        curve, points = _builder_points("TEST", 2)
+        for point in points:
+            assert fastpath.naf_steps(curve, point) == \
+                two_inversion_naf_steps(curve, point), point
 
     def test_table_and_multiexp_agree_with_naive(self, curves):
         rng = random.Random(42)

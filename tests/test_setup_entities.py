@@ -1,10 +1,27 @@
 """Scheme setup (Section IV.A): NO, TTP, GM, user enrollment -- and the
-knowledge-separation invariants the privacy model depends on."""
+knowledge-separation invariants the privacy model depends on.
+
+:class:`TestCredentialCheck` holds a user's SDH check on its assembled
+credential to the generic pairing's verdict on subgroup keys, and shows
+it rejects the keys that equation cannot see: ``A`` plus a point of
+small order, and ``A`` at infinity.  ``TestSmoke`` runs its TEST grid
+for ``scripts/tier1.sh smoke``.
+"""
+
+import random
+from dataclasses import replace
 
 import pytest
 
+from repro import instrument
 from repro.core import groupsig
+from repro.core.identity import RoleAttribute, UserIdentity
+from repro.core.user import NetworkUser
 from repro.errors import AuthenticationError, InvalidSignature, ParameterError
+from repro.pairing import PairingGroup
+from repro.pairing.curve import Point
+from repro.pairing.group import G1Element
+from tests.test_verify_differential import ODD_TORSION, _torsion_point
 
 
 class TestSetupFlow:
@@ -186,3 +203,63 @@ class TestBundleIntegrity:
         deployment.ttp._shares[enrollment_index] = corrupted
         with pytest.raises((AuthenticationError, Exception)):
             victim.enroll_with(gm, deployment.ttp)
+
+
+def _credential_grid(preset):
+    """A user of a fresh gpk, an honest key, and the key with ``A`` plus
+    the 2-torsion point, plus the odd small-order point, and at
+    infinity."""
+    group = PairingGroup(preset)
+    rng = random.Random(1801)
+    gpk, master = groupsig.keygen_master(group, rng)
+    honest = groupsig.issue_member_key(group, master, 5, (0, 0), rng)
+    user = NetworkUser(
+        UserIdentity.build("dana", {"ssn": "1"},
+                           [RoleAttribute("engineer", "Company X")]),
+        gpk, None, rng=rng)
+    p = group.curve.p
+    torsions = (G1Element(Point(0, 0, p), group),
+                G1Element(_torsion_point(group, ODD_TORSION[preset]), group))
+    forged = [replace(honest, a=honest.a * torsion) for torsion in torsions]
+    forged.append(replace(honest, a=G1Element(Point.infinity(p), group)))
+    return user, honest, forged
+
+
+def _check_counts(user, credential):
+    """The check's verdict (``None`` or the error) and its op counts."""
+    with instrument.count_operations() as ops:
+        try:
+            user._validate_credential(credential)
+            verdict = None
+        except AuthenticationError as exc:
+            verdict = exc
+    return verdict, ops.snapshot()
+
+
+def _assert_grid(preset, generic):
+    user, honest, forged = _credential_grid(preset)
+    paper = {"exp": 1, "pairing": 2}
+    assert _check_counts(user, honest) == (None, paper)
+    for credential in forged:
+        verdict, counts = _check_counts(user, credential)
+        assert isinstance(verdict, AuthenticationError), credential.a
+        assert counts == paper
+    if generic:
+        # The pairing equation alone accepts A + (0, 0): the Miller chain
+        # of the 2-torsion part stops at its first doubling, and the final
+        # exponentiation kills what it leaves.  Only the subgroup check
+        # rejects that key.
+        group, gpk = user.group, user.gpk
+        rhs = gpk.w * gpk.g2 ** forged[0].exponent_sum
+        assert group.pair(forged[0].a, rhs) == group.pair(gpk.g1, gpk.g2)
+
+
+class TestCredentialCheck:
+    @pytest.mark.parametrize("preset", ["TEST", "SS512"])
+    def test_small_order_and_infinity_keys_rejected(self, preset):
+        _assert_grid(preset, generic=True)
+
+
+class TestSmoke:
+    def test_credential_check_grid(self):
+        _assert_grid("TEST", generic=False)

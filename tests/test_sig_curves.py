@@ -9,8 +9,11 @@ plain double-and-add over each curve's affine chord-and-tangent
 reference, and :func:`naive_hash_to_point`, the try-and-increment loop
 without the Jacobi prescreen; so are ladders (four-rung bases whose
 scalars split across the rungs), on every edge scalar, small-order
-point and mix of base kinds.  ``TestSmoke`` is the subset
-``scripts/tier1.sh smoke`` runs.
+point and mix of base kinds.  :class:`TestFixedBaseBuild` holds every
+entry of the batched-affine :class:`~repro.mathx.jacobian.FixedBaseTable`
+build to the Jacobian-addition oracle ``jadd_fixed_base_blocks``
+(``tests/oracles.py``), small-order bases and entries at infinity
+included.  ``TestSmoke`` is the subset ``scripts/tier1.sh smoke`` runs.
 """
 
 import random
@@ -19,12 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import groupsig
 from repro.errors import NotOnCurveError, ParameterError
 from repro.mathx import jacobian
-from repro.pairing import hashing
+from repro.pairing import PairingGroup, hashing
 from repro.pairing.curve import Curve, FixedBaseTable, Point
 from repro.pairing.params import get_params
 from repro.sig.curves import SECP160R1, SECP256R1, get_curve
+from tests.oracles import jadd_fixed_base_blocks
 
 scalars160 = st.integers(min_value=1, max_value=SECP160R1.n - 1)
 
@@ -322,10 +327,51 @@ def _first_curve_point():
     raise AssertionError("no liftable abscissa below 1000")
 
 
+def _fixed_base_points(spec, count):
+    """The bases the table-build identity covers on one curve: the
+    spec's base and ``count - 1`` random multiples of it; on a pairing
+    curve also ``g1``, a gpk's ``w``, the 2-torsion point, the odd
+    small-order point (37 on TEST, 7 on SS512, whose table holds entries
+    at infinity and doublings), a subgroup point plus it, and
+    infinity."""
+    rng = random.Random(spec.name)
+    points = [spec.base] + [
+        spec.oracle(spec.base, rng.randrange(2, spec.order))
+        for _ in range(count - 1)]
+    if spec.cofactor > 1:
+        curve = PAIRING if spec.p == PAIRING.p else SS512
+        group = PairingGroup("TEST" if curve is PAIRING else "SS512")
+        gpk, _master = groupsig.keygen_master(group, rng)
+        odd = _point_of_order(curve, 37 if curve is PAIRING else 7)
+        points += [curve.to_affine(group.g1.point),
+                   curve.to_affine(gpk.w.point), (0, 0), odd,
+                   spec.add(points[0], odd), None]
+    return points
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+class TestFixedBaseBuild:
+    """The batched-affine fixed-base build against the Jacobian-addition
+    oracle: every ``d * 2^(6*j) * P`` entry equal."""
+
+    def test_entries_equal_oracle(self, spec):
+        for point in _fixed_base_points(spec, 3):
+            table = jacobian.FixedBaseTable(point, spec.order, spec.a, spec.p)
+            assert table._blocks == jadd_fixed_base_blocks(
+                point, spec.order, spec.a, spec.p), point
+
+
 class TestSmoke:
     """Quick differential of the scalar-multiplication kernel against the
     double-and-add oracle and of H0 against the naive hash loop (run by
     ``scripts/tier1.sh smoke``)."""
+
+    @pytest.mark.parametrize("spec", [SPECS[0], SPECS[2]], ids=repr)
+    def test_fixed_base_build_equals_oracle(self, spec):
+        for point in _fixed_base_points(spec, 1):
+            table = jacobian.FixedBaseTable(point, spec.order, spec.a, spec.p)
+            assert table._blocks == jadd_fixed_base_blocks(
+                point, spec.order, spec.a, spec.p), point
 
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_fixed_base_one_and_two_term_agree_with_oracle(self, spec):
