@@ -8,6 +8,12 @@ installed) stays in the noise.  This benchmark measures both and
 records the machine-checked boolean ``overhead_le_10pct`` that
 ``scripts/bench_gate.py`` gates on.
 
+Each of :data:`ROUNDS` rounds times the untraced and the traced
+workload back to back, in an order that reverses from round to round,
+and the recorded overhead is the median of the rounds' own traced /
+untraced ratios: both sides of every ratio saw the same host, so a
+drift of the host's speed between rounds cannot read as overhead.
+
 Span bookkeeping is microseconds per handshake while one SS512
 sign+verify is tens of milliseconds of pairing arithmetic, so the 10%
 ceiling has orders-of-magnitude headroom; a failure here means the
@@ -16,23 +22,34 @@ per ``note()``), not host noise.
 """
 
 import random
+import statistics
 import time
 
 from repro import obs
 from repro.core import groupsig
 
-ROUNDS = 4
+ROUNDS = 9
 ITERATIONS = 2
 MAX_OVERHEAD = 0.10
 
 
-def _best(callable_, rounds=ROUNDS):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _seconds(callable_):
+    start = time.perf_counter()
+    callable_()
+    return time.perf_counter() - start
+
+
+def _paired_rounds(untraced, traced, rounds=ROUNDS):
+    """``rounds`` pairs of (untraced s, traced s), alternating which
+    side runs first."""
+    pairs = []
+    for index in range(rounds):
+        if index % 2 == 0:
+            pairs.append((_seconds(untraced), _seconds(traced)))
+        else:
+            traced_s = _seconds(traced)
+            pairs.append((_seconds(untraced), traced_s))
+    return pairs
 
 
 def test_obs_overhead(reporter, ss512_scheme):
@@ -57,9 +74,10 @@ def test_obs_overhead(reporter, ss512_scheme):
             workload()
         return registry
 
-    untraced = _best(workload)
-    traced = _best(traced_workload)
-    overhead = traced / untraced - 1.0
+    pairs = _paired_rounds(workload, traced_workload)
+    overhead = statistics.median(t / u for u, t in pairs) - 1.0
+    untraced = statistics.median(u for u, _ in pairs)
+    traced = statistics.median(t for _, t in pairs)
 
     registry = traced_workload()
     spans = registry.snapshot()["spans"]["records"]
@@ -71,10 +89,11 @@ def test_obs_overhead(reporter, ss512_scheme):
                for s in spans)
 
     rep.table(
-        ["variant", "best ms", "overhead"],
+        ["variant", "median ms", "overhead (median paired ratio)"],
         [["untraced", f"{untraced * 1e3:.1f}", "--"],
          ["traced", f"{traced * 1e3:.1f}", f"{overhead * 100:+.1f}%"]])
     rep.record("iterations", ITERATIONS)
+    rep.record("rounds", ROUNDS)
     rep.record("untraced_seconds", untraced)
     rep.record("traced_seconds", traced)
     rep.record("overhead_fraction", overhead)

@@ -27,7 +27,14 @@
 # included) against generic pairings on TEST and SS512.  It also runs a
 # TEST grid of the kernel totality test: adversarial decodable
 # signatures in every generator mode, none of which may make the
-# verification kernel raise.
+# verification kernel raise; a TEST grid of the operator's list
+# publication (after each random revoke, reinstate, router
+# revocation, key rotation, clock or period change, each issued CRL
+# and URL equals a freshly signed one, and only a moved list is
+# signed) and of the revocation tokens' kept bytes (a refresh of a
+# tag-index router encodes only tokens new to the URL); and a TEST
+# grid of point decoding, which accepts only canonical encodings (an
+# x + p alias or an odd tag on y = 0 is refused).
 #
 # The chaos subset runs the seeded fault-injection suites (radio
 # drop/duplicate/corrupt/delay, verifier-pool worker kill/hang,
@@ -62,7 +69,9 @@ if [ "$mode" = "smoke" ]; then
         tests/test_sig_curves.py::TestSmoke \
         tests/test_protocol_user_router.py::TestSmoke \
         tests/test_verify_differential.py::TestSmoke \
-        tests/test_setup_entities.py::TestSmoke
+        tests/test_setup_entities.py::TestSmoke \
+        tests/test_operator_entity.py::TestSmoke \
+        tests/test_subgroup_hardening.py::TestSmoke
     # obs-report smoke: the seeded traced scenario must produce at
     # least one stitched handshake trace and render it.
     python -m repro obs-report --workload scenario --format traces \

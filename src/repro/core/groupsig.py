@@ -167,16 +167,32 @@ class GroupPrivateKey:
 
 @dataclass(frozen=True)
 class RevocationToken:
-    """``grt[i, j] = A_{i,j}``: enough to test Eq.3, nothing more."""
+    """``grt[i, j] = A_{i,j}``: enough to test Eq.3, nothing more.
+
+    The canonical wire bytes live on the instance: a decoded token keeps
+    the bytes it was parsed from (point decoding accepts only canonical
+    encodings), a constructed one encodes ``A`` on first use, so a URL,
+    a delta and a tag index built from one token encode it once.
+    Equality, hashing and pickling ignore them.
+    """
 
     a: G1Element
+    _encoding: Optional[bytes] = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     def encode(self) -> bytes:
-        return self.a.encode()
+        if self._encoding is None:
+            object.__setattr__(self, "_encoding", self.a.encode())
+        return self._encoding
+
+    def __getstate__(self) -> dict:
+        return {"a": self.a}
 
     @classmethod
     def decode(cls, group: PairingGroup, data: bytes) -> "RevocationToken":
-        return cls(group.decode_g1(data))
+        token = cls(group.decode_g1(data))
+        object.__setattr__(token, "_encoding", bytes(data))
+        return token
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ binding to a uid happens only at the GM ("late binding").
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import groupsig
@@ -113,6 +113,15 @@ def _int_bytes(value: int) -> bytes:
     return value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
 
 
+def _is_publication(published, version: int, now: float,
+                    update_period: float) -> bool:
+    """Whether ``published`` (a signed CRL or URL, or ``None``) is the
+    list to publish at ``version``, ``now`` and ``update_period``."""
+    return (published is not None and published.version == version
+            and published.issued_at == now
+            and published.update_period == update_period)
+
+
 class NetworkOperator:
     """NO: key generation, router provisioning, revocation, audit."""
 
@@ -158,6 +167,13 @@ class NetworkOperator:
         # list.  A version older than the window gets no delta and the
         # requester falls back to the full signed list.
         self._url_snapshots: Dict[int, Tuple[RevocationToken, ...]] = {0: ()}
+        # The last CRL and URL signed.  A request for the same version,
+        # issue time and update period gets that list back, so routers
+        # refreshing at one instant share one signature per list: every
+        # content change bumps a version, and RFC 6979 signing would
+        # reproduce the same bytes anyway.
+        self._published_crl: Optional[CertificateRevocationList] = None
+        self._published_url: Optional[UserRevocationList] = None
 
     # -- public key material -------------------------------------------------
 
@@ -306,26 +322,35 @@ class NetworkOperator:
 
     def issue_crl(self, now: Optional[float] = None
                   ) -> CertificateRevocationList:
-        """Publish a freshly signed CRL (periodic update)."""
+        """Publish the signed CRL (periodic update), signing it only when
+        its version, ``now`` or the update period moved."""
         now = self.clock.now() if now is None else now
-        crl = CertificateRevocationList(
-            version=self._crl_version, issued_at=now,
-            update_period=self.crl_update_period,
-            revoked_router_ids=frozenset(self._revoked_routers),
-            signature=b"")
-        return CertificateRevocationList(
-            crl.version, crl.issued_at, crl.update_period,
-            crl.revoked_router_ids,
-            self.signing_key.sign(crl.signed_payload()))
+        crl = self._published_crl
+        if not _is_publication(crl, self._crl_version, now,
+                               self.crl_update_period):
+            crl = CertificateRevocationList(
+                version=self._crl_version, issued_at=now,
+                update_period=self.crl_update_period,
+                revoked_router_ids=frozenset(self._revoked_routers),
+                signature=b"")
+            crl = self._published_crl = replace(
+                crl, signature=self.signing_key.sign(crl.signed_payload()))
+        return crl
 
     def issue_url(self, now: Optional[float] = None) -> UserRevocationList:
-        """Publish a freshly signed URL (periodic update)."""
+        """Publish the signed URL (periodic update), signing it only when
+        its version, ``now`` or the update period moved."""
         now = self.clock.now() if now is None else now
-        url = UserRevocationList(
-            version=self._url_version, issued_at=now,
-            update_period=self.url_update_period,
-            tokens=tuple(self._revoked_tokens.values()), signature=b"")
-        return url.signed(self.signing_key.sign(url.signed_payload()))
+        url = self._published_url
+        if not _is_publication(url, self._url_version, now,
+                               self.url_update_period):
+            url = UserRevocationList(
+                version=self._url_version, issued_at=now,
+                update_period=self.url_update_period,
+                tokens=tuple(self._revoked_tokens.values()), signature=b"")
+            url = self._published_url = url.signed(
+                self.signing_key.sign(url.signed_payload()))
+        return url
 
     def list_versions(self) -> Tuple[int, int]:
         """Current authoritative ``(crl_version, url_version)``.
@@ -349,21 +374,18 @@ class NetworkOperator:
         base = self._url_snapshots.get(from_version)
         if base is None or from_version >= self._url_version:
             return None
-        now = self.clock.now() if now is None else now
-        current = tuple(self._revoked_tokens.values())
-        current_encodings = {token.encode() for token in current}
+        # The delta carries the published URL's signature: it signs
+        # nothing of its own.
+        target = self.issue_url(now)
         base_encodings = {token.encode() for token in base}
-        target = UserRevocationList(
-            version=self._url_version, issued_at=now,
-            update_period=self.url_update_period,
-            tokens=current, signature=b"")
+        current_encodings = {token.encode() for token in target.tokens}
         return UrlDelta(
-            from_version=from_version, to_version=self._url_version,
-            issued_at=now, update_period=self.url_update_period,
-            added=tuple(token for token in current
+            from_version=from_version, to_version=target.version,
+            issued_at=target.issued_at, update_period=target.update_period,
+            added=tuple(token for token in target.tokens
                         if token.encode() not in base_encodings),
             removed=tuple(sorted(base_encodings - current_encodings)),
-            list_signature=self.signing_key.sign(target.signed_payload()))
+            list_signature=target.signature)
 
     # -- membership renewal: group public key update -----------------------
 

@@ -229,9 +229,13 @@ class Curve:
     def decode(self, data: bytes) -> Point:
         """Deserialize and validate a compressed point.
 
-        The decoded point is checked against the curve equation; subgroup
-        membership is the caller's concern (checked once at protocol
-        boundaries, where it matters, because it costs a scalar mul).
+        Only the canonical encoding (:meth:`encode`'s) is accepted: ``x``
+        must be a field element below ``p`` and the tag's parity that of
+        a root (SEC 1 section 2.3.4), so every point has exactly one
+        wire form.  The decoded point is checked against the curve
+        equation; subgroup membership is the caller's concern (checked
+        once at protocol boundaries, where it matters, because it costs
+        a scalar mul).
         """
         size = self.params.field_bytes
         if len(data) != size + 1:
@@ -244,10 +248,16 @@ class Curve:
             return Point.infinity(self.p)
         if tag not in (2, 3):
             raise EncodingError(f"bad point tag {tag}")
+        x = bytes_to_int(data[1:])
+        if x >= self.p:
+            raise EncodingError("encoded x is not below p")
         try:
-            return self.lift_x(bytes_to_int(data[1:]), tag - 2)
+            point = self.lift_x(x, tag - 2)
         except NotOnCurveError as exc:
             raise EncodingError("encoded x lifts to no curve point") from exc
+        if point.y & 1 != tag - 2:
+            raise EncodingError("tag asks for an odd root of y = 0")
+        return point
 
     # -- hashing ---------------------------------------------------------
 

@@ -100,6 +100,10 @@ class EcdsaPublicKey:
         if len(data) != 1 + 2 * size or data[0] != 4:
             raise EncodingError("bad SEC-1 public key encoding")
         point = (bytes_to_int(data[1:1 + size]), bytes_to_int(data[1 + size:]))
+        if max(point) >= curve.p:
+            # SEC 1 section 2.3.6: coordinates are field elements, so
+            # each point has one encoding.
+            raise EncodingError("public key coordinate is not below p")
         try:
             curve.require_on_curve(point)
         except NotOnCurveError as exc:

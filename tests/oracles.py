@@ -17,12 +17,19 @@ window entries by general Jacobian additions.  The production builders
 (:func:`repro.pairing.fastpath.naf_steps`, one batched inversion;
 :class:`repro.mathx.jacobian.FixedBaseTable`, batched affine additions)
 must give exactly their entries.
+
+:func:`signed_crl` and :func:`signed_url` are the operator's list
+issuance with nothing remembered: every call builds the list from the
+operator's current state and signs it.  Each list
+:meth:`~repro.core.operator_entity.NetworkOperator.issue_crl` /
+``issue_url`` publishes must equal theirs, byte for byte.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.certs import CertificateRevocationList, UserRevocationList
 from repro.core.groupsig import (
     GroupPublicKey,
     GroupSignature,
@@ -30,6 +37,7 @@ from repro.core.groupsig import (
     _token_encoded,
     derive_generators,
 )
+from repro.core.operator_entity import NetworkOperator
 from repro.errors import InvalidSignature, RevokedKeyError
 from repro.mathx import batch_inverse
 from repro.mathx.jacobian import (
@@ -177,3 +185,26 @@ def jadd_fixed_base_blocks(point: Affine, order: int, a: int, p: int
             base = jdouble(*base, a, p)
     flat = _normalise(entries, p)
     return [flat[i:i + half] for i in range(0, len(flat), half)]
+
+
+def signed_crl(operator: NetworkOperator,
+               now: float) -> CertificateRevocationList:
+    """The CRL ``operator`` stands for at ``now``, freshly signed."""
+    crl = CertificateRevocationList(
+        version=operator.list_versions()[0], issued_at=now,
+        update_period=operator.crl_update_period,
+        revoked_router_ids=frozenset(operator._revoked_routers),
+        signature=b"")
+    return CertificateRevocationList(
+        crl.version, crl.issued_at, crl.update_period,
+        crl.revoked_router_ids,
+        operator.signing_key.sign(crl.signed_payload()))
+
+
+def signed_url(operator: NetworkOperator, now: float) -> UserRevocationList:
+    """The URL ``operator`` stands for at ``now``, freshly signed."""
+    url = UserRevocationList(
+        version=operator.list_versions()[1], issued_at=now,
+        update_period=operator.url_update_period,
+        tokens=tuple(operator._revoked_tokens.values()), signature=b"")
+    return url.signed(operator.signing_key.sign(url.signed_payload()))

@@ -51,17 +51,22 @@ class TestVerifyCost:
 
     def test_verification_delay_grows_with_url(self, gpk, member_keys,
                                                rng):
-        """Wall-clock sanity check of the linear scaling claim."""
+        """Wall-clock sanity check of the linear scaling claim: 16 decoy
+        tokens add 32 pairings, far more than the few per cent that
+        separate the empty-URL path from the scanning one."""
         import time
         sig = groupsig.sign(gpk, member_keys["a1"], b"cost", rng=rng)
-        decoys = [groupsig.RevocationToken(member_keys[n].a)
-                  for n in ("a2", "b1", "b2")]
+        decoys = [groupsig.RevocationToken(gpk.group.random_g1(rng))
+                  for _ in range(16)]
 
         def timed(url):
             start = time.perf_counter()
-            groupsig.verify(gpk, b"cost", sig, url=url)
-            return time.perf_counter() - start
+            with instrument.count_operations() as ops:
+                groupsig.verify(gpk, b"cost", sig, url=url)
+            return time.perf_counter() - start, ops.pairings()
 
-        small = min(timed([]) for _ in range(3))
-        large = min(timed(decoys) for _ in range(3))
-        assert large > small
+        small = [timed([]) for _ in range(3)]
+        large = [timed(decoys) for _ in range(3)]
+        assert {pairings for _, pairings in small} == {3}
+        assert {pairings for _, pairings in large} == {3 + 2 * 16}
+        assert min(large)[0] > min(small)[0]

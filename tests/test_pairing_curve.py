@@ -134,6 +134,40 @@ class TestEncoding:
         assert even.y % 2 == 0 and odd.y % 2 == 1
         assert even == p or odd == p
 
+    def test_x_plus_p_rejected(self):
+        # x + p names the same point to lift_x, which reduces mod p.
+        size = PARAMS.field_bytes
+        points = (CURVE.random_point(random.Random(seed))
+                  for seed in range(2000))
+        point = next(p for p in points if p.x + PARAMS.p < 1 << (8 * size))
+        canonical = CURVE.encode(point)
+        alias = canonical[:1] + (point.x + PARAMS.p).to_bytes(size, "big")
+        assert CURVE.lift_x(point.x + PARAMS.p, canonical[0] - 2) == point
+        with pytest.raises(EncodingError):
+            CURVE.decode(alias)
+        assert CURVE.decode(canonical) == point
+
+    def test_odd_tag_on_the_two_torsion_point_rejected(self):
+        # (0, 0) has one root, y = 0, so only tag 2 names it.
+        zero = Point(0, 0, PARAMS.p)
+        assert CURVE.is_on_curve(zero)
+        assert CURVE.encode(zero)[0] == 2
+        assert CURVE.decode(CURVE.encode(zero)) == zero
+        with pytest.raises(EncodingError):
+            CURVE.decode(b"\x03" + bytes(PARAMS.field_bytes))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0, 2, 3]),
+           st.binary(min_size=PARAMS.field_bytes,
+                     max_size=PARAMS.field_bytes))
+    def test_every_accepted_encoding_is_canonical(self, tag, payload):
+        blob = bytes([tag]) + payload
+        try:
+            point = CURVE.decode(blob)
+        except EncodingError:
+            return
+        assert CURVE.encode(point) == blob
+
 
 class TestCofactorClearing:
     def test_cleared_points_in_subgroup(self):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import EncodingError, InvalidSignature
-from repro.sig.curves import SECP160R1, SECP256R1
+from repro.sig.curves import SECP160R1, SECP256R1, WeierstrassCurve
 from repro.sig.ecdsa import (
     EcdsaPublicKey,
     decode_signature,
@@ -13,6 +13,24 @@ from repro.sig.ecdsa import (
     encode_signature,
     signature_bytes,
 )
+
+
+#: A curve over the Mersenne prime 2^127 - 1: its 16-byte coordinates
+#: leave room for y + p, which no point of secp160r1 or secp256r1 a
+#: search can find does.  Decoding reads only p, a and b.
+_HEADROOM = WeierstrassCurve(name="headroom", p=2 ** 127 - 1, a=1, b=3,
+                             gx=0, gy=0, n=2 ** 127 - 1, h=1)
+
+
+def _small_x_point(curve):
+    """The point with the least x (even y) on ``curve`` (p = 3 mod 4)."""
+    p = curve.p
+    for x in range(1, 1000):
+        rhs = (x ** 3 + curve.a * x + curve.b) % p
+        y = pow(rhs, (p + 1) // 4, p)
+        if y * y % p == rhs:
+            return (x, y if y % 2 == 0 else p - y)
+    raise AssertionError("no point with a small x")
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +124,26 @@ class TestEncoding:
         blob = b"\x05" + keypair.public.encode()[1:]
         with pytest.raises(EncodingError):
             EcdsaPublicKey.decode(SECP160R1, blob)
+
+    @pytest.mark.parametrize("curve, coordinate", [
+        (SECP160R1, 0),
+        (_HEADROOM, 0),
+        (_HEADROOM, 1),
+    ], ids=["secp160r1-x", "headroom-x", "headroom-y"])
+    def test_public_key_coordinate_plus_p_rejected(self, curve, coordinate):
+        # The on-curve check works mod p, so a coordinate + p used to
+        # pass as a second encoding of the same key.
+        point = _small_x_point(curve)
+        size = curve.coordinate_bytes
+        values = list(point)
+        values[coordinate] += curve.p
+        assert values[coordinate] < 1 << (8 * size)
+        assert curve.is_on_curve(tuple(values))
+        alias = b"\x04" + b"".join(v.to_bytes(size, "big") for v in values)
+        canonical = EcdsaPublicKey(curve, point).encode()
+        assert EcdsaPublicKey.decode(curve, canonical).point == point
+        with pytest.raises(EncodingError):
+            EcdsaPublicKey.decode(curve, alias)
 
 
 class _FixedRng:

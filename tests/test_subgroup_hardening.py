@@ -12,10 +12,13 @@ import random
 
 import pytest
 
+from repro import Deployment
 from repro.core import groupsig
+from repro.core.certs import UserRevocationList
 from repro.core.messages import AccessRequest, Beacon, PeerHello
 from repro.errors import (
     AuthenticationError,
+    EncodingError,
     InvalidSignature,
     ProtocolError,
 )
@@ -108,3 +111,166 @@ class TestProtocolBoundaries:
         deployment = fresh_deployment()
         deployment.connect("alice", "MR-1")
         deployment.peer_connect("alice", "bob", "MR-1")
+
+
+# ---------------------------------------------------------------------------
+# One wire form per point: x + p is no second encoding
+# ---------------------------------------------------------------------------
+
+
+def x_plus_p(element):
+    """``element``'s encoding with x replaced by x + p, or ``None`` when
+    x + p does not fit the field bytes.  Reduced mod p, as ``lift_x``
+    does, it names the same point."""
+    group = element.group
+    size = group.params.field_bytes
+    canonical = element.encode()
+    alias_x = int.from_bytes(canonical[1:], "big") + group.curve.p
+    if canonical[0] == 0 or alias_x >= 1 << (8 * size):
+        return None
+    assert group.curve.lift_x(alias_x, canonical[0] - 2) == element.point
+    return canonical[:1] + alias_x.to_bytes(size, "big")
+
+
+def aliased(wire, element):
+    """``wire`` with ``element``'s one encoding swapped for its x + p
+    alias, or ``None`` when the element has none."""
+    alias = x_plus_p(element)
+    if alias is None:
+        return None
+    canonical = element.encode()
+    assert wire.count(canonical) == 1
+    return wire.replace(canonical, alias)
+
+
+def canonical_deployment(preset):
+    """One user, one router, 24 keys (a spare pool to revoke from)."""
+    return Deployment.build(preset=preset, seed=29, groups={"Metro": 24},
+                            users=[("alice", ["Metro"])], routers=["MR-1"])
+
+
+def _request_field(name):
+    def pick(deployment):
+        router = deployment.routers["MR-1"]
+        request, _ = deployment.users["alice"].connect_to_router(
+            router.make_beacon())
+        element = {"t1": request.group_signature.t1,
+                   "t2": request.group_signature.t2,
+                   "g_r_user": request.g_r_user}[name]
+        return (request.encode(), element,
+                lambda wire: AccessRequest.decode(deployment.group, wire))
+    return pick
+
+
+def _beacon_g(deployment):
+    beacon = deployment.routers["MR-1"].make_beacon()
+    return (beacon.encode(), beacon.g,
+            lambda wire: Beacon.decode(deployment.group,
+                                       deployment.operator.curve, wire))
+
+
+def _url_token(deployment):
+    """A beacon whose URL carries a revoked token with an x + p alias;
+    revokes spare keys until one has it."""
+    operator = deployment.operator
+    mine = deployment.users["alice"].credentials["Metro"].index
+    for j in range(24):
+        if (mine[0], j) == mine:
+            continue
+        token = operator.revoke_user_key((mine[0], j))
+        if x_plus_p(token.a) is not None:
+            break
+    deployment.routers["MR-1"].refresh_lists()
+    beacon = deployment.routers["MR-1"].make_beacon()
+    return (beacon.encode(), token.a,
+            lambda wire: Beacon.decode(deployment.group,
+                                       deployment.operator.curve, wire))
+
+
+ALIASED_FIELDS = {
+    "t1": _request_field("t1"),
+    "t2": _request_field("t2"),
+    "g_r_user": _request_field("g_r_user"),
+    "beacon_g": _beacon_g,
+    "url_token": _url_token,
+}
+
+
+def alias_case(deployment, field):
+    """(canonical wire, aliased wire, decoder) for ``field``, drawing
+    fresh messages until the field's point has an x + p alias."""
+    for _ in range(200):
+        wire, element, decode = ALIASED_FIELDS[field](deployment)
+        alias = aliased(wire, element)
+        if alias is not None:
+            return wire, alias, decode
+    raise AssertionError(f"no {field} with an x + p alias")
+
+
+@pytest.fixture(scope="module", params=["TEST", "SS512"])
+def preset_deployment(request):
+    return canonical_deployment(request.param)
+
+
+class TestCanonicalEncodings:
+    """Every point on the wire has exactly one accepted encoding; a
+    field re-encoded at x + p is refused at decode (SEC 1 section
+    2.3.4), before any signature check could accept it."""
+
+    @pytest.mark.parametrize("field", sorted(ALIASED_FIELDS))
+    def test_x_plus_p_refused_at_decode(self, preset_deployment, field):
+        wire, alias, decode = alias_case(preset_deployment, field)
+        decode(wire)                 # honest bytes decode as before
+        with pytest.raises(EncodingError):
+            decode(alias)
+
+    def test_aliased_url_refused_alone(self, preset_deployment):
+        wire, alias, _decode = alias_case(preset_deployment, "url_token")
+        url = preset_deployment.routers["MR-1"].url.encode()
+        assert url in wire
+        with pytest.raises(EncodingError):
+            UserRevocationList.decode(preset_deployment.group,
+                                      alias[wire.index(url):][:len(url)])
+
+    def test_honest_handshake_unaffected(self, preset_deployment):
+        router = preset_deployment.routers["MR-1"]
+        user = preset_deployment.users["alice"]
+        group = preset_deployment.group
+        for _ in range(3):
+            beacon = Beacon.decode(group, preset_deployment.operator.curve,
+                                   router.make_beacon().encode())
+            request, pending = user.connect_to_router(beacon)
+            confirm, session = router.process_request(
+                AccessRequest.decode(group, request.encode()))
+            assert user.complete_router_handshake(
+                pending, confirm).session_id == session.session_id
+
+
+class TestSmoke:
+    """TEST grid: random subgroup points, 2-torsion and infinity
+    round-trip through decode; each x + p alias and the odd tag on
+    y = 0 is refused."""
+
+    def test_decode_accepts_only_canonical_encodings(self, group):
+        curve = group.curve
+        size = group.params.field_bytes
+        rng = random.Random(4242)
+        points = [curve.random_point(rng) for _ in range(200)]
+        points += [off_subgroup_point(group).point,
+                   curve.from_affine((0, 0)),
+                   curve.from_affine(None)]
+        aliases = 0
+        for point in points:
+            canonical = curve.encode(point)
+            assert curve.encode(curve.decode(canonical)) == canonical
+            if point.is_infinity():
+                continue
+            alias_x = point.x + curve.p
+            if alias_x < 1 << (8 * size):
+                aliases += 1
+                with pytest.raises(EncodingError):
+                    curve.decode(canonical[:1] + alias_x.to_bytes(size, "big"))
+            if point.y == 0:
+                with pytest.raises(EncodingError):
+                    curve.decode(b"\x03" + canonical[1:])
+        assert aliases > 0
