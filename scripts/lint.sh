@@ -21,6 +21,11 @@
 #    tests/oracles.py.  The library may neither import the tests nor
 #    name the oracle, so the oracle cannot turn into a second,
 #    bug-hiding verification path.
+# 6. One timing path: a region's latency is the span around it, which
+#    feeds the region's <name>_seconds histogram when it closes
+#    (repro/obs/registry.py).  Outside repro/obs no code reads the
+#    registry's clock or opens a timer, so no region is timed twice
+#    and no histogram drifts from the spans an operator reads.
 
 set -e
 cd "$(dirname "$0")/.."
@@ -54,6 +59,15 @@ if [ -n "$oracle" ]; then
     echo "lint: src/repro imports the tests or names their oracle" >&2
     echo "      (reference_classify lives in tests/oracles.py only):" >&2
     echo "$oracle" >&2
+    exit 1
+fi
+
+timers=$(grep -rnE '\.clock\(\)|obs\.timer|\.timer\(' src/repro \
+         --include='*.py' | grep -v 'src/repro/obs/' || true)
+if [ -n "$timers" ]; then
+    echo "lint: a region timed outside its span (open a span instead;" >&2
+    echo "      it feeds <name>_seconds when it closes):" >&2
+    echo "$timers" >&2
     exit 1
 fi
 

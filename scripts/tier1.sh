@@ -32,9 +32,12 @@
 # revocation, key rotation, clock or period change, each issued CRL
 # and URL equals a freshly signed one, and only a moved list is
 # signed) and of the revocation tokens' kept bytes (a refresh of a
-# tag-index router encodes only tokens new to the URL); and a TEST
-# grid of point decoding, which accepts only canonical encodings (an
-# x + p alias or an odd tag on y = 0 is refused).
+# tag-index router encodes only tokens new to the URL); a TEST grid
+# of point decoding, which accepts only canonical encodings (an x + p
+# alias or an odd tag on y = 0 is refused); and one series per timed
+# region over the obs-report demo workload and the seeded traced
+# scenario (every latency histogram counts exactly the spans of its
+# name, and no counter or Prometheus series restates one).
 #
 # The chaos subset runs the seeded fault-injection suites (radio
 # drop/duplicate/corrupt/delay, verifier-pool worker kill/hang,
@@ -71,7 +74,8 @@ if [ "$mode" = "smoke" ]; then
         tests/test_verify_differential.py::TestSmoke \
         tests/test_setup_entities.py::TestSmoke \
         tests/test_operator_entity.py::TestSmoke \
-        tests/test_subgroup_hardening.py::TestSmoke
+        tests/test_subgroup_hardening.py::TestSmoke \
+        tests/test_obs.py::TestSmoke
     # obs-report smoke: the seeded traced scenario must produce at
     # least one stitched handshake trace and render it.
     python -m repro obs-report --workload scenario --format traces \

@@ -164,8 +164,6 @@ def classify_fast(gpk, message: bytes, signature, url, period,
 
     # Milestone 2: the SPK challenge (Eq.2) -- 4 exps + 3 pairings +
     # 1 GT exp, like the reference.
-    reg = obs.active()
-    start = reg.clock() if reg is not None else 0.0
     with obs.span("groupsig.spk"):
         s_alpha, s_x, s_delta = (signature.s_alpha, signature.s_x,
                                  signature.s_delta)
@@ -210,8 +208,6 @@ def classify_fast(gpk, message: bytes, signature, url, period,
         r3 = G1Element(curve.multi_mul([(u_base, -s_delta),
                                         (t1_base, s_x)]), group)
         expected = gpk.challenge(message, signature.r, t1, t2, r1, r2, r3)
-    if reg is not None:
-        reg.observe("groupsig.spk_seconds", reg.clock() - start)
     if expected != c:
         return InvalidSignature("challenge mismatch (Eq.2 failed)")
 
@@ -223,7 +219,6 @@ def classify_fast(gpk, message: bytes, signature, url, period,
     # exactly like the reference scan.
     if not scan:
         return None
-    start = reg.clock() if reg is not None else 0.0
     hit: Optional[int] = None
     with obs.span("groupsig.scan"):
         if period is None:
@@ -259,11 +254,8 @@ def classify_fast(gpk, message: bytes, signature, url, period,
             if fastpath.unitary_tag_is_one(z_a, z_b, curve):
                 hit = k
                 break
-    if reg is not None:
-        examined = len(url) if hit is None else hit + 1
-        reg.counter("groupsig.scan_tokens_total", examined)
-        reg.counter("groupsig.scan_total")
-        reg.observe("groupsig.scan_seconds", reg.clock() - start)
+    obs.counter("groupsig.scan_tokens_total",
+                len(url) if hit is None else hit + 1)
     if hit is not None:
         return RevokedKeyError.for_token(hit)
     return None

@@ -393,14 +393,10 @@ class CryptoEngine:
         with self._lock:
             cached = self._naf_steps.get(name)
         if cached is None:
-            reg = obs.active()
-            start = reg.clock() if reg is not None else 0.0
-            cached = fastpath.naf_steps(self.group.curve,
-                                        getattr(self.gpk, name).point)
-            if reg is not None:
-                reg.counter("engine.table_build_total")
-                reg.observe("engine.table_build_seconds",
-                            reg.clock() - start)
+            with obs.span("engine.table_build"):
+                cached = fastpath.naf_steps(self.group.curve,
+                                            getattr(self.gpk, name).point)
+            obs.counter("engine.table_build_total")
             with self._lock:
                 cached = self._naf_steps.setdefault(name, cached)
         return cached
@@ -540,20 +536,17 @@ class CryptoEngine:
         if cached is not None:
             obs.counter("engine.token_table_hit_total")
             return cached
-        reg = obs.active()
-        start = reg.clock() if reg is not None else 0.0
         curve = self.group.curve
         steps = []
         built = 0
-        for point in key:
-            lines = known.get(point)
-            if lines is None:
-                lines = known[point] = fastpath.naf_steps(curve, point)
-                built += 1
-            steps.append(lines)
-        if reg is not None:
-            reg.counter("engine.token_table_build_total", built)
-            reg.observe("engine.table_build_seconds", reg.clock() - start)
+        with obs.span("engine.table_build"):
+            for point in key:
+                lines = known.get(point)
+                if lines is None:
+                    lines = known[point] = fastpath.naf_steps(curve, point)
+                    built += 1
+                steps.append(lines)
+        obs.counter("engine.token_table_build_total", built)
         with self._lock:
             self._token_steps[key] = steps
             self._token_steps.move_to_end(key)
@@ -582,26 +575,23 @@ class CryptoEngine:
             return context
         obs.counter("engine.period_cache_miss_total")
         u_hat, v_hat, u, v = derive_generators(self.gpk, b"", 0, period)
-        reg = obs.active()
-        start = reg.clock() if reg is not None else 0.0
         curve = self.group.curve
-        # e(v, g2) and e(v, w) by symmetry on the fixed g2 / w steps
-        # (NAF values are final-exponentiation-identical); v comes from
-        # H0, never the point at infinity.
-        v_g2, v_w = fastpath.final_exponentiation_each(
-            [fastpath.miller_eval(self.g2_naf_steps, v.point, curve.p),
-             fastpath.miller_eval(self.w_naf_steps, v.point, curve.p)],
-            curve)
-        context = GeneratorContext(
-            u_hat, v_hat, u, v,
-            u_steps=fastpath.naf_steps(curve, u_hat.point),
-            v_steps=fastpath.naf_steps(curve, v_hat.point),
-            u_ladder=curve.ladder(u.point),
-            v_g2_gt=fastpath.GTFixedBase(v_g2, self.group.order),
-            v_w_gt=fastpath.GTFixedBase(v_w, self.group.order))
-        if reg is not None:
-            reg.counter("engine.table_build_total", 4)
-            reg.observe("engine.table_build_seconds", reg.clock() - start)
+        with obs.span("engine.table_build"):
+            # e(v, g2) and e(v, w) by symmetry on the fixed g2 / w steps
+            # (NAF values are final-exponentiation-identical); v comes
+            # from H0, never the point at infinity.
+            v_g2, v_w = fastpath.final_exponentiation_each(
+                [fastpath.miller_eval(self.g2_naf_steps, v.point, curve.p),
+                 fastpath.miller_eval(self.w_naf_steps, v.point, curve.p)],
+                curve)
+            context = GeneratorContext(
+                u_hat, v_hat, u, v,
+                u_steps=fastpath.naf_steps(curve, u_hat.point),
+                v_steps=fastpath.naf_steps(curve, v_hat.point),
+                u_ladder=curve.ladder(u.point),
+                v_g2_gt=fastpath.GTFixedBase(v_g2, self.group.order),
+                v_w_gt=fastpath.GTFixedBase(v_w, self.group.order))
+        obs.counter("engine.table_build_total", 4)
         with self._lock:
             self._periods[key] = context
             self._periods.move_to_end(key)
@@ -633,8 +623,6 @@ def sign(gpk: GroupPublicKey, gsk: GroupPrivateKey, message: bytes,
     group = gpk.group
     rng = rng or random.SystemRandom()
     order = group.order
-    reg = obs.active()
-    start = reg.clock() if reg is not None else 0.0
 
     with obs.span("groupsig.sign"):
         r = group.random_scalar(rng)
@@ -674,9 +662,6 @@ def sign(gpk: GroupPublicKey, gsk: GroupPrivateKey, message: bytes,
         s_alpha = (r_alpha + c * alpha) % order
         s_x = (r_x + c * gsk.exponent_sum) % order
         s_delta = (r_delta + c * delta) % order
-    if reg is not None:
-        reg.counter("groupsig.sign_total")
-        reg.observe("groupsig.sign_seconds", reg.clock() - start)
     return GroupSignature(r, t1, t2, c, s_alpha, s_x, s_delta)
 
 
@@ -701,29 +686,27 @@ def classify(gpk: GroupPublicKey,
     the same fails closed as ``InvalidSignature("verification kernel
     error")`` (the exception as ``__cause__``), counted on
     ``batch_core.fallback_total``, and the operations it noted before
-    raising stay recorded.  Records each item's ``groupsig.verify_*``
-    outcome counter and latency.
+    raising stay recorded.  Each item runs in its own
+    ``groupsig.verify`` span and records its ``groupsig.verify_*``
+    outcome counter.
     """
-    reg = obs.active()
     results: List[Optional[Exception]] = []
     for message, signature in items:
-        start = reg.clock() if reg is not None else 0.0
-        try:
-            error = batch_core.classify_fast(gpk, message, signature, url,
-                                             period, check_revocation)
-        except Exception as exc:
-            obs.counter("batch_core.fallback_total")
-            error = InvalidSignature("verification kernel error")
-            error.__cause__ = exc
-        if reg is not None:
-            if error is None:
-                outcome = "accept"
-            elif isinstance(error, RevokedKeyError):
-                outcome = "reject_revoked"
-            else:
-                outcome = "reject_invalid"
-            reg.counter(f"groupsig.verify_{outcome}_total")
-            reg.observe("groupsig.verify_seconds", reg.clock() - start)
+        with obs.span("groupsig.verify"):
+            try:
+                error = batch_core.classify_fast(
+                    gpk, message, signature, url, period, check_revocation)
+            except Exception as exc:
+                obs.counter("batch_core.fallback_total")
+                error = InvalidSignature("verification kernel error")
+                error.__cause__ = exc
+        if error is None:
+            outcome = "accept"
+        elif isinstance(error, RevokedKeyError):
+            outcome = "reject_revoked"
+        else:
+            outcome = "reject_invalid"
+        obs.counter(f"groupsig.verify_{outcome}_total")
         results.append(error)
     return results
 
@@ -740,9 +723,8 @@ def verify(gpk: GroupPublicKey, message: bytes, signature: GroupSignature,
     pairings, per Section V.C; structurally degenerate or off-subgroup
     T1/T2 are rejected before any counted operation.
     """
-    with obs.span("groupsig.verify"):
-        error = classify(gpk, [(message, signature)], url, period,
-                         check_revocation)[0]
+    error = classify(gpk, [(message, signature)], url, period,
+                     check_revocation)[0]
     if error is not None:
         raise error
 
@@ -762,13 +744,9 @@ def verify_batch(gpk: GroupPublicKey,
     batch shares the engine's tables (token lines, NAF steps, the GT
     window table), which changes wall-clock cost only.
     """
-    reg = obs.active()
-    start = reg.clock() if reg is not None else 0.0
-    results = classify(gpk, batch, url, period, check_revocation)
-    if reg is not None:
-        reg.counter("groupsig.verify_batch_total")
-        reg.counter("groupsig.verify_batch_items_total", len(batch))
-        reg.observe("groupsig.verify_batch_seconds", reg.clock() - start)
+    with obs.span("groupsig.verify_batch"):
+        results = classify(gpk, batch, url, period, check_revocation)
+    obs.counter("groupsig.verify_batch_items_total", len(batch))
     return results
 
 

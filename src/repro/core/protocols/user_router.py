@@ -434,45 +434,39 @@ class RouterAuthEngine:
         duplicate = self._duplicate(request, now)
         if duplicate is not None:
             return duplicate
-        reg = obs.active()
-        start = reg.clock() if reg is not None else 0.0
-        with obs.timer("router.precheck_seconds"), \
-                obs.span("router.precheck"):
-            r_router, ladder = self._precheck(request, now)
+        with obs.span("router.handshake"):
+            with obs.span("router.precheck"):
+                r_router, ladder = self._precheck(request, now)
 
-        url = self.url_provider()
-        state = self.revocation_state
-        try:
-            # groupsig.verify opens its own "groupsig.verify" span (with
-            # spk/scan children), so the stage needs no extra span here.
-            with obs.timer("router.verify_seconds"):
-                if state is not None:
-                    # Tag-index path: SPK correctness first (same order
-                    # as the serial scan -- a forged signature is
-                    # rejected as invalid, never as revoked), then the
-                    # O(1) tag lookup instead of the linear Eq.3 scan.
-                    payload = request.signed_payload()
-                    groupsig.verify(self.gpk, payload,
-                                    request.group_signature,
-                                    period=state.period,
-                                    check_revocation=False)
-                    state.check(payload, request.group_signature)
-                else:
-                    groupsig.verify(self.gpk, request.signed_payload(),
-                                    request.group_signature,
-                                    url=url.tokens)
-        except groupsig.RevokedKeyError:
-            self._bump("rejected_revoked")
-            raise
-        except groupsig.InvalidSignature:
-            self._bump("rejected_signature")
-            raise
+            url = self.url_provider()
+            state = self.revocation_state
+            try:
+                with obs.span("router.verify"):
+                    if state is not None:
+                        # Tag-index path: SPK correctness first (same
+                        # order as the serial scan -- a forged signature
+                        # is rejected as invalid, never as revoked),
+                        # then the O(1) tag lookup instead of the linear
+                        # Eq.3 scan.
+                        payload = request.signed_payload()
+                        groupsig.verify(self.gpk, payload,
+                                        request.group_signature,
+                                        period=state.period,
+                                        check_revocation=False)
+                        state.check(payload, request.group_signature)
+                    else:
+                        groupsig.verify(self.gpk, request.signed_payload(),
+                                        request.group_signature,
+                                        url=url.tokens)
+            except groupsig.RevokedKeyError:
+                self._bump("rejected_revoked")
+                raise
+            except groupsig.InvalidSignature:
+                self._bump("rejected_signature")
+                raise
 
-        with obs.timer("router.accept_seconds"), obs.span("router.accept"):
-            outcome = self._accept(request, r_router, ladder, now)
-        if reg is not None:
-            reg.observe("router.handshake_seconds", reg.clock() - start)
-        return outcome
+            with obs.span("router.accept"):
+                return self._accept(request, r_router, ladder, now)
 
     def process_requests(self, requests: "list[AccessRequest]",
                          pool: "Optional[VerifierPool]" = None,
@@ -506,66 +500,63 @@ class RouterAuthEngine:
         crypto cost into the submitting handshake's trace.
         """
         now = self.clock.now()
-        reg = obs.active()
-        start = reg.clock() if reg is not None else 0.0
-        outcomes: "list[object]" = [None] * len(requests)
-        prechecked: Dict[int, Tuple[int, Ladder]] = {}
-        batch = []
-        positions = []
-        for index, request in enumerate(requests):
-            self._bump("requests")
-            duplicate = self._duplicate(request, now)
-            if duplicate is not None:
-                outcomes[index] = duplicate
-                continue
-            try:
-                prechecked[index] = self._precheck(request, now)
-            except (ReplayError, PuzzleError, AuthenticationError) as exc:
-                outcomes[index] = exc
-                continue
-            batch.append((request.signed_payload(),
-                          request.group_signature))
-            positions.append(index)
+        with obs.span("router.batch"):
+            outcomes: "list[object]" = [None] * len(requests)
+            prechecked: Dict[int, Tuple[int, Ladder]] = {}
+            batch = []
+            positions = []
+            for index, request in enumerate(requests):
+                self._bump("requests")
+                duplicate = self._duplicate(request, now)
+                if duplicate is not None:
+                    outcomes[index] = duplicate
+                    continue
+                try:
+                    prechecked[index] = self._precheck(request, now)
+                except (ReplayError, PuzzleError, AuthenticationError) as exc:
+                    outcomes[index] = exc
+                    continue
+                batch.append((request.signed_payload(),
+                              request.group_signature))
+                positions.append(index)
 
-        if batch:
-            url = self.url_provider()
-            state = self.revocation_state
-            if state is not None:
-                # Tag-index path: batch-verify the SPKs, then run the
-                # O(1) tag lookup per survivor.  The pool is skipped --
-                # its workers snapshot the flat URL, and the whole point
-                # here is not to scan it.
-                errors = groupsig.verify_batch(self.gpk, batch,
-                                               period=state.period,
-                                               check_revocation=False)
-                for slot, (payload, sig) in enumerate(batch):
-                    if errors[slot] is None:
-                        try:
-                            state.check(payload, sig)
-                        except groupsig.RevokedKeyError as exc:
-                            errors[slot] = exc
-            elif pool is not None and pool.matches(self.gpk, url.tokens):
-                batch_traces = None
-                if traces is not None:
-                    batch_traces = [traces[position]
-                                    for position in positions]
-                errors = pool.verify_batch(batch, traces=batch_traces)
-            else:
-                errors = groupsig.verify_batch(self.gpk, batch,
-                                               url=url.tokens)
-            for position, error in zip(positions, errors):
-                if error is None:
-                    outcomes[position] = self._accept(
-                        requests[position], *prechecked[position], now)
-                elif isinstance(error, groupsig.RevokedKeyError):
-                    self._bump("rejected_revoked")
-                    outcomes[position] = error
+            if batch:
+                url = self.url_provider()
+                state = self.revocation_state
+                if state is not None:
+                    # Tag-index path: batch-verify the SPKs, then run the
+                    # O(1) tag lookup per survivor.  The pool is skipped --
+                    # its workers snapshot the flat URL, and the whole point
+                    # here is not to scan it.
+                    errors = groupsig.verify_batch(self.gpk, batch,
+                                                   period=state.period,
+                                                   check_revocation=False)
+                    for slot, (payload, sig) in enumerate(batch):
+                        if errors[slot] is None:
+                            try:
+                                state.check(payload, sig)
+                            except groupsig.RevokedKeyError as exc:
+                                errors[slot] = exc
+                elif pool is not None and pool.matches(self.gpk, url.tokens):
+                    batch_traces = None
+                    if traces is not None:
+                        batch_traces = [traces[position]
+                                        for position in positions]
+                    errors = pool.verify_batch(batch, traces=batch_traces)
                 else:
-                    self._bump("rejected_signature")
-                    outcomes[position] = error
-        if reg is not None:
-            reg.counter("router.batch_requests_total", len(requests))
-            reg.observe("router.batch_seconds", reg.clock() - start)
+                    errors = groupsig.verify_batch(self.gpk, batch,
+                                                   url=url.tokens)
+                for position, error in zip(positions, errors):
+                    if error is None:
+                        outcomes[position] = self._accept(
+                            requests[position], *prechecked[position], now)
+                    elif isinstance(error, groupsig.RevokedKeyError):
+                        self._bump("rejected_revoked")
+                        outcomes[position] = error
+                    else:
+                        self._bump("rejected_signature")
+                        outcomes[position] = error
+        obs.counter("router.batch_requests_total", len(requests))
         return outcomes
 
 
@@ -643,42 +634,38 @@ class UserAuthEngine:
                        ) -> Tuple[AccessRequest, PendingUserSession]:
         """Step 2 of Section IV.B: full beacon validation, then M.2."""
         now = self.clock.now()
-        reg = obs.active()
-        start = reg.clock() if reg is not None else 0.0
-        with obs.span("user.beacon_validate"):
-            g_ladder, g_r_router_ladder = self.validate_beacon(beacon, now)
-        if reg is not None:
-            reg.observe("user.beacon_validate_seconds", reg.clock() - start)
+        with obs.span("user.process_beacon"):
+            with obs.span("user.beacon_validate"):
+                g_ladder, g_r_router_ladder = self.validate_beacon(
+                    beacon, now)
 
-        r_user = self.group.random_scalar(self.rng)
-        g_r_user = _power(self.group, g_ladder, r_user)
-        ts2 = quantize_ts(now)   # match what the wire will carry
-        request = AccessRequest(g_r_user=g_r_user,
-                                g_r_router=beacon.g_r_router, ts2=ts2,
-                                group_signature=None)  # placeholder
-        signature = groupsig.sign(self.gpk, self.credential,
-                                  request.signed_payload(), rng=self.rng,
-                                  period=self.auth_period)
-        solution = None
-        if beacon.puzzle is not None:
-            if beacon.puzzle.difficulty_bits > self.max_puzzle_difficulty:
-                raise PuzzleError("puzzle difficulty beyond client policy")
-            solution = puzzles.solve_puzzle(beacon.puzzle,
-                                            request.puzzle_binding())
-        request = AccessRequest(g_r_user, beacon.g_r_router, ts2,
-                                signature, solution)
+            r_user = self.group.random_scalar(self.rng)
+            g_r_user = _power(self.group, g_ladder, r_user)
+            ts2 = quantize_ts(now)   # match what the wire will carry
+            request = AccessRequest(g_r_user=g_r_user,
+                                    g_r_router=beacon.g_r_router, ts2=ts2,
+                                    group_signature=None)  # placeholder
+            signature = groupsig.sign(self.gpk, self.credential,
+                                      request.signed_payload(), rng=self.rng,
+                                      period=self.auth_period)
+            solution = None
+            if beacon.puzzle is not None:
+                if beacon.puzzle.difficulty_bits > self.max_puzzle_difficulty:
+                    raise PuzzleError("puzzle difficulty beyond client policy")
+                solution = puzzles.solve_puzzle(beacon.puzzle,
+                                                request.puzzle_binding())
+            request = AccessRequest(g_r_user, beacon.g_r_router, ts2,
+                                    signature, solution)
 
-        shared = _power(self.group, g_r_router_ladder,
-                        r_user)                     # K = (g^r_R)^r_j
-        session_id = session_id_from(beacon.g_r_router, g_r_user)
-        session = SecureSession(session_id, shared, initiator=True,
-                                peer_label=beacon.router_id)
-        pending = PendingUserSession(
-            router_id=beacon.router_id, r_user=r_user, g_r_user=g_r_user,
-            g_r_router=beacon.g_r_router, session=session)
-        if reg is not None:
-            reg.counter("user.requests_built_total")
-            reg.observe("user.process_beacon_seconds", reg.clock() - start)
+            shared = _power(self.group, g_r_router_ladder,
+                            r_user)                     # K = (g^r_R)^r_j
+            session_id = session_id_from(beacon.g_r_router, g_r_user)
+            session = SecureSession(session_id, shared, initiator=True,
+                                    peer_label=beacon.router_id)
+            pending = PendingUserSession(
+                router_id=beacon.router_id, r_user=r_user, g_r_user=g_r_user,
+                g_r_router=beacon.g_r_router, session=session)
+        obs.counter("user.requests_built_total")
         return request, pending
 
     # -- validate M.3 ------------------------------------------------------
@@ -686,7 +673,7 @@ class UserAuthEngine:
     def complete(self, pending: PendingUserSession,
                  confirm: AccessConfirm) -> SecureSession:
         """Step 3.4 receipt: open E_K(MR_k, g^r_j, g^r_R), check contents."""
-        with obs.timer("user.complete_seconds"), obs.span("user.complete"):
+        with obs.span("user.complete"):
             if (confirm.g_r_user != pending.g_r_user
                     or confirm.g_r_router != pending.g_r_router):
                 raise ProtocolError("confirm echoes the wrong DH values")

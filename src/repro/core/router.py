@@ -132,14 +132,13 @@ class MeshRouter:
         if self._refresh_silent_failure:   # chaos: stale_lists fault
             obs.counter("router.refresh_suppressed_total")
             return
-        with obs.timer("router.list_refresh_seconds"):
+        with obs.span("router.list_refresh"):
             self._crl = self.operator.issue_crl()
             self._url = self.operator.issue_url()
         self._lists_fetched_at = self.clock.now()
         self._record_history()
         self._sync_revocation_state()
         self._journal_lists()
-        obs.counter("router.list_refresh_total")
 
     def _record_history(self) -> None:
         for history, current in ((self._crl_history, self._crl),

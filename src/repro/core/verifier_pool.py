@@ -61,6 +61,7 @@ import multiprocessing
 import os
 import time
 from collections import deque
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import instrument, obs
@@ -198,14 +199,15 @@ def _run_chunk(gpk: GroupPublicKey,
     caller replays the returned tallies, keeping measured counts
     identical whether the work happened here or across a pipe.  An item
     with a trace context gets a ``pool.verify_item`` span parented
-    under it (the groupsig spk/scan spans nest inside), attributing the
-    item's crypto ops to the originating handshake's trace.
+    under it (the item's ``groupsig.verify`` span nests inside),
+    attributing the item's crypto ops to the originating handshake's
+    trace.
     """
     out = []
     for index, message, signature, ctx in items:
         with obs.span("pool.verify_item", context=ctx, index=index,
                       pid=os.getpid()) if ctx is not None \
-                else _UNTRACED_ITEM:
+                else nullcontext():
             with instrument.count_operations() as ops:
                 error = groupsig.classify(gpk, [(message, signature)],
                                           tokens, period,
@@ -219,21 +221,6 @@ def _run_chunk(gpk: GroupPublicKey,
             outcome = ("invalid", str(error))
         out.append((index, outcome, ops.snapshot()))
     return out
-
-
-class _Untraced:
-    """Do-nothing context for items verified without a trace context."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_Untraced":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_UNTRACED_ITEM = _Untraced()
 
 
 def _chaos_hang(seconds: float) -> None:  # pragma: no cover - worker side
@@ -451,6 +438,10 @@ class VerifierPool:
         chunks complete.  Op tallies are *replayed* into the caller's
         counter without re-attributing them to the caller's open span
         (they already live in the shipped worker spans).
+
+        The batch runs in a ``pool.batch`` span and each chunk in a
+        ``pool.chunk`` span under it, which on the parallel path runs
+        from submit to collect.
         """
         if not batch:
             return []
@@ -458,7 +449,6 @@ class VerifierPool:
             raise ParameterError("traces must align 1:1 with batch items")
         self._batch_respawns = 0
         reg = obs.active()
-        batch_start = reg.clock() if reg is not None else 0.0
         chunks: List[List[Tuple[int, bytes, GroupSignature,
                                 Optional[TraceContext]]]] = []
         for start in range(0, len(batch), self.chunk_size):
@@ -476,32 +466,16 @@ class VerifierPool:
                 for event, amount in ops.items():
                     instrument.replay(event, amount)
 
-        def finish_batch() -> List[Optional[Exception]]:
-            if reg is not None:
-                reg.counter("pool.batches_total")
-                reg.counter("pool.batch_items_total", len(batch))
-                reg.observe("pool.batch_seconds",
-                            reg.clock() - batch_start)
-                reg.gauge("pool.serial_fallbacks", self.serial_fallbacks)
-            return results
-
         def run_serial(chunk, fallback: bool = True) -> None:
             if fallback:
                 self.serial_fallbacks += 1
-            start = reg.clock() if reg is not None else 0.0
-            absorb(_run_chunk(self.gpk, self.tokens, chunk, period,
-                              check_revocation))
-            if reg is not None:
-                kind = "fallback" if fallback else "serial"
-                reg.counter(f"pool.chunks_{kind}_total")
-                reg.observe("pool.chunk_seconds", reg.clock() - start)
+            with obs.span("pool.chunk"):
+                absorb(_run_chunk(self.gpk, self.tokens, chunk, period,
+                                  check_revocation))
+            kind = "fallback" if fallback else "serial"
+            obs.counter(f"pool.chunks_{kind}_total")
 
-        if self._pool is None:
-            for chunk in chunks:
-                run_serial(chunk, fallback=False)
-            return finish_batch()
-
-        # In flight: (chunk, handle, submitted_at, deadline).  A plain
+        # In flight: (chunk, handle, chunk span, deadline).  A plain
         # list -- collection scans it for *whichever* handle is ready.
         pending: List[tuple] = []
         remaining = deque(chunks)
@@ -512,12 +486,13 @@ class VerifierPool:
             pending chunk run through ``run_serial`` exactly once;
             whatever the old workers might still produce is orphaned
             by the terminate inside :meth:`respawn_workers`, so no
-            result -- and no replayed op tally -- lands twice."""
-            if reg is not None:
-                reg.counter(counter_name)
+            result -- and no replayed op tally -- lands twice.  The
+            abandoned chunks' spans are never finished: each re-run
+            opens its own."""
+            obs.counter(counter_name)
             run_serial(failed_chunk)
             while pending:
-                chunk, _handle, _submitted, _deadline = pending.pop()
+                chunk, _handle, _span, _deadline = pending.pop()
                 run_serial(chunk)
             if self.processes \
                     and self.worker_restarts < self.max_worker_restarts:
@@ -540,8 +515,7 @@ class VerifierPool:
             while True:
                 for i, entry in enumerate(pending):
                     if entry[1].ready():
-                        chunk, handle, submitted, _deadline = \
-                            pending.pop(i)
+                        chunk, handle, span, _deadline = pending.pop(i)
                         try:
                             chunk_result, span_snap = handle.get(0)
                         except Exception:
@@ -551,10 +525,9 @@ class VerifierPool:
                         absorb(chunk_result)
                         if span_snap is not None and reg is not None:
                             reg.merge_spans(span_snap)
-                        if reg is not None:
-                            reg.counter("pool.chunks_parallel_total")
-                            reg.observe("pool.chunk_seconds",
-                                        reg.clock() - submitted)
+                        obs.counter("pool.chunks_parallel_total")
+                        if span is not None:
+                            span.finish()
                         return
                 now = time.monotonic()
                 expired = next((i for i, entry in enumerate(pending)
@@ -567,28 +540,37 @@ class VerifierPool:
                 # handle, then rescan (another chunk may finish first).
                 pending[0][1].wait(0.05)
 
-        while remaining or pending:
+        with obs.span("pool.batch"):
             if self._pool is None:
-                # Restart budget spent (or spawn failed): pending is
-                # empty by construction, drain the rest serially.
                 while remaining:
-                    run_serial(remaining.popleft())
-                break
-            if remaining and len(pending) < self.max_inflight:
-                chunk = remaining.popleft()
-                task = (period, check_revocation,
-                        [(index, message, signature.encode(),
-                          ctx.to_tuple() if ctx is not None else None)
-                         for index, message, signature, ctx in chunk])
-                try:
-                    handle = self._pool.apply_async(_worker_run, (task,))
-                except Exception:
-                    # Pool already closed/terminated under us.
-                    recover(chunk, "pool.submit_failures_total")
+                    run_serial(remaining.popleft(), fallback=False)
+            while remaining or pending:
+                if self._pool is None:
+                    # Restart budget spent (or spawn failed): pending is
+                    # empty by construction, drain the rest serially.
+                    while remaining:
+                        run_serial(remaining.popleft())
+                    break
+                if remaining and len(pending) < self.max_inflight:
+                    chunk = remaining.popleft()
+                    task = (period, check_revocation,
+                            [(index, message, signature.encode(),
+                              ctx.to_tuple() if ctx is not None else None)
+                             for index, message, signature, ctx in chunk])
+                    try:
+                        handle = self._pool.apply_async(_worker_run,
+                                                        (task,))
+                    except Exception:
+                        # Pool already closed/terminated under us.
+                        recover(chunk, "pool.submit_failures_total")
+                        continue
+                    # Submit to collect, under this batch's span.
+                    span = (reg.start_span("pool.chunk")
+                            if reg is not None else None)
+                    pending.append((chunk, handle, span,
+                                    time.monotonic() + self.task_timeout))
                     continue
-                pending.append((chunk, handle,
-                                reg.clock() if reg is not None else 0.0,
-                                time.monotonic() + self.task_timeout))
-                continue
-            collect_one()
-        return finish_batch()
+                collect_one()
+        obs.counter("pool.batch_items_total", len(batch))
+        obs.gauge("pool.serial_fallbacks", self.serial_fallbacks)
+        return results

@@ -1,4 +1,4 @@
-"""Unified runtime observability: metrics, timers, and trace spans.
+"""Unified runtime observability: metrics and trace spans.
 
 :mod:`repro.instrument` answers the paper's question -- "how many
 abstract operations did this take?"  This package answers the
@@ -34,6 +34,10 @@ Design rules, in order of importance:
    object (``.now() -> float``) or bare callable; the default is the
    monotonic ``time.perf_counter``.  Simulator code can hand it the
    :class:`~repro.wmn.simclock.SimClock` and histogram virtual time.
+4. **One timing path.**  A region is timed by opening a span around
+   it; when the span closes, the registry observes its duration into
+   ``<name>_seconds``.  Nothing outside this package reads the
+   registry's clock (``scripts/lint.sh`` gate 6).
 
 Unlike the op counter the active registry is deliberately *global*,
 not thread-local: a busy router's worker threads are expected to land
@@ -64,7 +68,6 @@ from repro.obs.registry import (
     merge_snapshots,
     observe,
     span,
-    timer,
     uninstall,
 )
 from repro.obs.spans import SpanRecord, TraceContext
@@ -92,7 +95,6 @@ __all__ = [
     "observe",
     "render_incidents",
     "span",
-    "timer",
     "to_json",
     "to_prometheus",
     "uninstall",

@@ -59,11 +59,12 @@ def to_prometheus(snapshot: Dict[str, object],
 
     Counters and gauges map directly; histograms emit the standard
     cumulative ``_bucket{le=...}`` series plus ``_sum`` and
-    ``_count``.  Spans are aggregated per name into labelled series --
-    ``<ns>_span_total{name="..."}``, ``<ns>_span_seconds_total{...}``,
-    and per-op ``<ns>_span_ops_total{name="...",op="..."}`` -- with
-    label values escaped per the exposition format (span-level detail
-    stays in the JSON export; Prometheus is for aggregates).
+    ``_count`` (a span's count and total time are its
+    ``<name>_seconds`` histogram's).  Span op tallies, which live only
+    in spans, aggregate per name and op into
+    ``<ns>_span_ops_total{name="...",op="..."}``, with label values
+    escaped per the exposition format (span-level detail stays in the
+    JSON export; Prometheus is for aggregates).
     """
     lines = []
 
@@ -89,30 +90,18 @@ def to_prometheus(snapshot: Dict[str, object],
         lines.append(f'{metric}_sum {_format_value(hist["sum"])}')
         lines.append(f'{metric}_count {hist["count"]}')
 
-    span_totals: Dict[str, list] = {}
     op_totals: Dict[tuple, int] = {}
     for record in snapshot.get("spans", {}).get("records", ()):
         name = str(record["name"])
-        entry = span_totals.setdefault(name, [0, 0.0])
-        entry[0] += 1
-        entry[1] += float(record["duration"])
         for op, amount in dict(record.get("ops") or ()).items():
             key = (name, str(op))
             op_totals[key] = op_totals.get(key, 0) + int(amount)
-    if span_totals:
-        base = _sanitize("span", namespace)
-        lines.append(f"# TYPE {base}_total counter")
-        lines.append(f"# TYPE {base}_seconds_total counter")
-        for name, (count, total) in sorted(span_totals.items()):
-            label = _escape_label_value(name)
-            lines.append(f'{base}_total{{name="{label}"}} {count}')
-            lines.append(f'{base}_seconds_total{{name="{label}"}} '
-                         f"{_format_value(total)}")
-        if op_totals:
-            lines.append(f"# TYPE {base}_ops_total counter")
-            for (name, op), amount in sorted(op_totals.items()):
-                lines.append(
-                    f'{base}_ops_total{{name="{_escape_label_value(name)}",'
-                    f'op="{_escape_label_value(op)}"}} {amount}')
+    if op_totals:
+        base = _sanitize("span_ops_total", namespace)
+        lines.append(f"# TYPE {base} counter")
+        for (name, op), amount in sorted(op_totals.items()):
+            lines.append(
+                f'{base}{{name="{_escape_label_value(name)}",'
+                f'op="{_escape_label_value(op)}"}} {amount}')
 
     return "\n".join(lines) + ("\n" if lines else "")

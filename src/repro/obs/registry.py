@@ -1,8 +1,12 @@
-"""The metrics registry: counters, gauges, histograms, timers, spans.
+"""The metrics registry: counters, gauges, histograms, spans.
 
 See the package docstring for the contract.  Everything here is pure
 Python with no imports from higher layers, so any module in the
 package may report into the ambient registry.
+
+A span is the one way to time a region: when one of a registry's
+spans closes, the registry observes its duration into the histogram
+``<name>_seconds``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro import instrument
-from repro.obs.spans import SpanLog, TraceContext, _OpenSpan
+from repro.obs.spans import SpanLog, SpanRecord, TraceContext, _OpenSpan
 
 #: Default histogram bucket upper bounds (seconds).  Geometric-ish
 #: 1-2.5-5 ladder from 100 microseconds to 10 seconds: wide enough for
@@ -92,9 +96,12 @@ class Histogram:
 class MetricsRegistry:
     """Thread-safe collector for one observation session.
 
-    ``clock`` drives timers and span timestamps: pass a
+    ``clock`` drives span timestamps and durations: pass a
     :class:`repro.core.clock.Clock` (anything with ``.now()``) or a
     bare callable; ``None`` means wall-clock ``time.perf_counter``.
+    Every span that closes here feeds its ``<name>_seconds``
+    histogram, including spans the ``max_spans`` bound drops from the
+    log; spans merged in from other registries feed nothing.
     """
 
     def __init__(self, clock=None,
@@ -106,7 +113,8 @@ class MetricsRegistry:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._spans = SpanLog(max_spans=max_spans, id_prefix=span_id_prefix)
+        self._spans = SpanLog(self._span_closed, max_spans=max_spans,
+                              id_prefix=span_id_prefix)
 
     # -- updates --------------------------------------------------------
 
@@ -135,15 +143,8 @@ class MetricsRegistry:
                 self._histograms[name] = histogram
             histogram.observe(value)
 
-    @contextmanager
-    def timer(self, name: str,
-              buckets: Optional[Sequence[float]] = None):
-        """Time a ``with`` block into the histogram ``name``."""
-        start = self.clock()
-        try:
-            yield
-        finally:
-            self.observe(name, self.clock() - start, buckets=buckets)
+    def _span_closed(self, record: SpanRecord) -> None:
+        self.observe(record.name + "_seconds", record.duration)
 
     def span(self, name: str, context: Optional[TraceContext] = None,
              trace_id: Optional[str] = None, **attrs: object) -> _OpenSpan:
@@ -204,10 +205,12 @@ class MetricsRegistry:
 
         Counters add, gauges last-write-win, histograms merge
         bucket-wise (the layouts must match), spans concatenate under
-        the bound.  This is how per-process and per-node observations
-        aggregate into one report.  ``reparent`` adopts orphan span
-        records (no trace identity) under the given context -- used to
-        stitch worker-process spans beneath the submitting trace.
+        the bound and feed no histogram (their samples arrive with the
+        snapshot's histograms, if at all).  This is how per-process and
+        per-node observations aggregate into one report.  ``reparent``
+        adopts orphan span records (no trace identity) under the given
+        context -- used to stitch worker-process spans beneath the
+        submitting trace.
         """
         with self._lock:
             for name, value in snap.get("counters", {}).items():
@@ -225,7 +228,8 @@ class MetricsRegistry:
                     reparent: Optional[TraceContext] = None) -> None:
         """Merge just a span-log snapshot (``{"records": ..., "dropped":
         ...}``), optionally re-parenting orphans -- the shape shipped
-        back by verifier-pool workers."""
+        back by verifier-pool workers.  Merged spans feed no
+        histogram."""
         self._spans.merge_snapshot(span_snap, reparent=reparent)
 
 
@@ -339,16 +343,3 @@ def span(name: str, context: Optional[TraceContext] = None,
         return _NULL_SPAN
     return registry.span(name, context=context, **attrs)
 
-
-@contextmanager
-def timer(name: str):
-    """Ambient timer; near-free when disabled (no clock reads)."""
-    registry = _ACTIVE
-    if registry is None:
-        yield
-        return
-    start = registry.clock()
-    try:
-        yield
-    finally:
-        registry.observe(name, registry.clock() - start)

@@ -38,18 +38,21 @@ span, so summing over a trace's spans reproduces the
 
 The recorder is bounded: once ``max_spans`` records accumulate, new
 spans are counted but dropped (``dropped`` in the snapshot), so a
-long-running router cannot leak memory through tracing.  Records from
-different threads or processes merge by concatenation under the same
-bound; :meth:`SpanLog.merge_snapshot` optionally re-parents orphan
-records under a supplied context (how worker-process span snapshots
-are stitched under the submitting handshake's trace).
+long-running router cannot leak memory through tracing.  A span's
+latency does not depend on the bound: the registry turns every span
+that closes into a sample of its ``<name>_seconds`` histogram before
+the bound is consulted (:class:`~repro.obs.registry.MetricsRegistry`).
+Records from different threads or processes merge by concatenation
+under the same bound; :meth:`SpanLog.merge_snapshot` optionally
+re-parents orphan records under a supplied context (how worker-process
+span snapshots are stitched under the submitting handshake's trace).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,6 @@ class TraceContext:
 class SpanRecord:
     """One finished span, as plain data (snapshot/merge friendly).
 
-    ``parent`` is the legacy parent *name* (kept for aggregate views);
     ``parent_id``/``span_id``/``trace_id`` are the causal identities
     trace reconstruction uses.  ``ops`` holds the operation-count
     deltas (:mod:`repro.instrument` events) attributed to this span's
@@ -89,7 +91,6 @@ class SpanRecord:
     name: str
     start: float
     duration: float
-    parent: Optional[str]
     attrs: Tuple[Tuple[str, str], ...] = ()
     trace_id: Optional[str] = None
     span_id: Optional[str] = None
@@ -98,8 +99,7 @@ class SpanRecord:
 
     def to_dict(self) -> Dict[str, object]:
         return {"name": self.name, "start": self.start,
-                "duration": self.duration, "parent": self.parent,
-                "attrs": dict(self.attrs),
+                "duration": self.duration, "attrs": dict(self.attrs),
                 "trace_id": self.trace_id, "span_id": self.span_id,
                 "parent_id": self.parent_id, "ops": dict(self.ops)}
 
@@ -107,7 +107,6 @@ class SpanRecord:
     def from_dict(cls, data: Dict[str, object]) -> "SpanRecord":
         return cls(name=str(data["name"]), start=float(data["start"]),
                    duration=float(data["duration"]),
-                   parent=data.get("parent"),
                    attrs=tuple(sorted(dict(data.get("attrs", {})).items())),
                    trace_id=data.get("trace_id"),
                    span_id=data.get("span_id"),
@@ -128,9 +127,9 @@ class _OpenSpan:
     opened with an explicit context (:attr:`context`).
     """
 
-    __slots__ = ("_log", "_clock", "name", "_attrs", "_start", "_parent",
-                 "_context", "_pushed", "_done",
-                 "trace_id", "span_id", "parent_id", "ops")
+    __slots__ = ("_log", "_clock", "name", "_attrs", "_start", "_context",
+                 "_pushed", "_done", "trace_id", "span_id", "parent_id",
+                 "ops")
 
     def __init__(self, log: "SpanLog", clock, name: str,
                  attrs: Dict[str, str],
@@ -141,7 +140,6 @@ class _OpenSpan:
         self.name = name
         self._attrs = attrs
         self._start = 0.0
-        self._parent: Optional[str] = None
         self._context = context
         self._pushed = False
         self._done = False
@@ -182,7 +180,6 @@ class _OpenSpan:
             stack = self._log._stack()
             top = stack[-1] if stack else None
             if top is not None:
-                self._parent = top.name
                 if self.trace_id is None:
                     self.trace_id = top.trace_id
                 self.parent_id = top.span_id
@@ -211,10 +208,9 @@ class _OpenSpan:
                 stack.pop()
         self._log.record(SpanRecord(
             name=self.name, start=self._start,
-            duration=end - self._start, parent=self._parent,
-            attrs=self.attrs, trace_id=self.trace_id,
-            span_id=self.span_id, parent_id=self.parent_id,
-            ops=tuple(sorted(self.ops.items()))))
+            duration=end - self._start, attrs=self.attrs,
+            trace_id=self.trace_id, span_id=self.span_id,
+            parent_id=self.parent_id, ops=tuple(sorted(self.ops.items()))))
 
     def __enter__(self) -> "_OpenSpan":
         self._begin(push=True)
@@ -227,14 +223,18 @@ class _OpenSpan:
 class SpanLog:
     """Bounded, thread-safe store of finished :class:`SpanRecord`\\ s.
 
-    ``id_prefix`` namespaces generated span/trace ids -- worker
-    processes set it to a per-process prefix so their ids cannot
+    ``on_close`` sees every span that closes in this log, before the
+    bound decides whether to keep its record; merged records never
+    reach it.  ``id_prefix`` namespaces generated span/trace ids --
+    worker processes set it to a per-process prefix so their ids cannot
     collide with the parent's when snapshots merge.
     """
 
-    def __init__(self, max_spans: int = 2048, id_prefix: str = "") -> None:
+    def __init__(self, on_close: Callable[[SpanRecord], None],
+                 max_spans: int = 2048, id_prefix: str = "") -> None:
         self.max_spans = max_spans
         self.id_prefix = id_prefix
+        self._on_close = on_close
         self._records: List[SpanRecord] = []
         self._dropped = 0
         self._lock = threading.Lock()
@@ -274,6 +274,9 @@ class SpanLog:
             stack[-1].note_op(event, amount)
 
     def record(self, record: SpanRecord) -> None:
+        """Hand one closed span to ``on_close``, then store it or count
+        it dropped past the bound."""
+        self._on_close(record)
         with self._lock:
             if len(self._records) >= self.max_spans:
                 self._dropped += 1
@@ -321,10 +324,9 @@ class SpanLog:
                 if changed:
                     record = SpanRecord(
                         name=record.name, start=record.start,
-                        duration=record.duration, parent=record.parent,
-                        attrs=record.attrs, trace_id=trace_id,
-                        span_id=record.span_id, parent_id=parent_id,
-                        ops=record.ops)
+                        duration=record.duration, attrs=record.attrs,
+                        trace_id=trace_id, span_id=record.span_id,
+                        parent_id=parent_id, ops=record.ops)
                 adopted.append(record)
             records = adopted
         dropped = int(snap.get("dropped", 0))

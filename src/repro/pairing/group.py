@@ -256,20 +256,6 @@ class PairingGroup:
     def decode_g2(self, data: bytes) -> G2Element:
         return G2Element(self.curve.decode(data), self)
 
-    def decode_gt(self, data: bytes) -> GTElement:
-        """Deserialize a GT element (two fixed-width F_p coefficients).
-
-        Validates the subgroup: the decoded value must have order
-        dividing ``r`` (rejects arbitrary F_p2 values)."""
-        size = self.params.field_bytes
-        if len(data) != 2 * size:
-            raise EncodingError("bad GT encoding width")
-        value = Fp2(int.from_bytes(data[:size], "big"),
-                    int.from_bytes(data[size:], "big"), self.params.p)
-        if value.is_zero() or not (value ** self.order).is_one():
-            raise EncodingError("value is not in the order-r subgroup")
-        return GTElement(value, self)
-
     def random_g1(self, rng: Optional[random.Random] = None) -> G1Element:
         """Random G1 generator: a random curve point, cofactor cleared.
 

@@ -1,10 +1,10 @@
 """Metric aggregation across simulator nodes.
 
 Delay samples and per-node counters accumulate locally (simulation
-results must not depend on whether observability is on); the
-``publish``/``counters_to_registry`` helpers push finished aggregates
-onto a :mod:`repro.obs` registry so simulator output and the crypto
-layer's metrics land in one snapshot.
+results must not depend on whether observability is on);
+:func:`counters_to_registry` pushes finished node counters onto a
+:mod:`repro.obs` registry so simulator output and the crypto layer's
+metrics land in one snapshot.
 """
 
 from __future__ import annotations
@@ -55,15 +55,6 @@ class HandshakeStats:
             "p95": percentile(self.samples, 95),
             "max": max(self.samples) if self.samples else math.nan,
         }
-
-    def publish(self, registry: Optional["obs.MetricsRegistry"] = None,
-                name: str = "wmn.auth_delay_seconds") -> None:
-        """Observe every sample into ``registry`` (default: ambient)."""
-        registry = registry if registry is not None else obs.active()
-        if registry is None:
-            return
-        for value in self.samples:
-            registry.observe(name, value)
 
 
 def merge_counters(counters: Iterable[Dict[str, float]]) -> Dict[str, float]:

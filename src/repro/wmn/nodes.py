@@ -234,7 +234,8 @@ class SimMeshRouter(SimNode):
         A frame carrying a :class:`~repro.obs.spans.TraceContext` gets
         a ``router.service`` span parented under the *sender's*
         handshake span -- the cross-node stitch; the engine's
-        precheck/verify/accept spans nest inside via the thread stack.
+        ``router.handshake`` span (precheck, verify, accept) nests
+        inside via the thread stack.
         """
         reg = obs.active()
         if reg is None or frame.trace is None:
@@ -453,7 +454,7 @@ class SimUser(SimNode):
                 trace_id=f"{self.node_id}#{self._attempt_seq}",
                 user=self.node_id)
         try:
-            with (reg.span("user.process_beacon", context=root.context)
+            with (reg.span("user.beacon_rx", context=root.context)
                   if root is not None else nullcontext()):
                 beacon = Beacon.decode(self.user.group,
                                        self.user.operator_public_key.curve,

@@ -19,9 +19,7 @@ from repro.core.deployment import Deployment
 from repro.core.durable import DurableRouterStore, FileStorage, MemoryStorage
 from repro.obs.health import (
     AlertEngine,
-    AlertRule,
     HealthMonitor,
-    HealthPolicy,
     RouterSignals,
     correlate_incidents,
     default_metro_rules,
@@ -79,9 +77,7 @@ class ScenarioConfig:
     expire_interval: Optional[float] = None      # router expiry ticks
     tracing: bool = False                # own obs registry + causal spans
     telemetry_window: float = 0.0        # >0: rollup every N sim seconds
-    max_spans: int = 4096                # span-log bound when tracing
     gossip_period: float = 0.0           # >0: epidemic CRL/URL rounds
-    gossip_fanout: int = 2               # peers contacted per round
     gossip_loss: float = 0.0             # per-exchange loss probability
     sharded_revocation: bool = False     # O(1) epoch-tag revocation path
     durable: bool = False                # journal router state (crashable)
@@ -89,8 +85,6 @@ class ScenarioConfig:
     durable_sync_every: int = 1          # records per fsync (fault surface)
     gossip_checkpoints: bool = False     # tag-checkpoint warm-up offers
     health: bool = False                 # per-window health + alert rules
-    health_rules: Optional[Tuple[AlertRule, ...]] = None  # None: metro pack
-    health_policy: Optional[HealthPolicy] = None
 
 
 class Scenario:
@@ -109,8 +103,8 @@ class Scenario:
         self.registry: Optional[obs.MetricsRegistry] = None
         self.rollup: Optional[TelemetryRollup] = None
         if config.tracing or config.telemetry_window > 0:
-            self.registry = obs.MetricsRegistry(
-                clock=self.clock, max_spans=config.max_spans)
+            self.registry = obs.MetricsRegistry(clock=self.clock,
+                                                max_spans=4096)
         # Health evaluation rides the telemetry roll: monitor gauges
         # are exported *before* the window closes so the alert rules
         # see them in the same window record (detection stays inside
@@ -123,11 +117,8 @@ class Scenario:
                 raise SimulationError(
                     "health evaluation is window-driven: configure "
                     "telemetry_window > 0 alongside health=True")
-            self.health_monitor = HealthMonitor(
-                policy=config.health_policy)
-            self.alert_engine = AlertEngine(
-                config.health_rules if config.health_rules is not None
-                else default_metro_rules())
+            self.health_monitor = HealthMonitor()
+            self.alert_engine = AlertEngine(default_metro_rules())
         if config.telemetry_window > 0:
             self.rollup = TelemetryRollup(self.registry)
             self.loop.schedule_every(
@@ -182,7 +173,6 @@ class Scenario:
                 self.loop,
                 [sim.router for sim in self.sim_routers.values()],
                 round_period=config.gossip_period,
-                fanout=config.gossip_fanout,
                 loss_probability=config.gossip_loss,
                 rng=random.Random(config.seed + 0x60551),
                 peers=peers,
@@ -302,7 +292,7 @@ class Scenario:
             self.tag_caches[router_id] = cache
         policy = (self.config.dos_policy_factory()
                   if self.config.dos_policy_factory else None)
-        with obs.timer("recovery.restart_seconds"):
+        with obs.span("recovery.restart"):
             router = MeshRouter.restore(
                 store, self.deployment.operator, clock=self.clock,
                 rng=rng, dos_policy=policy, cache=cache)
@@ -469,12 +459,12 @@ class Scenario:
         """Push simulator aggregates onto a :mod:`repro.obs` registry.
 
         Node counters become ``wmn.router.<key>`` / ``wmn.user.<key>``
-        gauges; handshake delays land in the shared
-        ``wmn.auth_delay_seconds`` histogram (the same series the live
-        nodes feed when a registry is installed during ``run()``).
-        Safe to call repeatedly -- gauges overwrite, they never double.
-        With no explicit ``registry`` the scenario's own tracing
-        registry (when configured) is preferred over the ambient one.
+        gauges.  Handshake delays are not republished: the live nodes
+        feed ``wmn.auth_delay_seconds`` while a registry is installed
+        during ``run()``.  Safe to call repeatedly -- gauges overwrite,
+        they never double.  With no explicit ``registry`` the
+        scenario's own tracing registry (when configured) is preferred
+        over the ambient one.
         """
         if registry is None:
             registry = self.registry
@@ -485,5 +475,3 @@ class Scenario:
         counters_to_registry(self.router_metrics(), "wmn.router", registry)
         counters_to_registry(self.user_metrics(), "wmn.user", registry)
         registry.gauge("wmn.connected_fraction", self.connected_fraction())
-        if registry.histogram_snapshot("wmn.auth_delay_seconds") is None:
-            self.handshake_stats().publish(registry)

@@ -211,7 +211,7 @@ class TestBitIdentity:
     def test_notes_before_a_kernel_error_stay_recorded(
             self, gpk, member_keys, monkeypatch):
         """Operations the kernel noted before raising reach the ambient
-        counter and the open span alike, once."""
+        counter and the item's span alike, once."""
         rng = random.Random(67)
         message = b"partial notes"
         signature = groupsig.sign(gpk, member_keys["a2"], message, rng=rng)
@@ -227,7 +227,8 @@ class TestBitIdentity:
                 groupsig.classify(gpk, [(message, signature)])
         assert ops.snapshot() == {"hash_to_group": 2}
         by_name = {record.name: dict(record.ops) for record in reg.spans()}
-        assert by_name["probe"] == {"hash_to_group": 2}
+        assert by_name == {"groupsig.verify": {"hash_to_group": 2},
+                           "probe": {}}
         assert reg.counter_value("batch_core.fallback_total") == 1
 
 

@@ -1,4 +1,4 @@
-"""GT serialization and verify on the engine's precomputed base pairing."""
+"""Verify on the engine's precomputed base pairing."""
 
 import pytest
 
@@ -6,39 +6,9 @@ import random
 
 from repro import instrument, obs
 from repro.core import groupsig
-from repro.errors import EncodingError, InvalidSignature
+from repro.errors import InvalidSignature
 from repro.pairing import fastpath
 from tests.oracles import reference_classify
-
-
-class TestGtCodec:
-    def test_roundtrip(self, group):
-        element = group.pair(group.g1, group.g2) ** 7
-        assert group.decode_gt(element.encode()) == element
-
-    def test_identity_roundtrip(self, group):
-        identity = group.gt_identity()
-        assert group.decode_gt(identity.encode()).is_identity()
-
-    def test_bad_width_rejected(self, group):
-        with pytest.raises(EncodingError):
-            group.decode_gt(b"\x00" * 7)
-
-    def test_off_subgroup_value_rejected(self, group):
-        """An arbitrary F_p2 value (order not dividing r) is refused."""
-        size = group.params.field_bytes
-        for candidate in range(2, 50):
-            blob = (candidate.to_bytes(size, "big")
-                    + (0).to_bytes(size, "big"))
-            try:
-                group.decode_gt(blob)
-            except EncodingError:
-                return
-        pytest.skip("no off-subgroup scalar found in range")
-
-    def test_zero_rejected(self, group):
-        with pytest.raises(EncodingError):
-            group.decode_gt(b"\x00" * group.params.gt_bytes)
 
 
 class TestPrecomputedVerify:

@@ -1,8 +1,9 @@
 """Unit tests for the observability layer (repro.obs).
 
 Covers the registry primitives (counters, gauges, fixed-bucket
-histograms, timers, spans), snapshot merging across threads, the
-ambient install/collecting discipline, and both exporters.  The
+histograms, spans and the histogram each closed span feeds), snapshot
+merging across threads, the ambient install/collecting discipline,
+and both exporters.  The
 integration half -- metrics flowing out of the instrumented crypto and
 protocol paths -- lives in test_obs_integration.py.
 """
@@ -110,8 +111,9 @@ class TestRegistry:
         assert reg.gauge_value("absent") is None
 
     def test_timer_uses_injected_clock(self):
+        # The span is the one timer: closing it observes op_seconds.
         reg = obs.MetricsRegistry(clock=ManualTicker(step=2.5))
-        with reg.timer("op_seconds"):
+        with reg.span("op"):
             pass
         snap = reg.histogram_snapshot("op_seconds")
         assert snap["count"] == 1
@@ -168,8 +170,8 @@ class TestSpans:
             with reg.span("inner", n=1):
                 pass
         inner, outer = reg.spans()   # inner closes first
-        assert inner.name == "inner" and inner.parent == "outer"
-        assert outer.parent is None
+        assert inner.name == "inner" and inner.parent_id == outer.span_id
+        assert outer.parent_id is None
         assert dict(inner.attrs) == {"n": "1"}
         assert dict(outer.attrs) == {"preset": "TEST"}
 
@@ -190,6 +192,53 @@ class TestSpans:
         assert snap["dropped"] == 3
 
 
+class TestSpanHistograms:
+    """A closed span is its region's one latency sample."""
+
+    def test_histogram_counts_spans_the_bound_drops(self):
+        reg = obs.MetricsRegistry(max_spans=2)
+        for _ in range(5):
+            with reg.span("stage"):
+                pass
+        snap = reg.snapshot()
+        assert len(snap["spans"]["records"]) == 2
+        assert snap["spans"]["dropped"] == 3
+        assert snap["histograms"]["stage_seconds"]["count"] == 5
+
+    def test_started_span_observes_its_duration(self):
+        reg = obs.MetricsRegistry(clock=ManualTicker(start=10.0, step=2.5))
+        span = reg.start_span("event")
+        span.finish()
+        span.finish()   # idempotent: one close, one sample
+        (record,) = reg.spans()
+        snap = reg.histogram_snapshot("event_seconds")
+        assert snap["count"] == 1
+        assert snap["sum"] == record.duration == 2.5
+
+    def test_exception_still_closes_and_times_the_span(self):
+        reg = obs.MetricsRegistry(clock=ManualTicker())
+        with pytest.raises(ValueError):
+            with reg.span("rejected"):
+                raise ValueError("bad input")
+        assert reg.histogram_snapshot("rejected_seconds")["count"] == 1
+
+    def test_merged_worker_spans_observe_nothing(self):
+        worker = obs.MetricsRegistry(clock=ManualTicker(),
+                                     span_id_prefix="w1.")
+        with worker.span("pool.verify_item"):
+            pass
+        snap = worker.snapshot()
+        spans_only = obs.MetricsRegistry()
+        spans_only.merge_spans(snap["spans"])
+        assert [r.name for r in spans_only.spans()] == ["pool.verify_item"]
+        assert spans_only.snapshot()["histograms"] == {}
+        # A whole snapshot brings its histogram along, sampled once.
+        merged = obs.MetricsRegistry()
+        merged.merge_snapshot(snap)
+        assert merged.histogram_snapshot(
+            "pool.verify_item_seconds")["count"] == 1
+
+
 class TestAmbient:
     def test_disabled_by_default(self):
         assert obs.active() is None
@@ -198,8 +247,6 @@ class TestAmbient:
         obs.gauge("ghost", 1.0)
         obs.observe("ghost", 1.0)
         with obs.span("ghost"):
-            pass
-        with obs.timer("ghost"):
             pass
         assert obs.active() is None
 
@@ -232,7 +279,7 @@ class TestAmbient:
 class TestExporters:
     def _snapshot(self):
         reg = obs.MetricsRegistry(clock=ManualTicker())
-        reg.counter("groupsig.sign_total", 3)
+        reg.counter("groupsig.verify_accept_total", 3)
         reg.gauge("pool.serial_fallbacks", 1)
         reg.observe("groupsig.sign_seconds", 0.002,
                     buckets=(0.001, 0.01))
@@ -243,7 +290,7 @@ class TestExporters:
 
     def test_json_round_trips(self):
         data = json.loads(obs.to_json(self._snapshot()))
-        assert data["counters"]["groupsig.sign_total"] == 3
+        assert data["counters"]["groupsig.verify_accept_total"] == 3
         assert data["gauges"]["pool.serial_fallbacks"] == 1.0
         hist = data["histograms"]["groupsig.sign_seconds"]
         assert hist["counts"] == [0, 1, 1]
@@ -260,7 +307,7 @@ class TestExporters:
     def test_prometheus_shape(self):
         text = obs.to_prometheus(self._snapshot())
         lines = text.splitlines()
-        assert "repro_groupsig_sign_total 3" in text
+        assert "repro_groupsig_verify_accept_total 3" in text
         assert "repro_pool_serial_fallbacks 1.0" in text
         # Cumulative buckets: le="0.01" holds both earlier samples? No:
         # 0.002 <= 0.01, 5.0 overflows; cumulative 0.01 bucket is 1,
@@ -268,8 +315,11 @@ class TestExporters:
         assert any('le="0.01"' in l and l.endswith(" 1") for l in lines)
         assert any('le="+Inf"' in l and l.endswith(" 2") for l in lines)
         assert "repro_groupsig_sign_seconds_count 2" in text
-        # Span aggregation.
-        assert 'repro_span_total{name="handshake"} 1' in text
+        # A span's count and time are its own histogram's, exported
+        # once as a histogram and not restated as span series.
+        assert "repro_handshake_seconds_count 1" in text
+        assert "repro_span_total" not in text
+        assert "repro_span_seconds_total" not in text
 
     def test_prometheus_sanitizes_names(self):
         reg = obs.MetricsRegistry()
@@ -281,3 +331,49 @@ class TestExporters:
         from repro.obs.report import render_snapshot
         with pytest.raises(ValueError):
             render_snapshot({"counters": {}}, fmt="xml")
+
+
+#: Counters that only restated a span histogram's count.
+DELETED_COUNTERS = ("groupsig.sign_total", "groupsig.verify_batch_total",
+                    "groupsig.scan_total", "pool.batches_total",
+                    "router.list_refresh_total")
+
+#: A histogram of values, not of a region's latency.
+VALUE_HISTOGRAMS = ("wmn.auth_delay_seconds",)
+
+
+class TestSmoke:
+    """One series per region, over the demo workload and the seeded
+    traced scenario on TEST."""
+
+    @pytest.fixture(scope="class", params=["demo", "scenario"])
+    def snapshot(self, request):
+        from repro.obs.report import (
+            collect_demo_metrics,
+            collect_scenario_metrics,
+        )
+        if request.param == "demo":
+            return collect_demo_metrics().snapshot()
+        scenario = collect_scenario_metrics(routers=2, users=4, seed=11,
+                                            duration=40.0)
+        return scenario.registry.snapshot()
+
+    def test_every_latency_histogram_counts_its_spans(self, snapshot):
+        assert snapshot["spans"]["dropped"] == 0
+        spans = {}
+        for record in snapshot["spans"]["records"]:
+            spans[record["name"]] = spans.get(record["name"], 0) + 1
+        timed = {name[:-len("_seconds")]: histogram["count"]
+                 for name, histogram in snapshot["histograms"].items()
+                 if name.endswith("_seconds")
+                 and name not in VALUE_HISTOGRAMS}
+        assert timed == spans
+
+    def test_no_counter_restates_a_histogram(self, snapshot):
+        assert not set(DELETED_COUNTERS) & set(snapshot["counters"])
+
+    def test_prometheus_has_no_span_restatements(self, snapshot):
+        text = obs.to_prometheus(snapshot)
+        assert "repro_span_total" not in text
+        assert "repro_span_seconds_total" not in text
+        assert "repro_span_ops_total{" in text

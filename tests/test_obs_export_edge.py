@@ -30,11 +30,15 @@ class TestLabelEscaping:
         assert _escape_label_value("plain") == "plain"
 
     def test_span_name_with_quotes_and_newlines(self):
+        from repro import instrument
         reg = obs.MetricsRegistry()
-        with reg.span('oddly "named"\nspan'):
-            pass
+        with obs.collecting(reg):
+            with reg.span('oddly "named"\nspan'):
+                instrument.note("pairing")
         text = obs.to_prometheus(reg.snapshot())
         assert 'name="oddly \\"named\\"\\nspan"' in text
+        # The span's histogram name is sanitized, not escaped.
+        assert "repro_oddly__named__span_seconds_count 1" in text
         # Every exposition line stays a single physical line.
         assert all(line.startswith(("#", "repro_"))
                    for line in text.strip().splitlines())
@@ -50,7 +54,7 @@ class TestLabelEscaping:
                 instrument.note("pairing", 3)
         text = obs.to_prometheus(reg.snapshot())
         assert 'repro_span_ops_total{name="stage",op="pairing"} 5' in text
-        assert 'repro_span_total{name="stage"} 2' in text
+        assert "repro_stage_seconds_count 2" in text
 
 
 class TestEmptyExports:

@@ -32,10 +32,11 @@ def _no_ambient_leak():
     obs.uninstall()
 
 
-USER_SPANS = {"user.process_beacon", "user.beacon_validate",
-              "user.confirm", "user.complete"}
-ROUTER_SPANS = {"router.service", "router.precheck", "router.accept",
-                "groupsig.verify", "groupsig.spk"}
+USER_SPANS = {"user.beacon_rx", "user.process_beacon",
+              "user.beacon_validate", "user.confirm", "user.complete"}
+ROUTER_SPANS = {"router.service", "router.handshake", "router.precheck",
+                "router.verify", "router.accept", "groupsig.verify",
+                "groupsig.spk"}
 
 
 def connected_traces(snapshot):
@@ -105,10 +106,10 @@ class TestScenarioTraces:
         waterfall = render_waterfall(traces)
         assert "trace " in waterfall and "groupsig.spk" in waterfall
         folded = to_folded(traces)
-        assert ("handshake;user.process_beacon;groupsig.sign"
-                in folded)
-        assert ("handshake;router.service;groupsig.verify;groupsig.spk"
-                in folded)
+        assert ("handshake;user.beacon_rx;user.process_beacon;"
+                "groupsig.sign" in folded)
+        assert ("handshake;router.service;router.handshake;"
+                "router.verify;groupsig.verify;groupsig.spk" in folded)
         for line in folded.strip().splitlines():
             assert int(line.rsplit(" ", 1)[1]) >= 1
 

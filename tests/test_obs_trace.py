@@ -194,6 +194,17 @@ class TestMergeReparenting:
         assert by_name["item"].parent_id == "elsewhere"
 
 
+def _handshake_traces(snapshot, chunks):
+    """The handshake traces of a pool run, after checking that the one
+    other trace is the batch's own: ``pool.batch`` over ``chunks``,
+    carrying no op (each item's ops are in its handshake's trace)."""
+    traces = build_traces(snapshot)
+    (batch,) = [t for t in traces if t["root"]["name"] == "pool.batch"]
+    assert [r["name"] for r in batch["spans"]] == ["pool.batch"] + chunks
+    assert batch["ops"] == {}
+    return [t for t in traces if t is not batch]
+
+
 class TestPoolStitching:
     def _batch(self, gpk, member_keys, count=3):
         rng = random.Random(77)
@@ -215,7 +226,7 @@ class TestPoolStitching:
             for root in roots:
                 root.finish()
         assert outcomes == [None] * len(batch)
-        traces = build_traces(reg.snapshot())
+        traces = _handshake_traces(reg.snapshot(), ["pool.chunk"])
         assert {t["trace_id"] for t in traces} \
             == {f"hs#{i}" for i in range(len(batch))}
         for trace in traces:
@@ -237,7 +248,8 @@ class TestPoolStitching:
             for root in roots:
                 root.finish()
         assert outcomes == [None] * len(batch)
-        traces = build_traces(reg.snapshot())
+        traces = _handshake_traces(reg.snapshot(),
+                                   ["pool.chunk", "pool.chunk"])
         assert {t["trace_id"] for t in traces} \
             == {f"hs#{i}" for i in range(len(batch))}
         for trace in traces:
@@ -285,8 +297,7 @@ class TestReportLayer:
         quick.finish()
         from repro.obs.spans import SpanRecord
         reg._spans.record(SpanRecord(name="b", start=0.0, duration=9.0,
-                                     parent=None, trace_id="slow",
-                                     span_id="sX"))
+                                     trace_id="slow", span_id="sX"))
         ranked = top_slowest(build_traces(reg.snapshot()), n=1)
         assert [t["trace_id"] for t in ranked] == ["slow"]
 
