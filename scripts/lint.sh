@@ -16,11 +16,15 @@
 #    run and bloat diffs; .gitignore keeps new ones out, this gate
 #    keeps them from ever coming back (BENCH_*.json baselines at the
 #    repo root are the one committed benchmark artifact).
-# 5. One verifier in production: the paper's algorithm on generic
-#    pairings (reference_classify) is the tests' oracle and lives in
-#    tests/oracles.py.  The library may neither import the tests nor
-#    name the oracle, so the oracle cannot turn into a second,
-#    bug-hiding verification path.
+# 5. One verifier and one pairing kernel in production: the paper's
+#    algorithm on generic pairings (reference_classify) and the binary
+#    affine Miller loop it pairs with (miller_loop, tate_pairing) are
+#    the tests' oracles and live in tests/oracles.py; every pairing in
+#    the library runs on the NAF line tables of repro/pairing/fastpath.py.
+#    The library may neither import the tests nor name an oracle (nor
+#    the repro.pairing.tate module the binary loop left), so an oracle
+#    cannot turn into a second, bug-hiding verification or pairing
+#    path.
 # 6. One timing path: a region's latency is the span around it, which
 #    feeds the region's <name>_seconds histogram when it closes
 #    (repro/obs/registry.py).  Outside repro/obs no code reads the
@@ -53,11 +57,12 @@ if [ -n "$wallclock" ]; then
     exit 1
 fi
 
-oracle=$(grep -rnE '(^|[^a-zA-Z0-9_.])(import tests|from tests)([^a-zA-Z0-9_]|$)|reference_classify' \
+oracle=$(grep -rnE '(^|[^a-zA-Z0-9_.])(import tests|from tests)([^a-zA-Z0-9_]|$)|reference_classify|tate_pairing|miller_loop|repro\.pairing\.tate' \
          src/repro --include='*.py' || true)
 if [ -n "$oracle" ]; then
-    echo "lint: src/repro imports the tests or names their oracle" >&2
-    echo "      (reference_classify lives in tests/oracles.py only):" >&2
+    echo "lint: src/repro imports the tests or names their oracles" >&2
+    echo "      (reference_classify, tate_pairing and miller_loop live in" >&2
+    echo "      tests/oracles.py only):" >&2
     echo "$oracle" >&2
     exit 1
 fi

@@ -10,10 +10,12 @@
 # The smoke subset runs the TestSmoke classes, which compare every
 # engine fast path (the NAF pairing kernel, batch verification, the
 # multi-process verifier pool) against the naive reference computation
-# -- the NAF Miller line tables against the generic Tate pairing on
-# TEST and SS512, and on a TEST grid every line of the one-inversion
-# table builder against its three-pass oracle -- the table-driven AES
-# against its byte-wise oracle, the one scalar-multiplication kernel
+# -- the NAF Miller line tables, PairingGroup.pair included (random
+# points, either argument at infinity, bilinearity), against the
+# oracle's binary Miller loop on TEST and SS512, and on a TEST grid
+# every line of the one-inversion table builder against its three-pass
+# oracle -- the table-driven AES against its byte-wise oracle, the one
+# scalar-multiplication kernel
 # (fixed-base tables, wNAF on prebuilt or one-off tables, cofactor
 # clearing and H0) against the double-and-add oracle and the naive hash
 # loop, every entry of the batched-affine fixed-base build against its
@@ -66,6 +68,7 @@ done
 if [ "$mode" = "smoke" ]; then
     python -m pytest -x -q ${junit:+"$junit"} \
         tests/test_pairing_precompute.py::TestSmoke \
+        tests/test_pairing_tate.py::TestSmoke \
         tests/test_groupsig_batch.py::TestSmoke \
         tests/test_verifier_pool.py::TestSmoke \
         tests/test_crypto_aes.py::TestSmoke \

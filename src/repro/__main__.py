@@ -44,6 +44,7 @@ from repro.errors import RevokedKeyError
 
 
 def _obs_report(argv) -> int:
+    from repro import obs
     from repro.obs import report as obs_report
 
     parser = argparse.ArgumentParser(
@@ -99,8 +100,8 @@ def _obs_report(argv) -> int:
                                            scenario.alert_events()),
                   end="")
         else:
-            print(obs_report.render_incidents(
-                scenario.incidents(injector)), end="")
+            print(obs.render_incidents(scenario.incidents(injector)),
+                  end="")
         return 0
     if args.incidents_out:
         parser.error("--incidents-out needs --format health|incidents")

@@ -79,9 +79,9 @@ from repro import instrument, obs
 from repro.errors import InvalidSignature, RevokedKeyError
 from repro.pairing import fastpath, hashing
 from repro.mathx import batch_inverse
+from repro.pairing.fastpath import final_exponentiation
 from repro.pairing.fields import Fp2
 from repro.pairing.group import G1Element, GTElement, _join
-from repro.pairing.tate import final_exponentiation
 
 
 def classify_fast(gpk, message: bytes, signature, url, period,
@@ -171,9 +171,8 @@ def classify_fast(gpk, message: bytes, signature, url, period,
         # so each base's table is built once: one-rung odd-multiple
         # tables in flat mode (each pair already shares one chain), the
         # ladders of u and T1 in period mode.  Each multi-exp is one
-        # exponentiation of the abstract cost model, noted exactly like
-        # `group.multi_exp`, and so are the two R2 multi-exps period
-        # mode folds into its pairing.
+        # exponentiation of the abstract cost model, noted once, and so
+        # are the two R2 multi-exps period mode folds into its pairing.
         if period is None:
             u_base, t1_base, t2_base, v_base = (
                 curve.odd_multiples(base.point) for base in (u, t1, t2, v))

@@ -440,7 +440,8 @@ class NetworkOperator:
         and nothing else.  Sessions signed under a retired epoch are
         found in the archived grt of that epoch.  Raises
         :class:`AuditError` when no token matches in any epoch (the
-        signature is not by any key NO issued).
+        signature is not by any key NO issued, or its T1 or T2 is at
+        infinity or outside the prime-order subgroup).
         """
         grt_view = [(token, (token, index)) for token, index in self._grt]
         match = groupsig.open_signature(self.gpk, signed_payload,

@@ -483,7 +483,9 @@ class RouterAuthEngine:
         ``(AccessConfirm, SecureSession)`` pair on acceptance or the
         exception instance the sequential path would have raised.
         Stats and the auth log are updated exactly as if each request
-        had been processed individually.
+        had been processed individually, and each request's precheck
+        and accept run in their own ``router.precheck`` and
+        ``router.accept`` spans, as in :meth:`process_request`.
 
         ``pool`` opts in to multi-core verification through a
         :class:`~repro.core.verifier_pool.VerifierPool`.  The pool is
@@ -512,7 +514,8 @@ class RouterAuthEngine:
                     outcomes[index] = duplicate
                     continue
                 try:
-                    prechecked[index] = self._precheck(request, now)
+                    with obs.span("router.precheck"):
+                        prechecked[index] = self._precheck(request, now)
                 except (ReplayError, PuzzleError, AuthenticationError) as exc:
                     outcomes[index] = exc
                     continue
@@ -548,8 +551,10 @@ class RouterAuthEngine:
                                                    url=url.tokens)
                 for position, error in zip(positions, errors):
                     if error is None:
-                        outcomes[position] = self._accept(
-                            requests[position], *prechecked[position], now)
+                        with obs.span("router.accept"):
+                            outcomes[position] = self._accept(
+                                requests[position], *prechecked[position],
+                                now)
                     elif isinstance(error, groupsig.RevokedKeyError):
                         self._bump("rejected_revoked")
                         outcomes[position] = error

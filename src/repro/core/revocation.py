@@ -55,9 +55,9 @@ from repro.core.wire import Reader, Writer
 from repro.errors import EncodingError, ParameterError, RevokedKeyError
 from repro.pairing import fastpath
 from repro.pairing.curve import Point
+from repro.pairing.fastpath import final_exponentiation
 from repro.pairing.fields import Fp2
 from repro.pairing.group import GTElement
-from repro.pairing.tate import final_exponentiation
 
 
 def epoch_period(epoch: int) -> bytes:

@@ -32,9 +32,9 @@ from repro.core.ttp import TrustedThirdParty
 from repro.core.wire import Writer
 from repro.errors import AuthenticationError, ParameterError
 from repro.pairing import fastpath
+from repro.pairing.fastpath import final_exponentiation
 from repro.pairing.fields import Fp2
 from repro.pairing.group import PairingGroup
-from repro.pairing.tate import final_exponentiation
 from repro.sig.curves import SECP160R1, WeierstrassCurve
 from repro.sig.ecdsa import EcdsaKeyPair, ecdsa_generate
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.obs.health import render_incidents
 
-#: Formats understood by :func:`render_report`.
+#: Formats of the ``obs-report`` CLI.
 FORMATS = ("json", "prom", "traces", "folded", "health", "incidents")
 
 #: Formats that need a chaos scenario run (health evaluation + fault
@@ -328,26 +327,3 @@ def render_snapshot(snapshot, fmt: str = "json") -> str:
     if fmt == "folded":
         return to_folded(build_traces(snapshot))
     raise ValueError(f"unknown report format {fmt!r}; pick from {FORMATS}")
-
-
-def render_report(fmt: str = "json", preset: str = "TEST",
-                  handshakes: int = 4, seed: int = 7) -> str:
-    """Collect the matching workload's metrics and render them.
-
-    ``health``/``incidents`` run the chaos scenario
-    (:func:`collect_incident_metrics`, seeded 101 unless ``seed`` is
-    overridden away from the demo default); every other format runs
-    the plain demo workload.
-    """
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown report format {fmt!r}; pick from {FORMATS}")
-    if fmt in SCENARIO_FORMATS:
-        scenario, injector = collect_incident_metrics(
-            seed=101 if seed == 7 else seed)
-        if fmt == "health":
-            return render_health(scenario.health_snapshot(),
-                                 scenario.alert_events())
-        return render_incidents(scenario.incidents(injector))
-    registry = collect_demo_metrics(preset=preset, handshakes=handshakes,
-                                    seed=seed)
-    return render_snapshot(registry.snapshot(), fmt)

@@ -1,10 +1,10 @@
 """Elliptic-curve arithmetic for ``y^2 = x^3 + x`` over F_p.
 
 The group law is affine: modular inversion in Python is a single
-``pow(x, -1, p)`` call, which keeps additions simple and -- crucially for
-the Tate pairing -- exposes the line slopes the Miller loop needs.
-Scalar multiplication runs on the Jacobian arithmetic the ECDSA curves
-share (:mod:`repro.mathx.jacobian`, with ``a = 1``).
+``pow(x, -1, p)`` call, which keeps additions simple.  Scalar
+multiplication runs on the Jacobian arithmetic the ECDSA curves share
+(:mod:`repro.mathx.jacobian`, with ``a = 1``); the pairing's Miller
+line tables are built in :mod:`repro.pairing.fastpath`.
 
 Points are immutable; the point at infinity is the singleton produced by
 :meth:`Point.infinity`.
@@ -134,9 +134,6 @@ class Curve:
         y3 = (slope * (x1 - x3) - y1) % p
         return Point(x3, y3, p)
 
-    def double(self, point: Point) -> Point:
-        return self.add(point, point)
-
     def mul(self, point: Point, scalar: int) -> Point:
         """Return ``scalar * point``, the scalar reduced modulo ``r``
         (subgroup checks and cofactor clearing use :meth:`multi_mul_raw`)."""
@@ -148,9 +145,9 @@ class Curve:
         Scalars are reduced modulo ``r``.  All terms share one Jacobian
         doubling chain (the dominant cost), with per-point tables of odd
         multiples (a base may be its prebuilt :meth:`odd_multiples`
-        table or :meth:`ladder`); still counted as ONE
-        multi-exponentiation by the instrumentation layer (the counting
-        happens in :meth:`repro.pairing.group.PairingGroup.multi_exp`).
+        table or :meth:`ladder`); the paper prices such a product as ONE
+        multi-exponentiation, which the caller notes (this method notes
+        nothing).
         """
         return self.multi_mul_raw([(base, scalar % self.r)
                                    for base, scalar in pairs])

@@ -1,16 +1,17 @@
-"""Engine-only pairing kernels for the batch verification core.
+"""The pairing kernels: the one way ``src/repro`` evaluates a pairing.
 
-Everything in this module is a wall-clock optimisation of the generic
-pairing of :mod:`repro.pairing.tate`: outputs are identical to it after
-the final exponentiation (Miller values scaled by an F_p* factor, which
-the ``(p - 1)`` part of the final exponent annihilates), and
-``tests/test_pairing_precompute.py`` holds the NAF kernel to
-:func:`~repro.pairing.tate.tate_pairing` on every shipped preset.  Only
-the crypto engine, the batch core, the revocation tag index and a
-user's credential check call into this module.  Scalar multiplication
-is not here: every curve multiple -- the SPK's multi-exps on shared
-tables and ladders and H0's cofactor clearing included -- runs on the
-one kernel of :mod:`repro.mathx.jacobian`.
+Every pairing -- :meth:`repro.pairing.group.PairingGroup.pair`, each
+verification, a user's credential check, the engine's base pairing and
+the revocation tag index -- runs on the NAF Miller line tables below and
+the one :func:`final_exponentiation`.  Miller values here are the
+textbook ones scaled by F_p* factors, which the ``(p - 1)`` part of the
+final exponent annihilates, so outputs are identical after the final
+exponentiation; ``tests/test_pairing_precompute.py`` and
+``tests/test_pairing_tate.py`` hold them to the binary affine Miller
+loop of ``tests/oracles.py`` on every shipped preset.  Scalar
+multiplication is not here: every curve multiple -- the SPK's
+multi-exps on shared tables and ladders and H0's cofactor clearing
+included -- runs on the one kernel of :mod:`repro.mathx.jacobian`.
 
 Nothing here reports to :mod:`repro.instrument` -- callers note the
 abstract operations at the same milestones the naive path would, which
@@ -35,15 +36,21 @@ The kernels:
     (Montgomery's trick) serves every line, instead of one inversion
     per Miller step.
 
-``miller_eval`` / ``miller_eval_pair`` / ``final_exponentiation_each``
+``miller_eval`` / ``miller_eval_pair``
     Raw-integer helpers for evaluating stored lines -- one table, or
-    two on one shared accumulator -- and final-exponentiating many raw
-    values with one batched inversion.
+    two on one shared accumulator.
+
+``final_exponentiation`` / ``final_exponentiation_each``
+    The power ``(p^2 - 1) / r`` of one raw Miller value, or of many
+    with one batched inversion: the easy part ``v^(p-1)`` lands on the
+    unit circle of F_p2, where ``unitary_pow_h`` takes the cofactor
+    power.
 
 ``unitary_pow_h`` / ``unitary_tag_is_one``
-    Testing revocation tags on the unit circle of F_p2 (where the
-    cofactor ``h = (p + 1) / r`` has Hamming weight 6, so ``z^h`` is
-    almost all cheap unitary squarings).
+    The cofactor power ``z^h`` of a norm-1 element, and the revocation
+    tag test ``z^h == 1`` (``h = (p + 1) / r`` has Hamming weight at
+    most 6 on the shipped presets, so ``z^h`` is almost all cheap
+    unitary squarings).
 
 ``GTFixedBase``
     Signed-window fixed-base exponentiation in GT for the cached base
@@ -65,7 +72,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.mathx import batch_inverse
 from repro.pairing.curve import Curve, Point
 from repro.pairing.fields import Fp2
-from repro.pairing.tate import _unitary_pow
 
 #: Cached MSB-first bit strings keyed by the integer itself -- the
 #: cofactor ``h`` of each curve in use (one entry per parameter preset).
@@ -216,13 +222,13 @@ def naf_steps(curve: Curve, point: Point) -> List[List[Tuple[int, int]]]:
     :func:`miller_eval`.  The chain follows the non-adjacent form of
     ``r`` -- around a third the add steps of the dense binary expansion
     at SS512 -- so every evaluation of the table is proportionally
-    cheaper.  The value differs from the binary Miller loop's
-    (:func:`repro.pairing.tate.miller_loop`) by an F_p* factor only
-    (negative digits drop a vertical line that evaluates in F_p at
-    ``phi(Q)``), i.e. it is *final-exponentiation-identical*: only
-    callers that FE the result may use these tables, and the tests hold
-    ``FE(miller_eval(naf_steps(P), Q))`` to ``tate_pairing(P, Q)``.
-    The point at infinity has no steps.
+    cheaper.  The value differs from the binary Miller loop's (the
+    tests' oracle) by an F_p* factor only (negative digits drop a
+    vertical line that evaluates in F_p at ``phi(Q)``), i.e. it is
+    *final-exponentiation-identical*: only callers that FE the result
+    may use these tables, and the tests hold
+    ``FE(miller_eval(naf_steps(P), Q))`` to the oracle's pairing of
+    ``P`` and ``Q``.  The point at infinity has no steps.
 
     Each line's affine slope and constant come straight off the
     Jacobian chain over one common denominator ``D``, and all the
@@ -413,23 +419,35 @@ def miller_eval_pair(steps1: Sequence[Sequence[Tuple[int, int]]],
     return f_a, f_b
 
 
+def final_exponentiation(curve: Curve, value: Fp2) -> Fp2:
+    """Raise a Miller value to ``(p^2 - 1) / r``: the one value of
+    :func:`final_exponentiation_each`.
+
+    Identical to the direct ``value ** ((p*p - 1) // r)``, several
+    times faster."""
+    return final_exponentiation_each([(value.a, value.b)], curve)[0]
+
+
 def final_exponentiation_each(raws: Sequence[Tuple[int, int]],
                               curve: Curve) -> List[Fp2]:
-    """``final_exponentiation`` of each raw Miller value, bit-identical,
-    with one batched easy part.
+    """:func:`final_exponentiation` of each raw Miller value, with one
+    batched easy part.
 
-    The easy part ``v^(p-1) = conj(v) / v = conj(v)^2 / norm(v)`` needs
-    one field inversion per value, of the norm alone, so a Montgomery
-    batch inversion shares a single ``pow(_, -1, p)`` across all of
-    them (field inverses are unique, so each result is exactly the
-    single-value one).
+    The exponent factors as ``(p - 1) * h`` (the parameters guarantee
+    ``p + 1 = h * r``).  The easy part ``v^(p-1) = conj(v) / v =
+    conj(v)^2 / norm(v)`` needs one field inversion per value, of the
+    norm alone, so a Montgomery batch inversion shares a single
+    ``pow(_, -1, p)`` across all of them (field inverses are unique, so
+    each result is exactly the single-value one).  Its result is
+    unitary (norm 1), so the hard part is :func:`unitary_pow_h`.
     """
     p = curve.p
     inverses = batch_inverse([fp2_norm(a, b, p) for a, b in raws], p)
     out = []
     for (a, b), inverse in zip(raws, inverses):
-        out.append(_unitary_pow((a * a - b * b) * inverse % p,
-                                (-2 * a * b) * inverse % p, curve.h, p))
+        out.append(Fp2(*unitary_pow_h((a * a - b * b) * inverse % p,
+                                      (-2 * a * b) * inverse % p, curve),
+                       p))
     return out
 
 
@@ -441,9 +459,10 @@ def final_exponentiation_each(raws: Sequence[Tuple[int, int]],
 def unitary_pow_h(a: int, b: int, curve: Curve) -> Tuple[int, int]:
     """Raise a norm-1 element to the cofactor ``h`` (plain square chain).
 
-    ``h = (p + 1) / r`` has Hamming weight 6 on the shipped presets, so
-    MSB-first square-and-multiply is within a few multiplications of
-    optimal and needs no recoding or table.
+    ``h = (p + 1) / r`` has Hamming weight at most 6 on the shipped
+    presets (6 at SS512, 3 at TEST), so MSB-first square-and-multiply is
+    within a few multiplications of optimal and needs no recoding or
+    table.
     """
     p = curve.p
     ra, rb = a, b

@@ -4,9 +4,9 @@ Because every pairing curve in this package uses ``p = 3 (mod 4)``, the
 polynomial ``i^2 + 1`` is irreducible over F_p and this representation is
 always valid.  Elements are immutable ``a + b*i`` pairs.
 
-The Miller loop in :mod:`repro.pairing.tate` works on raw integer pairs
-for speed; this class is the boundary representation used by GT elements
-and by tests/property checks.
+The pairing kernels of :mod:`repro.pairing.fastpath` work on raw
+integer pairs for speed; this class is the boundary representation used
+by GT elements and by tests/property checks.
 """
 
 from __future__ import annotations
@@ -32,18 +32,10 @@ class Fp2:
         """Multiplicative identity."""
         return cls(1, 0, p)
 
-    @classmethod
-    def zero(cls, p: int) -> "Fp2":
-        """Additive identity."""
-        return cls(0, 0, p)
-
     # -- predicates ---------------------------------------------------
 
     def is_one(self) -> bool:
         return self.a == 1 and self.b == 0
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     # -- arithmetic ---------------------------------------------------
 
@@ -67,15 +59,6 @@ class Fp2:
         a, b, c, d, p = self.a, self.b, other.a, other.b, self.p
         # (a + bi)(c + di) = (ac - bd) + (ad + bc) i
         return Fp2((a * c - b * d) % p, (a * d + b * c) % p, p)
-
-    def square(self) -> "Fp2":
-        """Return self^2 using the (a+b)(a-b) shortcut."""
-        a, b, p = self.a, self.b, self.p
-        return Fp2((a + b) * (a - b) % p, 2 * a * b % p, p)
-
-    def conjugate(self) -> "Fp2":
-        """Return ``a - b*i`` -- this is also self^p (the Frobenius)."""
-        return Fp2(self.a, -self.b, self.p)
 
     def norm(self) -> int:
         """Return the field norm ``a^2 + b^2`` in F_p."""

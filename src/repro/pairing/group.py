@@ -9,7 +9,7 @@ exactly like the paper and could be retargeted to an asymmetric backend.
 
 Group notation is multiplicative to match the paper: ``g ** a`` is
 exponentiation, ``x * y`` the group operation.  Every exponentiation,
-multi-exponentiation, ``psi`` application, and pairing reports itself to
+``psi`` application, hash to the group and pairing reports itself to
 :mod:`repro.instrument` so benchmarks can reproduce the paper's abstract
 operation counts.
 """
@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro import instrument
 from repro.errors import EncodingError, ParameterError
+from repro.pairing import fastpath
 from repro.pairing.curve import Curve, Point
 from repro.pairing.fields import Fp2
 from repro.pairing.hashing import (
@@ -31,7 +32,6 @@ from repro.pairing.hashing import (
     hash_to_scalar,
 )
 from repro.pairing.params import PairingParams, get_params
-from repro.pairing.tate import tate_pairing
 
 
 class _GroupElement:
@@ -182,12 +182,30 @@ class PairingGroup:
     # -- pairing ----------------------------------------------------------
 
     def pair(self, lhs: G1Element, rhs: G2Element) -> GTElement:
-        """Bilinear map ``e : G1 x G2 -> GT``."""
-        instrument.note("pairing")
-        return GTElement(tate_pairing(self.curve, lhs.point, rhs.point), self)
+        """Bilinear map ``e : G1 x G2 -> GT``: the modified Tate pairing
+        ``f_{r,P}(phi(Q)) ^ ((p^2 - 1) / r)``.
 
-    def gt_identity(self) -> GTElement:
-        return GTElement(Fp2.one(self.params.p), self)
+        Its domain is the order-``r`` subgroup and ``O``: ``e(O, Q) =
+        e(P, O) = 1``.  On other curve points the value is unspecified
+        (a point of small odd order as ``lhs`` pairs differently from
+        the textbook Miller loop), so an entry point that pairs a point
+        from outside checks it first.  Points from another field raise
+        :class:`ParameterError`.  One Miller pass over ``P``'s NAF line
+        table (:func:`repro.pairing.fastpath.naf_steps`) and the final
+        exponentiation; notes one pairing.
+        """
+        instrument.note("pairing")
+        curve = self.curve
+        p = curve.p
+        point_p, point_q = lhs.point, rhs.point
+        if point_p.p != p or point_q.p != p:
+            raise ParameterError("points from a different field")
+        if point_p.is_infinity() or point_q.is_infinity():
+            return GTElement(Fp2.one(p), self)
+        raw = fastpath.miller_eval(fastpath.naf_steps(curve, point_p),
+                                   point_q, p)
+        return GTElement(fastpath.final_exponentiation(curve, Fp2(*raw, p)),
+                         self)
 
     # -- scalars -----------------------------------------------------------
 
@@ -209,36 +227,11 @@ class PairingGroup:
         return G1Element(
             hash_to_point(self.curve, b"repro/peace/G1", _join(parts)), self)
 
-    def hash_to_g2(self, *parts: bytes) -> G2Element:
-        instrument.note("hash_to_group")
-        return G2Element(
-            hash_to_point(self.curve, b"repro/peace/G2", _join(parts)), self)
-
     def hash_h0(self, *parts: bytes) -> Tuple[G2Element, G2Element]:
         """The paper's ``H0``: hash to a pair ``(u_hat, v_hat)`` in G2^2."""
         instrument.note("hash_to_group", 2)
         u_hat, v_hat = hash_h0(self.curve, _join(parts))
         return G2Element(u_hat, self), G2Element(v_hat, self)
-
-    # -- multi-exponentiation ----------------------------------------------
-
-    def multi_exp(self, terms: Sequence[Tuple[_GroupElement, int]]):
-        """Compute ``prod(base_i ** k_i)`` counted as ONE exponentiation.
-
-        The paper (following Boneh-Shacham) prices a product of powers as
-        a single multi-exponentiation; routing such products through this
-        method makes the measured operation counts comparable.
-        """
-        if not terms:
-            raise ParameterError("multi_exp of no terms")
-        instrument.note("exp")
-        kind = type(terms[0][0])
-        pairs = []
-        for base, exponent in terms:
-            if type(base) is not kind:
-                raise ParameterError("multi_exp across G1/G2")
-            pairs.append((base.point, exponent))
-        return kind(self.curve.multi_mul(pairs), self)
 
     # -- encoding ------------------------------------------------------------
 

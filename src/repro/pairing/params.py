@@ -72,11 +72,6 @@ class PairingParams:
         """Serialized size of a compressed curve point (tag + x)."""
         return 1 + self.field_bytes
 
-    @property
-    def gt_bytes(self) -> int:
-        """Serialized size of a GT element (two F_p coefficients)."""
-        return 2 * self.field_bytes
-
 
 PRESETS: Dict[str, PairingParams] = {
     "TEST": PairingParams(

@@ -59,30 +59,6 @@ class WeierstrassCurve:
     def scalar_bytes(self) -> int:
         return (self.n.bit_length() + 7) // 8
 
-    # -- affine group law (reference implementation, used by tests) -------
-
-    def affine_add(self, lhs: AffinePoint, rhs: AffinePoint) -> AffinePoint:
-        if lhs is None:
-            return rhs
-        if rhs is None:
-            return lhs
-        p = self.p
-        x1, y1 = lhs
-        x2, y2 = rhs
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None
-            slope = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, p) % p
-        else:
-            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (slope * slope - x1 - x2) % p
-        return (x3, (slope * (x1 - x3) - y1) % p)
-
-    def affine_neg(self, point: AffinePoint) -> AffinePoint:
-        if point is None:
-            return None
-        return (point[0], (-point[1]) % self.p)
-
     # -- scalar multiplication (shared Jacobian arithmetic) ---------------
 
     def scalar_mul(self, point: AffinePoint, k: int) -> AffinePoint:

@@ -123,8 +123,10 @@ class TestColdStart:
                  "sym_encrypt": 1}
 
     def test_build_and_first_handshake_skip_the_generic_pairing(self):
-        with mock.patch("repro.pairing.tate.miller_loop",
-                        side_effect=AssertionError("generic pairing")):
+        # Every pairing on this path runs on the engine's tables; a
+        # one-off PairingGroup.pair would build a line table per call.
+        with mock.patch("repro.pairing.group.PairingGroup.pair",
+                        side_effect=AssertionError("one-off pairing")):
             with instrument.count_operations() as build_ops:
                 deployment = Deployment.build(
                     preset="TEST", seed=11, groups={"Metro": 6},

@@ -377,3 +377,34 @@ class TestSmoke:
         assert "repro_span_total" not in text
         assert "repro_span_seconds_total" not in text
         assert "repro_span_ops_total{" in text
+
+
+class TestBatchPathSpans:
+    """The router's batch path opens a ``router.precheck`` and a
+    ``router.accept`` span per request, as its one-request path does, so
+    the demo workload's 4 handshakes, 2-request batch and revoked
+    handshake time 7 prechecks and 6 accepts."""
+
+    @pytest.fixture(scope="class")
+    def snapshot(self):
+        from repro.obs.report import collect_demo_metrics
+        return collect_demo_metrics().snapshot()
+
+    def test_every_request_times_its_stages(self, snapshot):
+        histograms = snapshot["histograms"]
+        assert histograms["router.precheck_seconds"]["count"] == 7
+        assert histograms["router.accept_seconds"]["count"] == 6
+
+    def test_batched_accepts_hold_their_own_ops(self, snapshot):
+        records = snapshot["spans"]["records"]
+        [batch] = [record for record in records
+                   if record["name"] == "router.batch"]
+        assert batch["ops"] == {}
+        children = [record for record in records
+                    if record["parent_id"] == batch["span_id"]]
+        assert sorted(record["name"] for record in children) == [
+            "groupsig.verify_batch", "router.accept", "router.accept",
+            "router.precheck", "router.precheck"]
+        assert [record["ops"] for record in children
+                if record["name"] == "router.accept"] == [
+            {"aes_block": 4, "exp": 1, "mac": 1, "sym_encrypt": 1}] * 2

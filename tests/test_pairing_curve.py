@@ -43,10 +43,6 @@ class TestGroupLaw:
         a, b, c = POINTS[:3]
         assert CURVE.add(CURVE.add(a, b), c) == CURVE.add(a, CURVE.add(b, c))
 
-    def test_double_matches_add(self):
-        p = POINTS[0]
-        assert CURVE.double(p) == CURVE.add(p, p)
-
     def test_points_on_curve(self):
         for p in POINTS:
             assert CURVE.is_on_curve(p)

@@ -37,7 +37,6 @@ class TestPresets:
         assert params.scalar_bytes == 8
         assert params.field_bytes == 16
         assert params.point_bytes == 17
-        assert params.gt_bytes == 32
 
 
 class TestValidation:

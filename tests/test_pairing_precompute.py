@@ -6,7 +6,8 @@ exponentiation tables, and the NAF Miller line tables of fixed pairing
 arguments (:func:`repro.pairing.fastpath.naf_steps` evaluated by
 ``miller_eval`` and ``miller_eval_pair``) -- is compared here against
 the naive reference computation on random inputs, the pairing tables
-against :func:`~repro.pairing.tate.tate_pairing` on TEST and SS512.
+against the binary-loop oracle ``tate_pairing`` (``tests/oracles.py``)
+on TEST and SS512.
 :class:`TestNafStepsBuild` holds every line the one-inversion builder
 produces to the three-pass oracle ``two_inversion_naf_steps``
 (``tests/oracles.py``), small-order and degenerate chains included.  The
@@ -22,9 +23,9 @@ from repro.core import groupsig
 from repro.pairing import PairingGroup, fastpath
 from repro.pairing.curve import Curve, FixedBaseTable, Point
 from repro.pairing.fields import Fp2
+from repro.pairing.fastpath import final_exponentiation
 from repro.pairing.params import PRESETS
-from repro.pairing.tate import final_exponentiation, miller_loop, tate_pairing
-from tests.oracles import two_inversion_naf_steps
+from tests.oracles import miller_loop, tate_pairing, two_inversion_naf_steps
 from tests.test_sig_curves import _point_of_order
 from tests.test_verify_differential import ODD_TORSION
 
@@ -86,13 +87,23 @@ class TestMultiMul:
 
 
 class TestFinalExponentiation:
-    def test_matches_direct_power(self, curve, module_rng):
-        exponent = (curve.p * curve.p - 1) // curve.r
-        for _ in range(5):
-            p1 = _random_point(curve, module_rng)
-            p2 = _random_point(curve, module_rng)
-            raw = miller_loop(curve, p1, p2)
-            assert final_exponentiation(curve, raw) == raw ** exponent
+    def test_matches_direct_power(self, curves, module_rng):
+        """On Miller values and on random F_p2 values, TEST and SS512;
+        ``final_exponentiation_each`` gives each value's power."""
+        for curve, trials in curves:
+            p = curve.p
+            exponent = (p * p - 1) // curve.r
+            values = [Fp2(module_rng.randrange(1, p), module_rng.randrange(p),
+                          p) for _ in range(trials)]
+            for _ in range(2):
+                values.append(miller_loop(curve,
+                                          _random_point(curve, module_rng),
+                                          _random_point(curve, module_rng)))
+            expected = [value ** exponent for value in values]
+            assert [final_exponentiation(curve, value)
+                    for value in values] == expected
+            assert fastpath.final_exponentiation_each(
+                [(value.a, value.b) for value in values], curve) == expected
 
 
 class TestFixedBaseTable:

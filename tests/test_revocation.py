@@ -25,8 +25,7 @@ from repro.core.revocation import (
 )
 from repro.errors import CertificateError, ParameterError, RevokedKeyError
 from repro.pairing.group import G1Element, GTElement
-from repro.pairing.tate import tate_pairing
-from tests.oracles import reference_classify
+from tests.oracles import reference_classify, tate_pairing
 
 CHAOS_SEEDS = (101, 202, 303)
 

@@ -5,25 +5,33 @@ large cofactor ``h``; a point can satisfy the curve equation yet lie
 outside the prime-order-r subgroup.  Every externally supplied group
 element (T1/T2 in signatures, the DH values of beacons, requests, and
 peer messages) must be validated, or an attacker could inject
-off-subgroup points.
+off-subgroup points.  :class:`TestPairingEntryPoints` holds the three
+public functions that pair a signature from outside (the NO's open,
+Eq.3 for one token, the period tag) to the binary-loop oracle on
+signatures that verify, and to verification's milestone-1 refusal on
+the rest.
 """
 
 import random
 
 import pytest
 
-from repro import Deployment
+from repro import Deployment, instrument
 from repro.core import groupsig
 from repro.core.certs import UserRevocationList
+from repro.core.groupsig import RevocationToken
 from repro.core.messages import AccessRequest, Beacon, PeerHello
 from repro.errors import (
+    AuditError,
     AuthenticationError,
     EncodingError,
     InvalidSignature,
     ProtocolError,
 )
 from repro.pairing.curve import Point
-from repro.pairing.group import G1Element
+from repro.pairing.group import G1Element, GTElement
+from tests.oracles import tate_pairing, token_encoded
+from tests.test_verify_differential import _mutate
 
 
 def off_subgroup_point(group, rng=None):
@@ -111,6 +119,95 @@ class TestProtocolBoundaries:
         deployment = fresh_deployment()
         deployment.connect("alice", "MR-1")
         deployment.peer_connect("alice", "bob", "MR-1")
+
+
+# ---------------------------------------------------------------------------
+# Entry points that pair a signature from outside
+# ---------------------------------------------------------------------------
+
+
+#: Signatures outside the domain of the pairing: T1 or T2 at infinity,
+#: or plus the 2-torsion point, or plus an order-37 point.
+OFF_GROUP = ("degenerate_t1", "degenerate_t2", "torsion_t1", "torsion_t2",
+             "order37_t1", "order37_t2")
+
+
+class TestPairingEntryPoints:
+    """``open_signature``, ``signature_matches_token`` and
+    ``revocation_tag`` pair a signature from outside, so each first runs
+    verification's milestone 1, noting nothing."""
+
+    @pytest.mark.parametrize("period", [None, b"entry-period"])
+    def test_verifying_signatures_match_the_oracle(self, scheme, period):
+        gpk, _master, keys = scheme
+        group, curve = gpk.group, gpk.group.curve
+        rng = random.Random(2525)
+        tokens = [RevocationToken(key.a) for key in keys.values()]
+        grt = [(token, position) for position, token in enumerate(tokens)]
+        for position, key in enumerate(keys.values()):
+            message = b"entry point %d" % position
+            signature = groupsig.sign(gpk, key, message, rng=rng,
+                                      period=period)
+            groupsig.verify(gpk, message, signature, period=period)
+            u_hat, v_hat, _u, _v = groupsig.derive_generators(
+                gpk, message, signature.r, period)
+            expected = [token_encoded(group, signature, token, u_hat, v_hat)
+                        for token in tokens]
+            assert expected == [index == position
+                                for index in range(len(tokens))]
+            assert [groupsig.signature_matches_token(
+                gpk, message, signature, token, period)
+                for token in tokens] == expected
+            assert groupsig.open_signature(gpk, message, signature, grt,
+                                           period) == position
+            tag = (tate_pairing(curve, signature.t2.point, u_hat.point)
+                   * tate_pairing(curve, signature.t1.point,
+                                  v_hat.point).inverse())
+            assert groupsig.revocation_tag(gpk, message, signature,
+                                           period) == \
+                GTElement(tag, group).encode()
+
+    @pytest.mark.parametrize("period", [None, b"entry-period"])
+    @pytest.mark.parametrize("kind", OFF_GROUP)
+    def test_off_group_signature_refused_silently(self, scheme, kind,
+                                                  period):
+        gpk, _master, keys = scheme
+        key = keys["a1"]
+        message = b"entry point refusal"
+        signature = _mutate(gpk, groupsig.sign(
+            gpk, key, message, rng=random.Random(2626), period=period),
+            kind)
+        token = RevocationToken(key.a)
+        expected = ("degenerate T1/T2" if kind.startswith("degenerate")
+                    else "T1/T2 outside the prime-order subgroup")
+        with instrument.count_operations() as ops:
+            assert not groupsig.signature_matches_token(
+                gpk, message, signature, token, period)
+            assert groupsig.open_signature(
+                gpk, message, signature, [(token, "a1")], period) is None
+            with pytest.raises(InvalidSignature) as info:
+                groupsig.revocation_tag(gpk, message, signature, period)
+        assert str(info.value) == expected
+        assert ops.snapshot() == {}
+
+    def test_audit_refuses_a_torsion_shifted_signature(self, deployment):
+        """A + (0, 0)'s trick on T1: the binary loop's Eq.3 still finds
+        the signer, but the audit refuses a signature no router
+        accepts."""
+        operator = deployment.operator
+        credential = deployment.users["alice"].credentials["Company X"]
+        payload = b"audited session"
+        signature = groupsig.sign(operator.gpk, credential, payload,
+                                  rng=random.Random(2727))
+        assert operator.audit_session(payload, signature).group_name == \
+            "Company X"
+        shifted = _mutate(operator.gpk, signature, "torsion_t1")
+        u_hat, v_hat, _u, _v = groupsig.derive_generators(
+            operator.gpk, payload, signature.r)
+        assert token_encoded(deployment.group, shifted,
+                             RevocationToken(credential.a), u_hat, v_hat)
+        with pytest.raises(AuditError):
+            operator.audit_session(payload, shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ from repro.errors import (
 from repro.pairing import PairingGroup
 from repro.pairing.curve import Point
 from repro.pairing.group import G1Element
-from tests.oracles import reference_classify
+from tests.oracles import generic_pair, multi_exp, reference_classify
 
 PERIOD = b"differential-period"
 #: The period the tag index derives for the scheme's epoch-0 gpk: items
@@ -670,12 +670,14 @@ class TestSmoke:
                     gpk, message, signature, (), period, False)))
             verdicts.append(error[0] is None)
             c, t2 = signature.c, signature.t2
-            left = group.multi_exp([(t2, signature.s_x),
-                                    (v, -signature.s_delta % order)])
-            right = group.multi_exp([(v, -signature.s_alpha % order),
-                                     (t2, c)])
-            assert r2 == (group.pair(left, gpk.g2) * group.pair(right, gpk.w)
-                          * group.pair(gpk.g1, gpk.g2) ** (-c % order))
+            left = multi_exp(group, [(t2, signature.s_x),
+                                     (v, -signature.s_delta % order)])
+            right = multi_exp(group, [(v, -signature.s_alpha % order),
+                                      (t2, c)])
+            assert r2 == (generic_pair(group, left, gpk.g2)
+                          * generic_pair(group, right, gpk.w)
+                          * generic_pair(group, gpk.g1, gpk.g2)
+                          ** (-c % order))
         assert verdicts == [True, False, False, False, False]
         # X = O with T2 off the subgroup: the plain check rejects it.
         torsion = G1Element(Point(0, 0, group.curve.p), group)
