@@ -30,6 +30,11 @@
 #    (repro/obs/registry.py).  Outside repro/obs no code reads the
 #    registry's clock or opens a timer, so no region is timed twice
 #    and no histogram drifts from the spans an operator reads.
+# 7. Standard library only: the README promises pure Python,
+#    pyproject.toml declares no dependency, and CI's perfbench-trace job
+#    installs nothing.  So every module of src/repro must import under
+#    `python -S` (no site-packages); a failure names the module and the
+#    import it misses.
 
 set -e
 cd "$(dirname "$0")/.."
@@ -73,6 +78,21 @@ if [ -n "$timers" ]; then
     echo "lint: a region timed outside its span (open a span instead;" >&2
     echo "      it feeds <name>_seconds when it closes):" >&2
     echo "$timers" >&2
+    exit 1
+fi
+
+nonstdlib=$(PYTHONPATH=src python -S -c '
+import importlib, pkgutil, repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    try:
+        importlib.import_module(info.name)
+    except Exception as exc:
+        print(f"{info.name}: {type(exc).__name__}: {exc}")
+' 2>&1)
+if [ -n "$nonstdlib" ]; then
+    echo "lint: a src/repro module does not import on the standard library" >&2
+    echo "      alone (python -S):" >&2
+    echo "$nonstdlib" >&2
     exit 1
 fi
 

@@ -95,12 +95,16 @@ def strategy_insider_keys(gpk, msg1, sig1, msg2, sig2, aux) -> bool:
 
 
 def strategy_with_token(gpk, msg1, sig1, msg2, sig2, aux) -> bool:
-    """NO's view: aux is the full grt (all revocation tokens)."""
+    """NO's view: aux is the full grt (all revocation tokens).
+
+    Each signature's owner is the position of the first token encoded
+    in it, found by one NO audit (:func:`groupsig.open_signature`), so
+    the generators are derived once per signature, not once per token.
+    """
     def owner(msg, sig) -> Optional[int]:
-        for position, token in enumerate(aux):
-            if groupsig.signature_matches_token(gpk, msg, sig, token):
-                return position
-        return None
+        return groupsig.open_signature(
+            gpk, msg, sig,
+            ((token, position) for position, token in enumerate(aux)))
     owner1 = owner(msg1, sig1)
     return owner1 is not None and owner1 == owner(msg2, sig2)
 

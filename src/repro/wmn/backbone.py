@@ -6,9 +6,10 @@ the routers share "pre-established secure channels", and "all the
 network traffic has to go through a mesh router except the
 communication between two direct neighboring users".
 
-:class:`BackboneNetwork` models that layer: a graph of router-to-router
-links (from the topology's backbone graph) with per-hop latency and
-bitrate, carrying opaque payloads between routers over the event loop.
+:class:`BackboneNetwork` models that layer: the topology's adjacency
+map of router-to-router links, with per-hop latency and bitrate paid
+over the breadth-first hop count, carrying opaque payloads between
+routers over the event loop.
 Because the channels are pre-secured by assumption, backbone frames are
 not re-encrypted here -- end-to-end protection is the user sessions'
 AEAD, which routers forward without being able to forge.
@@ -22,12 +23,11 @@ B's serving router -> one-hop downlink to B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
-
-import networkx as nx
+from typing import Callable, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.wmn.simclock import EventLoop
+from repro.wmn.topology import Backbone, hop_counts
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,11 @@ class BackboneFrame:
 class BackboneNetwork:
     """Forwarding fabric over the topology's backbone graph."""
 
-    def __init__(self, loop: EventLoop, graph: nx.Graph,
+    def __init__(self, loop: EventLoop, backbone: Backbone,
                  bitrate: float = 70e6,
                  per_hop_latency: float = 0.001) -> None:
         self.loop = loop
-        self.graph = graph
+        self.backbone = backbone
         self.bitrate = bitrate
         self.per_hop_latency = per_hop_latency
         self._handlers: Dict[str, Callable[[BackboneFrame], None]] = {}
@@ -62,17 +62,10 @@ class BackboneNetwork:
     def attach_router(self, router_id: str,
                       handler: Callable[[BackboneFrame], None]) -> None:
         """Register a router's receive handler."""
-        if router_id not in self.graph:
+        if router_id not in self.backbone:
             raise SimulationError(
                 f"{router_id} is not a backbone node")
         self._handlers[router_id] = handler
-
-    def path_between(self, src: str, dst: str) -> Optional[List[str]]:
-        """Backbone route (list of router ids), or None if partitioned."""
-        try:
-            return nx.shortest_path(self.graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return None
 
     def send(self, frame: BackboneFrame) -> bool:
         """Route a frame across the backbone; returns acceptance.
@@ -84,11 +77,11 @@ class BackboneNetwork:
         if frame.src_router == frame.dst_router:
             self._deliver_later(frame, delay=0.0)
             return True
-        path = self.path_between(frame.src_router, frame.dst_router)
-        if path is None or frame.dst_router not in self._handlers:
+        hops = hop_counts(self.backbone,
+                          frame.src_router).get(frame.dst_router)
+        if hops is None or frame.dst_router not in self._handlers:
             self.frames_undeliverable += 1
             return False
-        hops = len(path) - 1
         delay = hops * (self.per_hop_latency
                         + frame.size * 8 / self.bitrate)
         self.hops_traversed += hops

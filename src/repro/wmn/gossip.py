@@ -63,7 +63,7 @@ class ListGossip:
                  round_period: float = 30.0, fanout: int = 2,
                  loss_probability: float = 0.0,
                  rng: Optional[random.Random] = None,
-                 peers: Optional[Dict[str, List[str]]] = None,
+                 peers: Optional[Dict[str, Sequence[str]]] = None,
                  checkpoints: bool = False) -> None:
         if round_period <= 0:
             raise SimulationError("gossip round_period must be positive")

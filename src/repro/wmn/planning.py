@@ -19,10 +19,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import networkx as nx
-
 from repro.errors import SimulationError
-from repro.wmn.topology import MetroTopology
+from repro.wmn.topology import MetroTopology, hop_counts
 
 Position = Tuple[float, float]
 
@@ -98,19 +96,25 @@ def connectivity_after(topology: MetroTopology,
     Returns the surviving node count, whether the remainder is
     connected, and the fraction of surviving routers that can still
     reach a (surviving) gateway -- the operational meaning of the
-    paper's redundancy assumption.
+    paper's redundancy assumption.  Failed ids outside the backbone are
+    ignored.
     """
-    graph = topology.backbone.copy()
-    graph.remove_nodes_from(failed_routers)
-    gateways = [g for g in topology.gateway_ids if g in graph]
-    if len(graph) == 0:
+    failed = set(failed_routers)
+    survivors = {
+        router_id: tuple(peer for peer in neighbours if peer not in failed)
+        for router_id, neighbours in topology.backbone.items()
+        if router_id not in failed}
+    if not survivors:
         return {"survivors": 0.0, "connected": 0.0,
                 "gateway_reachable_fraction": 0.0}
     reachable = set()
-    for gateway in gateways:
-        reachable.update(nx.node_connected_component(graph, gateway))
+    for gateway in topology.gateway_ids:
+        if gateway in survivors:
+            reachable.update(hop_counts(survivors, gateway))
+    connected = len(hop_counts(survivors, next(iter(survivors)))) \
+        == len(survivors)
     return {
-        "survivors": float(len(graph)),
-        "connected": float(nx.is_connected(graph)),
-        "gateway_reachable_fraction": len(reachable) / len(graph),
+        "survivors": float(len(survivors)),
+        "connected": float(connected),
+        "gateway_reachable_fraction": len(reachable) / len(survivors),
     }

@@ -166,16 +166,13 @@ class Scenario:
         # Epidemic CRL/URL distribution over the backbone adjacency.
         self.gossip: Optional[ListGossip] = None
         if config.gossip_period > 0:
-            graph = self.topology.backbone
-            peers = {router_id: list(graph.neighbors(router_id))
-                     for router_id in graph.nodes}
             self.gossip = ListGossip(
                 self.loop,
                 [sim.router for sim in self.sim_routers.values()],
                 round_period=config.gossip_period,
                 loss_probability=config.gossip_loss,
                 rng=random.Random(config.seed + 0x60551),
-                peers=peers,
+                peers=self.topology.backbone,
                 checkpoints=config.gossip_checkpoints)
             self.gossip.start()
 

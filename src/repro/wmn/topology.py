@@ -5,9 +5,13 @@ mesh routers on a grid forming the long-range wireless backbone, a
 subset co-located with the gateways.  Layer 3: mobile users scattered
 uniformly over the coverage area.
 
-``networkx`` models the backbone graph; :func:`topology_report`
-computes the structural statistics benchmark F1 reports (connectivity,
-router degree, hops-to-gateway, user coverage).
+The backbone is an adjacency map (router id -> neighbour ids, in
+router order), searched by one breadth-first search,
+:func:`hop_counts`, that every caller shares: :func:`topology_report`
+(the structural statistics benchmark F1 reports: connectivity, router
+degree, hops-to-gateway, user coverage), the failure analysis of
+:mod:`repro.wmn.planning` and the forwarding of
+:mod:`repro.wmn.backbone`.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from repro.errors import SimulationError
 
 Position = Tuple[float, float]
+#: The backbone graph: router id -> ids of the routers in link range.
+Backbone = Dict[str, Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class MetroTopology:
     router_positions: Dict[str, Position]
     gateway_ids: List[str]
     user_positions: Dict[str, Position]
-    backbone: nx.Graph
+    backbone: Backbone
 
     def routers_in_reach_of(self, position: Position) -> List[str]:
         """Routers whose access radius covers the given point."""
@@ -93,14 +97,13 @@ def build_topology(config: TopologyConfig) -> MetroTopology:
                                  * config.gateway_fraction))
     gateway_ids = rng.sample(router_ids, gateway_count)
 
-    backbone = nx.Graph()
-    backbone.add_nodes_from(router_ids)
-    for i, rid_a in enumerate(router_ids):
-        for rid_b in router_ids[i + 1:]:
-            if (math.dist(router_positions[rid_a],
-                          router_positions[rid_b])
-                    <= config.backbone_range):
-                backbone.add_edge(rid_a, rid_b)
+    backbone = {
+        rid: tuple(other for other in router_ids
+                   if other != rid
+                   and math.dist(router_positions[rid],
+                                 router_positions[other])
+                   <= config.backbone_range)
+        for rid in router_ids}
 
     user_positions = {
         f"U-{i}": (rng.uniform(0, config.area_side),
@@ -114,20 +117,37 @@ def build_topology(config: TopologyConfig) -> MetroTopology:
                          backbone=backbone)
 
 
+def hop_counts(backbone: Backbone, source: str) -> Dict[str, int]:
+    """Breadth-first search: hop count from ``source`` to every router
+    it reaches (``source`` itself at 0).  A source outside the map
+    reaches only itself."""
+    hops = {source: 0}
+    frontier = [source]
+    while frontier:
+        reached = []
+        for node in frontier:
+            for neighbour in backbone.get(node, ()):
+                if neighbour not in hops:
+                    hops[neighbour] = hops[node] + 1
+                    reached.append(neighbour)
+        frontier = reached
+    return hops
+
+
 def topology_report(topology: MetroTopology) -> Dict[str, float]:
     """Structural statistics for benchmark F1."""
     backbone = topology.backbone
     config = topology.config
-    connected = nx.is_connected(backbone) if backbone.nodes else False
-    degrees = [deg for _node, deg in backbone.degree()]
+    # Connected: non-empty, and one search reaches every router.
+    connected = bool(backbone) and len(
+        hop_counts(backbone, next(iter(backbone)))) == len(backbone)
+    degrees = [len(neighbours) for neighbours in backbone.values()]
     hops: List[int] = []
     if connected and topology.gateway_ids:
-        lengths = {}
-        for gateway in topology.gateway_ids:
-            for node, dist in nx.single_source_shortest_path_length(
-                    backbone, gateway).items():
-                lengths[node] = min(lengths.get(node, math.inf), dist)
-        hops = [int(lengths[node]) for node in backbone.nodes]
+        searches = [hop_counts(backbone, gateway)
+                    for gateway in topology.gateway_ids]
+        hops = [min(search[node] for search in searches)
+                for node in backbone]
     covered = sum(
         1 for pos in topology.user_positions.values()
         if topology.routers_in_reach_of(pos))

@@ -32,7 +32,11 @@ count is |URL|-independent by design):
 * every byte of one M.2's group-signature field flipped, through the
   wire decoder and the verifier against the decoder and the reference:
   in period mode through the tag index, in flat mode through
-  ``verify_batch`` with a URL of decoys and the signer's token.
+  ``verify_batch`` with a URL of decoys and the signer's token;
+* every truncation of one flat-mode M.2, and every byte of its
+  ``g^r_j``, ``g^r_R`` and ``ts2`` fields flipped, through decode and
+  the router's ``process_request`` and ``process_request_batch``
+  against each other and, where verification runs, the reference.
 
 :class:`TestKernelTotality` shows the kernel
 (``batch_core.classify_fast``) raises on no decodable signature -- any
@@ -829,6 +833,133 @@ class TestWireFlips:
         assert set(kinds) == {EncodingError,
                               "T1/T2 outside the prime-order subgroup",
                               "challenge mismatch (Eq.2 failed)"}
+
+
+class TestRequestWire:
+    """The rest of one flat-mode M.2's wire: every truncation, and each
+    byte of the ``g^r_j``, ``g^r_R`` and ``ts2`` fields flipped with a
+    seeded mask, through decode and the router itself.
+
+    A flipped copy runs through ``router.process_request`` and through
+    ``router.process_request_batch([r])``: both must raise the same
+    :class:`EncodingError` from decode, or give the same error type,
+    message and change to ``router.stats``.  Where the request reaches
+    verification (``groupsig.classify``), both also match decode ->
+    ``reference_classify`` on its signed payload and the router's URL
+    (decoys plus the signer's token): class, message, ``token_index``
+    and the verify stage's op counts."""
+
+    @pytest.fixture
+    def revoked_signer(self, fresh_deployment):
+        """A router whose URL holds three decoys and then the signer's
+        token, and the signer's honest M.2 to it."""
+        deployment = fresh_deployment()
+        router = deployment.routers["MR-1"]
+        alice = deployment.users["alice"]
+        for index in ((1, 2), (2, 1), (1, 3),
+                      alice.credentials["Company X"].index):
+            deployment.operator.revoke_user_key(index)
+        router.refresh_lists()
+        request, _pending = alice.connect_to_router(router.make_beacon())
+        return deployment, router, request
+
+    @staticmethod
+    def _through_router(router, blob, batch):
+        """Decode ``blob`` and run it through ``router`` alone or as a
+        batch of one.  Returns the error's view, the change to
+        ``router.stats`` and the ops the verification stage noted
+        (``None`` when the request never reached it)."""
+        request = AccessRequest.decode(router.engine.gpk.group, blob)
+        before = dict(router.stats)
+        stage = []
+        classify = groupsig.classify
+
+        def counted(*args, **kwargs):
+            with instrument.count_operations() as ops:
+                verdicts = classify(*args, **kwargs)
+            stage.append(ops.snapshot())
+            return verdicts
+
+        with mock.patch.object(groupsig, "classify", counted):
+            if batch:
+                [outcome] = router.process_request_batch([request])
+                error = outcome
+            else:
+                try:
+                    error = router.process_request(request)
+                except (ProtocolError, InvalidSignature,
+                        RevokedKeyError) as exc:
+                    error = exc
+        assert isinstance(error, Exception), "a corrupted M.2 was accepted"
+        delta = {key: router.stats[key] - count
+                 for key, count in before.items()}
+        return _view(error), delta, (stage[0] if stage else None)
+
+    @classmethod
+    def _both_ways(cls, router, blob):
+        """The outcome both router paths agree on, checked against the
+        reference where verification ran."""
+        try:
+            alone = cls._through_router(router, blob, batch=False)
+        except EncodingError as exc:
+            return EncodingError, str(exc)
+        assert cls._through_router(router, blob, batch=True) == alone
+        view, _delta, stage_ops = alone
+        if stage_ops is not None:
+            request = AccessRequest.decode(router.engine.gpk.group, blob)
+            with instrument.count_operations() as ops:
+                error = reference_classify(
+                    router.engine.gpk, request.signed_payload(),
+                    request.group_signature, router.url.tokens)
+            assert (view, stage_ops) == (_view(error), ops.snapshot())
+        return alone
+
+    def test_every_truncation_is_an_encoding_error(self, revoked_signer):
+        deployment, _router, request = revoked_signer
+        blob = request.encode()
+        for length in range(len(blob)):
+            with pytest.raises(EncodingError):
+                AccessRequest.decode(deployment.group, blob[:length])
+
+    def test_flipped_field_bytes_match_across_paths_and_reference(
+            self, revoked_signer):
+        _deployment, router, request = revoked_signer
+        blob = request.encode()
+        view, delta, stage_ops = self._both_ways(router, blob)
+        assert (view[0], view[2]) == (RevokedKeyError, 3)
+        assert delta["rejected_revoked"] == 1
+        assert stage_ops["pairing"] == 3 + 2 * len(router.url.tokens)
+
+        payload = request.signed_payload()
+        fields = {}
+        for name, encoded in (("g_r_user", request.g_r_user.encode()),
+                              ("g_r_router", request.g_r_router.encode())):
+            assert blob.count(encoded) == 1
+            fields[name] = range(blob.index(encoded),
+                                 blob.index(encoded) + len(encoded))
+        fields["ts2"] = range(len(payload) - 8, len(payload))
+        rng = random.Random(2029)
+        kinds = {name: Counter() for name in fields}
+        for name, offsets in fields.items():
+            for offset in offsets:
+                flipped = bytearray(blob)
+                flipped[offset] ^= rng.randrange(1, 256)
+                outcome = self._both_ways(router, bytes(flipped))
+                kinds[name][outcome[0] if outcome[0] is EncodingError
+                            else outcome[0][1]] += 1
+        # No flip is accepted, and each field reaches the stage that
+        # checks it: decode, then the DH share's subgroup check, the
+        # beacon lookup, the time window or the signature's challenge.
+        assert {name: set(seen) for name, seen in kinds.items()} == {
+            "g_r_user": {EncodingError,
+                         "g^r_j degenerate or outside the subgroup"},
+            "g_r_router": {EncodingError, "unknown or expired g^r_R echo"},
+            "ts2": {"ts2 outside the acceptance window",
+                    "challenge mismatch (Eq.2 failed)"},
+        }
+        assert {name: sum(seen.values())
+                for name, seen in kinds.items()} == {
+            "g_r_user": 17, "g_r_router": 17, "ts2": 8}
 
 
 class TestZeroCostRejects:

@@ -101,3 +101,46 @@ class TestRedundancy:
         topology = build_topology(TopologyConfig(seed=0))
         health = connectivity_after(topology, topology.gateway_ids)
         assert health["gateway_reachable_fraction"] == 0.0
+
+    # (config, failed ids, (survivors, connected,
+    #  gateway_reachable_fraction)), as the networkx search this module
+    # used to run gave them.  "all" fails every router, "gateways"
+    # every gateway; ids outside the map are ignored.
+    @pytest.mark.parametrize("config, failed, expected", [
+        (TopologyConfig(router_grid=1, gateway_fraction=0.01, seed=1),
+         [], (1.0, 1.0, 1.0)),
+        (TopologyConfig(router_grid=1, gateway_fraction=0.01, seed=1),
+         "all", (0.0, 0.0, 0.0)),
+        (TopologyConfig(router_grid=1, gateway_fraction=0.01, seed=1),
+         ["MR-7", "ghost"], (1.0, 1.0, 1.0)),
+        (TopologyConfig(router_grid=4, backbone_range=500.0, seed=3),
+         [], (16.0, 0.0, 0.4375)),
+        (TopologyConfig(router_grid=4, backbone_range=500.0, seed=3),
+         "gateways", (12.0, 0.0, 0.0)),
+        (TopologyConfig(router_grid=4, backbone_range=500.0, seed=3),
+         "all", (0.0, 0.0, 0.0)),
+        (TopologyConfig(router_grid=4, backbone_range=500.0, seed=3),
+         ["MR-99", "ghost"], (16.0, 0.0, 0.4375)),
+        (TopologyConfig(router_grid=4, backbone_range=500.0, seed=3),
+         ["MR-0", "MR-5", "MR-99"], (14.0, 0.0, 0.5)),
+        (TopologyConfig(router_grid=4, backbone_range=520.0, seed=3),
+         ["MR-1", "MR-99"], (15.0, 0.0, 0.8666666666666667)),
+        (TopologyConfig(router_grid=4, backbone_range=520.0, seed=3),
+         ["MR-5", "MR-6"], (14.0, 0.0, 0.5714285714285714)),
+        (TopologyConfig(seed=0), "gateways", (12.0, 1.0, 0.0)),
+        (TopologyConfig(seed=0), ["MR-0", "MR-5", "MR-99"],
+         (14.0, 1.0, 1.0)),
+        (TopologyConfig(area_side=2000.0, router_grid=3,
+                        gateway_fraction=0.3, user_count=18,
+                        access_range=500.0, seed=2026),
+         ["MR-1", "MR-99"], (8.0, 1.0, 1.0)),
+    ])
+    def test_pinned_values(self, config, failed, expected):
+        topology = build_topology(config)
+        if failed == "all":
+            failed = list(topology.router_positions)
+        elif failed == "gateways":
+            failed = list(topology.gateway_ids)
+        health = connectivity_after(topology, failed)
+        assert (health["survivors"], health["connected"],
+                health["gateway_reachable_fraction"]) == expected

@@ -5,7 +5,35 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.wmn.topology import TopologyConfig, build_topology, topology_report
+from repro.wmn.topology import (
+    TopologyConfig,
+    build_topology,
+    hop_counts,
+    topology_report,
+)
+
+#: The metro layout the city scenario and its benchmark run on.
+CITY = TopologyConfig(area_side=2000.0, router_grid=3, gateway_fraction=0.3,
+                      user_count=18, access_range=500.0, seed=2026)
+
+
+def floyd_warshall_hops(topology):
+    """All-pairs hop counts over the range graph by Floyd-Warshall: the
+    oracle for :func:`hop_counts`, built from the router positions and
+    ``backbone_range`` rather than from the backbone map.  Unreachable
+    pairs are ``inf``."""
+    positions = topology.router_positions
+    reach = topology.config.backbone_range
+    ids = list(positions)
+    dist = {(a, b): 0 if a == b else
+            1 if math.dist(positions[a], positions[b]) <= reach else math.inf
+            for a in ids for b in ids}
+    for k in ids:
+        for i in ids:
+            for j in ids:
+                if dist[i, k] + dist[k, j] < dist[i, j]:
+                    dist[i, j] = dist[i, k] + dist[k, j]
+    return dist
 
 
 class TestBuild:
@@ -46,10 +74,11 @@ class TestBuild:
     def test_backbone_edges_respect_range(self):
         config = TopologyConfig(backbone_range=900.0, seed=3)
         topology = build_topology(config)
-        for a, b in topology.backbone.edges:
-            gap = math.dist(topology.router_positions[a],
-                            topology.router_positions[b])
-            assert gap <= 900.0
+        for a, neighbours in topology.backbone.items():
+            for b in neighbours:
+                gap = math.dist(topology.router_positions[a],
+                                topology.router_positions[b])
+                assert gap <= 900.0
 
 
 class TestQueries:
@@ -88,9 +117,68 @@ class TestReport:
         assert report["backbone_connected"] == 0.0
         assert math.isinf(report["max_hops_to_gateway"])
 
+    # (config, (backbone_connected, mean_router_degree,
+    #  max_hops_to_gateway, mean_hops_to_gateway)), as the networkx
+    # search this module used to run gave them.
+    @pytest.mark.parametrize("config, expected", [
+        (TopologyConfig(router_grid=1, gateway_fraction=0.01, seed=1),
+         (1.0, 0.0, 0.0, 0.0)),
+        (TopologyConfig(seed=0), (1.0, 5.25, 3.0, 1.0625)),
+        (TopologyConfig(router_grid=4, backbone_range=520.0, seed=3),
+         (1.0, 1.875, 6.0, 2.25)),
+        (TopologyConfig(router_grid=4, backbone_range=500.0, seed=3),
+         (0.0, 1.5, math.inf, math.inf)),
+        (CITY, (1.0, 2.6666666666666665, 2.0, 0.8888888888888888)),
+    ], ids=["single", "default", "chain", "partitioned", "city"])
+    def test_pinned_values(self, config, expected):
+        report = topology_report(build_topology(config))
+        assert (report["backbone_connected"],
+                report["mean_router_degree"],
+                report["max_hops_to_gateway"],
+                report["mean_hops_to_gateway"]) == expected
+
     def test_denser_grid_fewer_hops(self):
         sparse = topology_report(build_topology(
             TopologyConfig(router_grid=2, gateway_fraction=0.3, seed=4)))
         dense = topology_report(build_topology(
             TopologyConfig(router_grid=5, gateway_fraction=0.3, seed=4)))
         assert dense["routers"] > sparse["routers"]
+
+
+class TestHopCounts:
+    """The one breadth-first search against the all-pairs oracle."""
+
+    @pytest.mark.parametrize("config, partitioned", [
+        (TopologyConfig(router_grid=1, seed=1), False),
+        (TopologyConfig(seed=0), False),
+        (TopologyConfig(router_grid=4, backbone_range=520.0, seed=3), False),
+        (TopologyConfig(router_grid=5, backbone_range=560.0, seed=7), False),
+        (TopologyConfig(router_grid=4, backbone_range=500.0, seed=3), True),
+        (TopologyConfig(router_grid=4, backbone_range=440.0, seed=5), True),
+        (TopologyConfig(router_grid=6, area_side=3000.0,
+                        backbone_range=510.0, seed=11), True),
+        (CITY, False),
+    ])
+    def test_matches_floyd_warshall(self, config, partitioned):
+        topology = build_topology(config)
+        oracle = floyd_warshall_hops(topology)
+        assert any(math.isinf(d) for d in oracle.values()) == partitioned
+        for source in topology.backbone:
+            expected = {target: hops for (origin, target), hops
+                        in oracle.items()
+                        if origin == source and not math.isinf(hops)}
+            assert hop_counts(topology.backbone, source) == expected
+
+    def test_map_lists_each_link_both_ways_in_router_order(self):
+        topology = build_topology(TopologyConfig(
+            router_grid=4, backbone_range=500.0, seed=3))
+        order = list(topology.router_positions)
+        assert list(topology.backbone) == order
+        for router_id, neighbours in topology.backbone.items():
+            assert list(neighbours) == sorted(neighbours, key=order.index)
+            for peer in neighbours:
+                assert router_id in topology.backbone[peer]
+
+    def test_source_outside_the_map_reaches_only_itself(self):
+        assert hop_counts({"MR-a": ("MR-b",), "MR-b": ("MR-a",)},
+                          "MR-z") == {"MR-z": 0}
